@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .uncertainty import UniversalConstants
+from .uncertainty import UniversalConstants, _line_fit, _smallest_passing
 
 
 def _exp(x):
@@ -235,14 +235,6 @@ def tenenbaum_threshold(s, d1):
     return h ** (g * h) * g ** (-g * g) * d1 ** h
 
 
-def _ls_slope(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    A = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[1])
-
-
 def regime_table(names, params, t_grid, constants=None):
     """Tabulate bounds over a T grid with asymptotic classifiers.
 
@@ -273,10 +265,11 @@ def regime_table(names, params, t_grid, constants=None):
     for name in names:
         vals = np.array(values[name])
         k = min(3, len(t_grid))
-        small = _ls_slope([1.0 / t for t in t_grid[:k]], np.log(vals[:k]))
-        large = _ls_slope(np.log(t_grid[-k:]),
-                          np.log(np.sqrt(t_grid[-k:]) * vals[-k:]))
-        classifiers[name] = {"small_t_coefficient": small, "large_t_exponent": large}
+        small, _ = _line_fit([1.0 / t for t in t_grid[:k]], np.log(vals[:k]))
+        large, _ = _line_fit(np.log(t_grid[-k:]),
+                             np.log(np.sqrt(t_grid[-k:]) * vals[-k:]))
+        classifiers[name] = {"small_t_coefficient": float(small[1]),
+                             "large_t_exponent": float(large[1])}
     return rows, classifiers
 
 
@@ -289,21 +282,7 @@ def calibrate_thick1(pairs, params, constants=None, k_max=2.0 ** 20):
         return all(cost_bound("thick1", params, cc, T=T) >= ce * (1 - 1e-12)
                    for T, ce in pairs)
 
-    if ok(1.0):
-        return c.updated(K=1.0)
-    hi = 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > k_max:
-            raise ParameterError("calibration did not converge")
-    lo = hi / 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return c.updated(K=hi)
+    return c.updated(K=_smallest_passing(ok, k_max))
 
 
 def calibrate_prefactor(name, pairs, params, constants=None):

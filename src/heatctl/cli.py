@@ -13,9 +13,7 @@ from . import exhaustion as ex
 from . import runio
 from . import uncertainty as uc
 from .errors import HeatctlError, ParameterError
-from .spectral import build_basis, galerkin_schrodinger
-
-DEFAULT_N_MAX = 512
+from .spectral import DEFAULT_N_MAX, build_basis, galerkin_schrodinger
 
 
 def _build_operator(cfg, n_max_default=DEFAULT_N_MAX):
@@ -106,7 +104,8 @@ def run_synthesize(cfg, constants, seed):
     elif mode == "active-passive":
         s = float(cfg.get("s", 0.5))
         sched = ct.active_passive_schedule(problem.T, max(float(problem.op.eigvals[-1]), 1.0))
-        pairs = [(E, _subspace_constant(problem, E)) for E in sched.E_j]
+        pairs = [(E, uc.spectral_ineq_constant(problem.op, None, E, gram=problem.control_gram))
+                 for E in sched.E_j if E >= problem.op.eigvals[0]]
         fit = uc.fit_uncertainty_form(pairs, s)
         signal, report = ct.active_passive_synthesize(problem, fit)
         report.c_emp = ct.empirical_cost(problem)
@@ -129,15 +128,6 @@ def run_synthesize(cfg, constants, seed):
     files["report.json"] = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
     files["trajectory.csv"] = runio.csv_text(["x", "y", "series"], rows)
     return files
-
-
-def _subspace_constant(problem, E):
-    mu = problem.op.eigvals
-    idx = np.flatnonzero(mu <= E)
-    if idx.size == 0:
-        raise ParameterError(f"no eigenvalue below E={E}")
-    sub = problem.mtil()[np.ix_(idx, idx)]
-    return float(np.linalg.eigvalsh(sub)[0])
 
 
 def run_bounds(cfg, constants, seed):
@@ -178,18 +168,6 @@ def run_bounds(cfg, constants, seed):
     return files
 
 
-def _slope_fit(t_grid, costs):
-    x = np.array([1.0 / t for t in t_grid])
-    y = np.log(costs)
-    A = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[1]), float(coef[0]), r2
-
-
 def run_homogenize(cfg, constants, seed):
     from .geometry import periodic_band
     op = _build_operator(cfg)
@@ -203,10 +181,13 @@ def run_homogenize(cfg, constants, seed):
         period = period0 / 2.0 ** k
         S = periodic_band(period, gamma, d)
         problem = ct.ControlProblem.from_set(op, S, t_grid[0])
-        problem.mtil()  # materialize before any threaded sweep
-        costs = runio.parallel_map(
-            lambda T: ct.empirical_cost(problem.with_time(T)), t_grid)
-        slope, intercept, r2 = _slope_fit(t_grid, costs)
+        costs = [ct.empirical_cost(problem.with_time(T)) for T in t_grid]
+        y = np.log(costs)
+        coef, A = uc._line_fit([1.0 / t for t in t_grid], y)
+        ss_res = float(np.sum((y - A @ coef) ** 2))
+        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+        slope, intercept = float(coef[1]), float(coef[0])
         for T, c in zip(t_grid, costs):
             sweep_rows.append([repr(period), repr(T), repr(c)])
         fit_rows.append([repr(period), repr(slope), repr(intercept), repr(r2)])

@@ -41,6 +41,7 @@ class ControlProblem:
     u0: np.ndarray = None
     set_hash: str = None
     _mtil: np.ndarray = field(default=None, repr=False)
+    _factor: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.T <= 0:
@@ -71,6 +72,15 @@ class ControlProblem:
                 V = self.op.eigvecs
                 self._mtil = V.T @ self.control_gram @ V
         return self._mtil
+
+    def gramian_factor(self):
+        """``(floored inverse, condition number)`` of ``Q_T``, decomposed once.
+
+        The inverse is ``None`` when ``Q_T`` has no positive eigenvalue.
+        """
+        if self._factor is None:
+            self._factor = _floored_inverse(gramian(self))
+        return self._factor
 
     def with_time(self, T):
         return ControlProblem(op=self.op, control_gram=self.control_gram, T=T,
@@ -115,23 +125,38 @@ def gramian(problem):
     return problem.mtil() * _phi(problem.T, s)
 
 
+def _floored_inverse(Q):
+    """Eigenvalue-floored inverse of the symmetrized ``Q`` and its condition number.
+
+    Returns ``(None, inf)`` when ``Q`` has no positive eigenvalue.
+    """
+    Q = 0.5 * (Q + Q.T)
+    w, V = np.linalg.eigh(Q)
+    w_max = float(w[-1])
+    if w_max <= 0:
+        return None, math.inf
+    cond = math.inf if w[0] <= 0 else w_max / float(w[0])
+    w_floored = np.maximum(w, EIG_FLOOR * w_max)
+    return (V / w_floored) @ V.T, cond
+
+
+def _checked_inverse(factor, cond_cap):
+    """``factor`` as ``(Qinv, cond)`` once its inverse exists and passes the cap."""
+    Qinv, cond = factor
+    if Qinv is None:
+        raise ConditioningError("Gramian is not positive", math.inf)
+    if cond_cap is not None and cond > cond_cap:
+        raise ConditioningError("Gramian inversion refused", cond)
+    return factor
+
+
 def gramian_inverse(Q, cond_cap=COND_CAP):
     """Pseudo-inverse with eigenvalue floor; reports the condition number.
 
     Raises :class:`ConditioningError` above ``cond_cap``; pass
     ``cond_cap=None`` to force the floored inverse regardless.
     """
-    Q = 0.5 * (Q + Q.T)
-    w, V = np.linalg.eigh(Q)
-    w_max = float(w[-1])
-    if w_max <= 0:
-        raise ConditioningError("Gramian is not positive", math.inf)
-    cond = math.inf if w[0] <= 0 else w_max / float(w[0])
-    if cond_cap is not None and cond > cond_cap:
-        raise ConditioningError("Gramian inversion refused", cond)
-    w_floored = np.maximum(w, EIG_FLOOR * w_max)
-    Qinv = (V / w_floored) @ V.T
-    return Qinv, cond
+    return _checked_inverse(_floored_inverse(Q), cond_cap)
 
 
 def min_norm_control(problem, cond_cap=COND_CAP):
@@ -147,12 +172,20 @@ def min_norm_control(problem, cond_cap=COND_CAP):
     u0e = problem.op.to_eigenbasis(problem.u0)
     if not np.any(u0e):
         return ControlSignal.zero(), 0.0
-    Qinv, _ = gramian_inverse(gramian(problem), cond_cap)
+    Qinv, _ = _checked_inverse(problem.gramian_factor(), cond_cap)
     y = np.exp(-problem.T * mu) * u0e
     v = Qinv @ y
     cost_sq = max(float(v @ y), 0.0)
     phase = Phase(0.0, problem.T, v, None, cost_sq)
     return ControlSignal(phases=(phase,)), math.sqrt(cost_sq)
+
+
+def _cost_operator(problem, cond_cap):
+    """``exp(-TA) Q_T^{-1} exp(-TA)``, symmetrized."""
+    Qinv, _ = _checked_inverse(problem.gramian_factor(), cond_cap)
+    e = np.exp(-problem.T * problem.op.eigvals)
+    A = (e[:, None] * Qinv) * e[None, :]
+    return 0.5 * (A + A.T)
 
 
 def empirical_cost(problem, cond_cap=COND_CAP):
@@ -162,28 +195,19 @@ def empirical_cost(problem, cond_cap=COND_CAP):
     constant of the final-state observability inequality for the truncated
     system.
     """
-    mu = problem.op.eigvals
-    Qinv, _ = gramian_inverse(gramian(problem), cond_cap)
-    e = np.exp(-problem.T * mu)
-    A = (e[:, None] * Qinv) * e[None, :]
-    lam = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
+    lam = float(np.linalg.eigvalsh(_cost_operator(problem, cond_cap))[-1])
     return math.sqrt(max(lam, 0.0))
 
 
 def worst_initial_state(problem, cond_cap=COND_CAP):
     """Unit initial state attaining the control cost (in the function basis)."""
-    mu = problem.op.eigvals
-    Qinv, _ = gramian_inverse(gramian(problem), cond_cap)
-    e = np.exp(-problem.T * mu)
-    A = (e[:, None] * Qinv) * e[None, :]
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    w, V = np.linalg.eigh(_cost_operator(problem, cond_cap))
     return problem.op.from_eigenbasis(V[:, -1])
 
 
 def gramian_condition(problem):
-    Q = gramian(problem)
-    w = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    return math.inf if w[0] <= 0 else float(w[-1] / w[0])
+    """Condition number of ``Q_T``; ``inf`` when it is singular.  Never raises."""
+    return problem.gramian_factor()[1]
 
 
 @dataclass(frozen=True)
@@ -350,13 +374,17 @@ def active_passive_synthesize(problem, fit, cond_cap=COND_CAP):
         a_j = sched.a[j]
         mask = mu <= E_j
         norm_in = float(np.linalg.norm(state))
-        y = (np.exp(-T_j * mu) * state)[mask]
-        Qj = (mtil * _phi(T_j, mu[:, None] + mu[None, :]))[np.ix_(mask, mask)]
-        Qinv, cond = gramian_inverse(Qj, cond_cap)
-        worst_cond = max(worst_cond, cond)
         v = np.zeros_like(state)
-        v[mask] = Qinv @ y
-        norm_sq = max(float(v[mask] @ y), 0.0)
+        norm_sq = 0.0
+        # a cutoff below the lowest eigenvalue has no modes to steer: the
+        # phase carries the zero control and only the free decay acts
+        if mask.any():
+            y = (np.exp(-T_j * mu) * state)[mask]
+            Qj = (mtil * _phi(T_j, mu[:, None] + mu[None, :]))[np.ix_(mask, mask)]
+            Qinv, cond = gramian_inverse(Qj, cond_cap)
+            worst_cond = max(worst_cond, cond)
+            v[mask] = Qinv @ y
+            norm_sq = max(float(v[mask] @ y), 0.0)
         phase = Phase(a_j, a_j + T_j, v, mask.copy(), norm_sq)
         phases.append(phase)
         total_sq += norm_sq

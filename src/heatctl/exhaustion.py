@@ -14,7 +14,8 @@ import numpy as np
 from . import _trig
 from .control import ControlProblem, _phi, gramian_condition, min_norm_control
 from .errors import FidelityError, ParameterError
-from .spectral import DomainSpec, build_basis, galerkin_schrodinger
+from .spectral import DEFAULT_N_MAX, DomainSpec, build_basis, galerkin_schrodinger
+from .uncertainty import _line_fit
 
 
 def centered_box(L, d=1, boundary="dirichlet"):
@@ -22,7 +23,7 @@ def centered_box(L, d=1, boundary="dirichlet"):
     return DomainSpec(boundary, (float(L),) * d, (-float(L) / 2,) * d)
 
 
-def box_basis(L, omega_cut, d=1, n_max=512):
+def box_basis(L, omega_cut, d=1, n_max=DEFAULT_N_MAX):
     """Dirichlet basis on the centered box with frequencies up to ``omega_cut``."""
     return build_basis(centered_box(L, d), float(omega_cut) ** 2 * d, n_max=n_max)
 
@@ -93,7 +94,7 @@ class ExhaustionRun:
     d: int = 1
     potential: object = None
     fidelity_tol: float = 1e-6
-    n_max: int = 512
+    n_max: int = DEFAULT_N_MAX
 
     def __post_init__(self):
         L = tuple(float(x) for x in self.L_list)
@@ -149,10 +150,7 @@ def semigroup_difference(run):
         diffs.append(math.sqrt(max(d2, 0.0)))
         fids.append(fid_L)
     if len(diffs) >= 2 and all(d > 0 for d in diffs):
-        x = np.array([L ** 2 for L in run.L_list])
-        y = np.log(diffs)
-        A = np.vstack([np.ones_like(x), x]).T
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        coef, _ = _line_fit([L ** 2 for L in run.L_list], np.log(diffs))
         slope, intercept = float(coef[1]), float(coef[0])
     else:
         slope = intercept = math.nan

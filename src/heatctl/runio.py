@@ -6,7 +6,6 @@ import io
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ParameterError
 from .geometry import (EquidistributedSpec, ObservabilitySet, example_set,
@@ -164,23 +163,3 @@ def parse_constants(data):
     if data is None:
         return UniversalConstants()
     return UniversalConstants.from_dict(data)
-
-
-def n_workers():
-    raw = os.environ.get("HEATCTL_THREADS")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParameterError("HEATCTL_THREADS must be an integer")
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when HEATCTL_THREADS allows it."""
-    items = list(items)
-    workers = min(n_workers(), max(len(items), 1))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

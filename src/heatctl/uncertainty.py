@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
-from scipy.integrate import quad
 
+from . import _trig
 from .errors import DegenerateSetError, ParameterError
 from .geometry import gram_matrix
 
@@ -79,6 +79,40 @@ class UncertaintyFit:
         return self.d0 * np.exp(self.d1 * np.maximum(E, 0.0) ** self.s)
 
 
+def _line_fit(x, y):
+    """Least-squares line ``y ~ coef[0] + coef[1] x``; returns ``(coef, A)``.
+
+    ``A`` is the design matrix, so callers form fitted values as ``A @ c``.
+    """
+    x = np.asarray(x, dtype=float)
+    A = np.vstack([np.ones_like(x), x]).T
+    coef, *_ = np.linalg.lstsq(A, np.asarray(y, dtype=float), rcond=None)
+    return coef, A
+
+
+def _smallest_passing(ok, k_max):
+    """Smallest ``k >= 1`` with ``ok(k)``, for ``ok`` monotone in ``k``.
+
+    Returns 1 when it passes; otherwise doubles up to ``k_max``, halves the
+    last bracket 80 times and returns its passing end.
+    """
+    hi = 1.0
+    while not ok(hi):
+        hi *= 2.0
+        if hi > k_max:
+            raise ParameterError("calibration did not converge")
+    if hi == 1.0:
+        return hi
+    lo = hi / 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def subspace_indices(op, E):
     idx = np.flatnonzero(op.eigvals <= E)
     if idx.size == 0:
@@ -124,9 +158,7 @@ def fit_uncertainty_form(pairs, s):
         raise DegenerateSetError("C_emp vanishes on the fit grid")
     E = np.array([p[0] for p in pairs])
     y = -np.log([p[1] for p in pairs])
-    x = np.maximum(E, 0.0) ** s
-    A = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    coef, A = _line_fit(np.maximum(E, 0.0) ** s, y)
     d1 = max(float(coef[1]), 0.0)
     d0 = math.exp(float(coef[0]))
     resid = float(np.sqrt(np.mean((A @ np.array([math.log(d0), d1]) - y) ** 2)))
@@ -267,12 +299,20 @@ def ucp_bound(name, constants=None, **p):
     raise ParameterError(f"unknown bound name {name!r}")
 
 
-def _abs_sin_power(power, lo, hi):
-    # |sin(2 pi x)|^power on [lo, hi] subset of [0, 1]; kink only at x = 1/2
-    pts = [0.5] if lo < 0.5 < hi else None
-    val, _ = quad(lambda x: np.abs(np.sin(2 * np.pi * x)) ** power, lo, hi,
-                  points=pts, limit=200, epsabs=1e-13, epsrel=1e-13)
-    return val
+def _sin_power_integral(power, x):
+    """``int_0^x sin(t)^power dt`` for ``0 <= x <= pi/2``.
+
+    The integrand vanishes like ``t^power`` at 0, which spoils Gauss-Legendre
+    on a panel touching 0 when the power is fractional.  In ``t = x 2^-u``
+    equal panels in ``u`` shrink geometrically toward ``t = 0`` and the
+    integrand is smooth; the cut at ``u = 40`` drops a share of about
+    ``2^-(40 (power + 1))``.
+    """
+    def integrand(u):
+        t = x * 2.0 ** -u
+        return np.sin(t) ** power * t
+
+    return math.log(2.0) * _trig.quad_interval(integrand, 0.0, 40.0, panels=20)
 
 
 def sharpness_example_torus(eps, b, p=2.0):
@@ -293,9 +333,16 @@ def sharpness_example_torus(eps, b, p=2.0):
     if alpha < 1:
         raise ParameterError("b/(4 pi) must be at least 1")
     power = p * alpha
-    num = _abs_sin_power(power, 0.5 - eps / 2, 0.5 + eps / 2)
-    den = _abs_sin_power(power, 0.0, 1.0)
-    ratio = (num / den) ** (1.0 / p)
+    # in t = 2 pi |x - 1/2| the band folds onto [0, pi eps] and [0, 1] onto
+    # [0, pi]; sin^power is symmetric about pi/2, and its quarter integral
+    # int_0^{pi/2} sin^power has the Wallis closed form below
+    quarter = math.sqrt(math.pi) / 2.0 * math.exp(
+        math.lgamma((power + 1.0) / 2.0) - math.lgamma(power / 2.0 + 1.0))
+    if eps <= 0.5:
+        band = _sin_power_integral(power, math.pi * eps)
+    else:
+        band = 2.0 * quarter - _sin_power_integral(power, math.pi * (1.0 - eps))
+    ratio = (band / (2.0 * quarter)) ** (1.0 / p)
     upper = (eps / (2.0 / math.pi ** 2)) ** (b / (4 * math.pi) - 1.0)
     return ratio, upper
 
@@ -381,18 +428,4 @@ def calibrate_spectral_cube(pairs, gamma, a, d, constants=None, k_max=2.0 ** 40)
         return all(ucp_bound("spectral_cube", cc, gamma=gamma, a=a, d=d, E=E) <= ce
                    for E, ce in pairs)
 
-    lo, hi = 1.0, 1.0
-    if ok(lo):
-        return c.updated(K5=1.0)
-    while not ok(hi):
-        hi *= 2.0
-        if hi > k_max:
-            raise ParameterError("calibration did not converge; data too small")
-    lo = hi / 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return c.updated(K5=hi)
+    return c.updated(K5=_smallest_passing(ok, k_max))

@@ -111,6 +111,26 @@ def test_synthesize_active_passive_phase_table(tmp_path):
     assert report["diagnostics"]["total_norm"] >= report["diagnostics"]["min_norm_cost"]
 
 
+def test_synthesize_active_passive_spectrum_above_first_cutoff(tmp_path):
+    # the lowest eigenvalue 2 lies above E_0 = 1: the fit skips that cutoff
+    # and phase 0 carries the zero control
+    two_pi = 2 * math.pi
+    h = two_pi / 4
+    cfg = base("synthesize", mode="active-passive",
+               domain={"torus": [two_pi, two_pi]}, potential={"constant": 2.0},
+               e_max=20.0,
+               set={"kind": "periodic_boxes", "cell": [two_pi, two_pi],
+                    "boxes": [[[i * h, (i + 0.6) * h]] * 2 for i in range(4)]},
+               T=1.0, u0={"mode": 0}, s=0.5)
+    rc = main(["synthesize", "--config", write_config(tmp_path, "c.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    rows = read_csv(tmp_path / "out" / "phases.csv")
+    assert float(rows[1][1]) == 1.0 and float(rows[1][4]) == 0.0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["diagnostics"]["final_residual"] <= 1e-10
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = base("synthesize", mode="active-passive",
                domain={"interval": [0.0, math.pi], "boundary": "dirichlet"},
@@ -233,14 +253,3 @@ def test_constants_override(tmp_path):
     meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
     assert meta["constants"]["K5"] == 2.0
 
-
-def test_threads_env_does_not_change_results(tmp_path, monkeypatch):
-    t0 = math.log(1e3) / 64.0
-    cfg = base("homogenize", domain={"torus": [4.0]}, gamma=0.3, period0=2.0,
-               halvings=1, e_max=64.0, t_grid=[t0, 2 * t0, 3 * t0])
-    path = write_config(tmp_path, "c.json", cfg)
-    assert main(["homogenize", "--config", path, "--out", str(tmp_path / "s")]) == 0
-    monkeypatch.setenv("HEATCTL_THREADS", "4")
-    assert main(["homogenize", "--config", path, "--out", str(tmp_path / "p")]) == 0
-    assert (tmp_path / "s" / "homogenize.csv").read_bytes() == \
-        (tmp_path / "p" / "homogenize.csv").read_bytes()

@@ -8,7 +8,8 @@ from heatctl import (ConditioningError, ControlProblem, ControlSignal,
                      active_passive_schedule, active_passive_synthesize,
                      build_basis, douglas_factorize, duhamel_solve,
                      empirical_cost, fit_uncertainty_form, galerkin_schrodinger,
-                     gramian, min_norm_control, spectral_ineq_sweep,
+                     gramian, gramian_condition, min_norm_control, PotentialSpec,
+                     spectral_ineq_constant, spectral_ineq_sweep,
                      worst_initial_state)
 from heatctl.control import Phase
 from oracles import douglas_sup_ratio, quad_gram
@@ -40,6 +41,9 @@ def test_gramian_empty_set():
     op = single_heat_mode_op()
     prob = ControlProblem.from_set(op, ObservabilitySet.empty(), 1.0)
     assert np.array_equal(gramian(prob), [[0.0]])
+    assert gramian_condition(prob) == math.inf
+    with pytest.raises(ConditioningError):
+        empirical_cost(prob)
 
 
 def test_min_norm_scalar_system():
@@ -260,9 +264,84 @@ def test_conditioning_error_reported():
     op = galerkin_schrodinger(basis)
     S = ObservabilitySet.periodic((math.pi,), [((0.0, 0.2),)])
     prob = ControlProblem.from_set(op, S, 0.01, u0=np.eye(op.n)[0])
-    with pytest.raises(ConditioningError) as err:
-        min_norm_control(prob)
-    assert err.value.condition_number > 1e12
+    cond = gramian_condition(prob)
+    assert cond > 1e12
+    # every capped call refuses on its own, from the one shared factorization
+    for call in (worst_initial_state, min_norm_control, empirical_cost):
+        with pytest.raises(ConditioningError) as err:
+            call(prob)
+        assert err.value.condition_number == cond
+    assert gramian_condition(prob) == cond
+    assert empirical_cost(prob, cond_cap=None) > 0
+
+
+def _record_decompositions(monkeypatch):
+    """Copies of every matrix handed to ``np.linalg.eigh``/``eigvalsh``."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kw):
+            seen.append(np.array(a))
+            return _original(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
+def _decompositions_of_gramian(seen, prob):
+    Q = gramian(prob)
+    Q = 0.5 * (Q + Q.T)
+    return sum(1 for M in seen if M.shape == Q.shape and np.array_equal(M, Q))
+
+
+def test_gramian_decomposed_once_per_problem(dirichlet_op, half_interval_set,
+                                             monkeypatch):
+    prob = ControlProblem.from_set(dirichlet_op, half_interval_set, 0.5)
+    seen = _record_decompositions(monkeypatch)
+    prob.u0 = worst_initial_state(prob)
+    _, cost = min_norm_control(prob)
+    c_T = empirical_cost(prob)
+    cond = gramian_condition(prob)
+    assert _decompositions_of_gramian(seen, prob) == 1
+    # the other two decompose exp(-TA) Q_T^{-1} exp(-TA), once each
+    assert len(seen) == 3
+    assert abs(cost - c_T) <= 1e-10 * c_T
+    assert 1.0 < cond < 1e12
+
+    later = prob.with_time(1.0)
+    seen.clear()
+    empirical_cost(later)
+    assert gramian_condition(later) != cond
+    min_norm_control(later)
+    assert _decompositions_of_gramian(seen, later) == 1
+    assert len(seen) == 2
+
+
+def test_synthesize_cutoff_below_lowest_eigenvalue():
+    # a constant potential 2 lifts the spectrum above the first cutoff E_0 = 1
+    two_pi = 2 * math.pi
+    basis = build_basis(DomainSpec.torus(two_pi, two_pi), 20.0)
+    op = galerkin_schrodinger(basis, PotentialSpec(constant=2.0))
+    h = two_pi / 4
+    S = ObservabilitySet.periodic(
+        (two_pi, two_pi), [((i * h, (i + 0.6) * h),) * 2 for i in range(4)])
+    prob = ControlProblem.from_set(op, S, 1.0)
+    assert op.n == 69 and op.eigvals[0] > 1.0
+    prob.u0 = worst_initial_state(prob)
+    sched = active_passive_schedule(prob.T, op.eigvals[-1])
+    pairs = [(E, spectral_ineq_constant(op, None, E, gram=prob.control_gram))
+             for E in sched.E_j if E >= op.eigvals[0]]
+    fit = fit_uncertainty_form(pairs, 0.5)
+    signal, report = active_passive_synthesize(prob, fit)
+    rows = report.diagnostics["phases"]
+    assert len(rows) == len(sched.E_j)
+    assert not signal.phases[0].mode_mask.any()
+    assert not np.any(signal.phases[0].v)
+    assert rows[0]["norm_sq"] == 0.0 and rows[0]["low_mode_residual"] == 0.0
+    for row in rows[1:]:
+        assert row["low_mode_residual"] <= 1e-8
+    assert report.diagnostics["final_residual"] <= 1e-10
 
 
 def test_douglas_identity_cases():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from heatctl import (DegenerateSetError, DomainSpec, ObservabilitySet,
                      sharpness_example_sparse, sharpness_example_torus,
                      spectral_ineq_constant, spectral_ineq_sweep, ucp_bound,
                      UniversalConstants)
-from heatctl.uncertainty import _shifted_ucp_exponent
+from heatctl.uncertainty import _shifted_ucp_exponent, _sin_power_integral
 from oracles import gl_integral, quad_gram
 
 
@@ -179,6 +182,48 @@ def test_sharpness_torus_values():
     ratio2, upper2 = sharpness_example_torus(0.05, 16 * math.pi, p=2)
     assert abs(upper2 - (0.05 * math.pi ** 2 / 2) ** 3) < 1e-12
     assert ratio2 <= upper2
+
+
+def _abs_sin_power_oracle(power, lo, hi):
+    """40-digit ``int_lo^hi |sin(2 pi x)|^power dx``, broken at the quarter points."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        pts = [lo] + [q for q in (0.25, 0.5, 0.75) if lo < q < hi] + [hi]
+        pts = [mpmath.mpf(x) for x in pts]
+        return mpmath.quad(lambda x: abs(mpmath.sin(2 * mpmath.pi * x)) ** power, pts)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0])
+def test_sharpness_torus_matches_mpmath_oracle(p):
+    worst = 0.0
+    for b in (8 * math.pi, 12 * math.pi, 16 * math.pi, 32 * math.pi):
+        power = p * math.floor(b / (4 * math.pi))
+        den = _abs_sin_power_oracle(power, 0.0, 1.0)
+        for eps in (0.05, 0.1, 0.15, 0.5, 0.75, 0.999):
+            ratio, _ = sharpness_example_torus(eps, b, p)
+            num = _abs_sin_power_oracle(power, 0.5 - eps / 2, 0.5 + eps / 2)
+            worst = max(worst, abs(ratio - float((num / den) ** (1 / p))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("power", [0.5, 1.5, 2.5, 24.0])
+def test_sin_power_integral_fractional_endpoint(power):
+    import mpmath
+
+    for x in (0.1, 1.0, math.pi / 2):
+        with mpmath.workdps(40):
+            exact = mpmath.quad(lambda t: mpmath.sin(t) ** power, [0, mpmath.mpf(x)])
+        assert abs(_sin_power_integral(power, x) / float(exact) - 1.0) <= 1e-13
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, heatctl, heatctl.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sharpness_torus_band_covering_peak():
