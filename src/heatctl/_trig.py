@@ -1,11 +1,11 @@
 """Closed-form integrals of products of cosine atoms.
 
 Every 1D basis function used in this package is a single atom
-``A*cos(w*x + p)`` in absolute coordinates.  Products of two (or three)
-atoms expand into sums of cosines, so integrals over intervals reduce to
-antiderivatives of ``cos``.  All Gram matrices, Galerkin potential
-entries and cross-basis overlaps are assembled from these kernels, which
-keeps them free of quadrature error.
+``A*cos(w*x + p)`` in absolute coordinates.  Products of two atoms expand
+into sums of cosines, so integrals over intervals reduce to antiderivatives
+of ``cos``.  All Gram matrices, Galerkin potential entries and cross-basis
+overlaps are assembled from the one cross kernel and the one separable box
+sum below, which keeps them free of quadrature error.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ _FREQ_EPS = 1e-12
 
 
 def _cos_primitive_diff(w, p, a, b):
-    """Vectorized ``int_a^b cos(w x + p) dx`` for arrays w, p."""
+    """Vectorized ``int_a^b cos(w x + p) dx``; all four arguments broadcast."""
     w = np.asarray(w, dtype=float)
     p = np.asarray(p, dtype=float)
     small = np.abs(w) < _FREQ_EPS
@@ -26,66 +26,43 @@ def _cos_primitive_diff(w, p, a, b):
     return np.where(small, flat, osc)
 
 
-def pair_integrals(amps, freqs, phases, a, b):
-    """Matrix of ``int_a^b f_i f_j dx`` for atoms ``f_i = A_i cos(w_i x + p_i)``.
+def cross_integrals(atoms_a, atoms_b, lo, hi):
+    """Tables of ``int_lo^hi f_i g_j dx``, one per interval: shape (len(lo), m_a, m_b).
 
-    Parameters
-    ----------
-    amps, freqs, phases : array_like, shape (n,)
-        Atom parameters.
-    a, b : float
-        Integration interval.
-
-    Returns
-    -------
-    numpy.ndarray, shape (n, n)
+    ``atoms_a`` and ``atoms_b`` are ``(amps, freqs, phases)`` of two atom
+    families.  A Gram table is a family crossed with itself; a product
+    ``g_j cos(w0 x + p0)`` is the sum of the two half-amplitude atoms at
+    ``w_j -+ w0``, ``p_j -+ p0``.
     """
-    A = np.asarray(amps, dtype=float)
-    w = np.asarray(freqs, dtype=float)
-    p = np.asarray(phases, dtype=float)
-    wd = w[:, None] - w[None, :]
-    ws = w[:, None] + w[None, :]
-    pd = p[:, None] - p[None, :]
-    ps = p[:, None] + p[None, :]
-    out = 0.5 * (_cos_primitive_diff(wd, pd, a, b) + _cos_primitive_diff(ws, ps, a, b))
-    return out * (A[:, None] * A[None, :])
+    Aa, wa, pa = (np.asarray(x, dtype=float) for x in atoms_a)
+    Ab, wb, pb = (np.asarray(x, dtype=float) for x in atoms_b)
+    lo = np.asarray(lo, dtype=float)[:, None, None]
+    hi = np.asarray(hi, dtype=float)[:, None, None]
+    wd = wa[:, None] - wb[None, :]
+    ws = wa[:, None] + wb[None, :]
+    pd = pa[:, None] - pb[None, :]
+    ps = pa[:, None] + pb[None, :]
+    out = 0.5 * (_cos_primitive_diff(wd, pd, lo, hi) + _cos_primitive_diff(ws, ps, lo, hi))
+    return out * (Aa[:, None] * Ab[None, :])
 
 
-def triple_integrals(amps, freqs, phases, w0, p0, a, b):
-    """Matrix of ``int_a^b f_i f_j cos(w0 x + p0) dx``.
+def separable_sum(tables, index_a, index_b):
+    """Matrix ``sum_box prod_axis tables[axis][box, index_a[axis][i], index_b[axis][j]]``.
 
-    Used for Galerkin entries of cosine-series potentials.
+    Tensor-product functions share few distinct 1D factors per axis, so the
+    box sum runs once on the small per-axis tables (one ``einsum`` over the
+    box index, in box order) and the result is gathered once into the
+    ``(len(index_a[0]), len(index_b[0]))`` matrix.
     """
-    A = np.asarray(amps, dtype=float)
-    w = np.asarray(freqs, dtype=float)
-    p = np.asarray(phases, dtype=float)
-    wd = w[:, None] - w[None, :]
-    ws = w[:, None] + w[None, :]
-    pd = p[:, None] - p[None, :]
-    ps = p[:, None] + p[None, :]
-    out = 0.25 * (
-        _cos_primitive_diff(wd - w0, pd - p0, a, b)
-        + _cos_primitive_diff(wd + w0, pd + p0, a, b)
-        + _cos_primitive_diff(ws - w0, ps - p0, a, b)
-        + _cos_primitive_diff(ws + w0, ps + p0, a, b)
-    )
-    return out * (A[:, None] * A[None, :])
-
-
-def cross_integrals(amps1, freqs1, phases1, amps2, freqs2, phases2, a, b):
-    """Rectangular matrix of ``int_a^b f_i g_j dx`` for two atom families."""
-    A1 = np.asarray(amps1, dtype=float)
-    w1 = np.asarray(freqs1, dtype=float)
-    p1 = np.asarray(phases1, dtype=float)
-    A2 = np.asarray(amps2, dtype=float)
-    w2 = np.asarray(freqs2, dtype=float)
-    p2 = np.asarray(phases2, dtype=float)
-    wd = w1[:, None] - w2[None, :]
-    ws = w1[:, None] + w2[None, :]
-    pd = p1[:, None] - p2[None, :]
-    ps = p1[:, None] + p2[None, :]
-    out = 0.5 * (_cos_primitive_diff(wd, pd, a, b) + _cos_primitive_diff(ws, ps, a, b))
-    return out * (A1[:, None] * A2[None, :])
+    d = len(tables)
+    rows, cols = "abc"[:d], "ijk"[:d]
+    spec = ",".join(f"z{r}{c}" for r, c in zip(rows, cols)) + "->" + rows + cols
+    shape_a = tuple(t.shape[1] for t in tables)
+    shape_b = tuple(t.shape[2] for t in tables)
+    R = np.einsum(spec, *tables).reshape(int(np.prod(shape_a)), int(np.prod(shape_b)))
+    ia = np.ravel_multi_index(tuple(index_a), shape_a)
+    ib = np.ravel_multi_index(tuple(index_b), shape_b)
+    return R[ia[:, None], ib[None, :]]
 
 
 def gauss_legendre(order=32):

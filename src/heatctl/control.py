@@ -380,7 +380,8 @@ def active_passive_synthesize(problem, fit, cond_cap=COND_CAP):
         # phase carries the zero control and only the free decay acts
         if mask.any():
             y = (np.exp(-T_j * mu) * state)[mask]
-            Qj = (mtil * _phi(T_j, mu[:, None] + mu[None, :]))[np.ix_(mask, mask)]
+            mu_m = mu[mask]
+            Qj = mtil[np.ix_(mask, mask)] * _phi(T_j, mu_m[:, None] + mu_m[None, :])
             Qinv, cond = gramian_inverse(Qj, cond_cap)
             worst_cond = max(worst_cond, cond)
             v[mask] = Qinv @ y

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _trig
 from .control import ControlProblem, _phi, gramian_condition, min_norm_control
 from .errors import FidelityError, ParameterError
-from .spectral import DEFAULT_N_MAX, DomainSpec, build_basis, galerkin_schrodinger
+from .spectral import (DEFAULT_N_MAX, DomainSpec, box_integrals, build_basis,
+                       galerkin_schrodinger)
 from .uncertainty import _line_fit
 
 
@@ -30,16 +30,7 @@ def box_basis(L, omega_cut, d=1, n_max=DEFAULT_N_MAX):
 
 def cross_gram(basis_a, basis_b, boxes):
     """Matrix of ``int_box phi^a_i phi^b_j`` summed over absolute boxes."""
-    n_a, n_b = basis_a.n, basis_b.n
-    out = np.zeros((n_a, n_b))
-    for box in boxes:
-        block = np.ones((n_a, n_b))
-        for ax, (lo, hi) in enumerate(box):
-            Aa, wa, pa = basis_a.axis_atoms(ax)
-            Ab, wb, pb = basis_b.axis_atoms(ax)
-            block *= _trig.cross_integrals(Aa, wa, pa, Ab, wb, pb, lo, hi)
-        out += block
-    return out
+    return box_integrals(basis_a, basis_b, boxes)
 
 
 def overlap_matrix(dst_basis, src_basis):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
+from .spectral import box_integrals
 
 _EPS = 1e-12
 
@@ -251,8 +252,9 @@ def _clip_boxes(boxes, region):
 def gram_matrix(basis, S):
     """Matrix of ``int_{S ∩ domain} phi_i phi_j`` for the basis modes.
 
-    Entries come from closed-form trigonometric antiderivatives per box, so
-    the result is exact up to rounding; eigenvalues lie in [0, 1].
+    Entries come from closed-form trigonometric antiderivatives (see
+    :func:`heatctl.spectral.box_integrals`), so the result is exact up to
+    rounding; eigenvalues lie in [0, 1].
     """
     if S.kind == "full":
         return np.eye(basis.n)
@@ -266,9 +268,7 @@ def gram_matrix(basis, S):
             ratio = side / c
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ParameterError("set period does not tile the torus")
-    M = np.zeros((basis.n, basis.n))
-    for box in S.boxes_in_region(dom.box()):
-        M += basis.box_pair_integrals(box)
+    M = box_integrals(basis, basis, S.boxes_in_region(dom.box()))
     return 0.5 * (M + M.T)
 
 

@@ -7,7 +7,9 @@ operators (Schrodinger Galerkin matrices, semigroups, fractional powers)
 act in this basis.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -136,18 +138,22 @@ class SpectralBasis:
     def n(self):
         return len(self.modes)
 
-    def axis_atoms(self, axis):
-        """Atom parameters of every mode restricted to one axis."""
-        bnd = self.domain.boundary
-        side = self.domain.sides[axis]
-        orig = self.domain.origin[axis]
-        amps, freqs, phases = [], [], []
-        for m in self.modes:
-            a, w, p = _axis_atom(bnd, side, orig, m[axis])
-            amps.append(a)
-            freqs.append(w)
-            phases.append(p)
-        return np.array(amps), np.array(freqs), np.array(phases)
+    @cached_property
+    def axis_atoms(self):
+        """Per axis ``((amps, freqs, phases), index)``, built once per basis.
+
+        The arrays hold the distinct 1D atoms of the axis; ``index[i]`` is the
+        position of mode ``i``'s factor among them.
+        """
+        dom = self.domain
+        ks = np.array(self.modes, dtype=int).reshape(self.n, dom.dimension)
+        axes = []
+        for ax in range(dom.dimension):
+            distinct, index = np.unique(ks[:, ax], return_inverse=True)
+            atoms = np.array([_axis_atom(dom.boundary, dom.sides[ax], dom.origin[ax], int(k))
+                              for k in distinct]).T
+            axes.append((tuple(atoms), index))
+        return tuple(axes)
 
     def evaluate(self, points):
         """Values of all modes at ``points`` (shape (npts, d)) -> (n, npts)."""
@@ -156,18 +162,10 @@ class SpectralBasis:
             pts = pts.T
         vals = np.ones((self.n, pts.shape[0]))
         for ax in range(self.domain.dimension):
-            amps, freqs, phases = self.axis_atoms(ax)
-            vals *= amps[:, None] * np.cos(freqs[:, None] * pts[:, ax][None, :]
-                                           + phases[:, None])
+            (amps, freqs, phases), index = self.axis_atoms[ax]
+            vals *= (amps[:, None] * np.cos(freqs[:, None] * pts[:, ax][None, :]
+                                            + phases[:, None]))[index]
         return vals
-
-    def box_pair_integrals(self, box):
-        """Gram block ``int_box phi_i phi_j`` for an absolute-coordinate box."""
-        out = np.ones((self.n, self.n))
-        for ax, (a, b) in enumerate(box):
-            amps, freqs, phases = self.axis_atoms(ax)
-            out *= _trig.pair_integrals(amps, freqs, phases, a, b)
-        return out
 
     def to_json(self):
         return {
@@ -215,6 +213,33 @@ def build_basis(domain, e_max, n_max=DEFAULT_N_MAX):
         eigenvalues=np.array([lam for _, lam in modes]),
         e_max=float(e_max),
     )
+
+
+def box_integrals(basis_a, basis_b, boxes):
+    """Matrix of ``sum_box int_box phi^a_i phi^b_j`` over absolute boxes.
+
+    Each box is a sequence of ``(lo, hi)`` per axis.  Per axis the cross
+    kernel runs on the distinct atoms only, for a stack of boxes at once.
+    A stack's tables hold no more entries than the summed table, so memory
+    does not grow with the box count: in 1D, where no atom is shared, each
+    box is its own stack, while every box of a 2D set fits in one.
+    """
+    d = basis_a.domain.dimension
+    ends = np.asarray(boxes, dtype=float).reshape(-1, d, 2)
+    axes = list(zip(basis_a.axis_atoms, basis_b.axis_atoms))
+    sizes = [(len(a[0][0]), len(b[0][0])) for a, b in axes]
+    stack = max(1, math.prod(ma * mb for ma, mb in sizes) // sum(ma * mb for ma, mb in sizes))
+    out = None
+    for first in range(0, len(ends), stack):
+        part = ends[first:first + stack]
+        tables = [_trig.cross_integrals(a[0], b[0], part[:, ax, 0], part[:, ax, 1])
+                  for ax, (a, b) in enumerate(axes)]
+        block = _trig.separable_sum(tables, [a[1] for a, _ in axes], [b[1] for _, b in axes])
+        if out is None:
+            out = block
+        else:
+            out += block
+    return np.zeros((basis_a.n, basis_b.n)) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -315,20 +340,22 @@ class OperatorHandle:
         return w if self.is_diagonal else self.eigvecs @ w
 
 
-def _cosine_galerkin_block(basis, coeff, kvec):
+def _cosine_galerkin_block(basis, kvec):
+    """``int phi_i phi_j prod_ax cos(w0_ax (x_ax - o_ax))`` over the domain."""
     dom = basis.domain
-    out = np.full((basis.n, basis.n), coeff)
-    for ax in range(dom.dimension):
-        amps, freqs, phases = basis.axis_atoms(ax)
-        unit = (2.0 * np.pi if dom.boundary == "periodic" else np.pi)
+    unit = (2.0 * np.pi if dom.boundary == "periodic" else np.pi)
+    tables, index = [], []
+    for ax, (a, b) in enumerate(dom.box()):
+        atoms, idx = basis.axis_atoms[ax]
+        amps, freqs, phases = atoms
         w0 = kvec[ax] * unit / dom.sides[ax]
-        a = dom.origin[ax]
-        b = a + dom.sides[ax]
-        if kvec[ax] == 0:
-            out *= _trig.pair_integrals(amps, freqs, phases, a, b)
-        else:
-            out *= _trig.triple_integrals(amps, freqs, phases, w0, -w0 * a, a, b)
-    return out
+        p0 = -w0 * a
+        # phi_j cos(w0 x + p0) is the sum of the half-amplitude atoms at w_j -+ w0
+        tables.append(sum(_trig.cross_integrals(
+            atoms, (0.5 * amps, freqs + s * w0, phases + s * p0), [a], [b])
+            for s in (-1.0, 1.0)))
+        index.append(idx)
+    return _trig.separable_sum(tables, index, index)
 
 
 def _quadrature_galerkin(basis, f, order=32):
@@ -366,9 +393,9 @@ def galerkin_schrodinger(basis, potential=None):
     if potential.constant:
         M += potential.constant * np.eye(basis.n)
     for coeff, box in potential.boxes:
-        M += coeff * basis.box_pair_integrals(box)
+        M += coeff * box_integrals(basis, basis, [box])
     for coeff, kvec in potential.cosines:
-        M += _cosine_galerkin_block(basis, coeff, kvec)
+        M += coeff * _cosine_galerkin_block(basis, kvec)
     if potential.func is not None:
         M += _quadrature_galerkin(basis, potential.func)
     if not np.all(np.isfinite(M)):

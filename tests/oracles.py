@@ -25,19 +25,24 @@ def gl_integral(f, a, b, order=64, panels=1):
     return float(np.sum(w * f(x)))
 
 
-def quad_gram(basis, boxes, order=64):
-    """Gram matrix over a union of absolute boxes, by tensor quadrature."""
-    n = basis.n
-    M = np.zeros((n, n))
-    d = basis.domain.dimension
+def quad_gram(basis, boxes, order=64, weight=None, other=None):
+    """Gram matrix over a union of absolute boxes, by tensor quadrature.
+
+    ``weight(pts)`` multiplies the integrand; ``other`` gives the basis of
+    the columns (``int phi_i psi_j``) when it is not ``basis`` itself.
+    """
+    other = basis if other is None else other
+    M = np.zeros((basis.n, other.n))
     for box in boxes:
         axes = [gl_nodes(lo, hi, order) for lo, hi in box]
         grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
         wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
         wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+        if weight is not None:
+            wts = wts * weight(pts)
         F = basis.evaluate(pts)
-        M += (F * wts) @ F.T
+        M += (F * wts) @ (F if other is basis else other.evaluate(pts)).T
     return M
 
 

@@ -7,8 +7,8 @@ from heatctl import (ExhaustionRun, FidelityError, ParameterError,
                      box_basis, bump_state, embed_zero_extension,
                      nested_control_family, overlap_matrix, periodic_band,
                      semigroup_difference)
-from heatctl.exhaustion import centered_box
-from oracles import gl_integral
+from heatctl.exhaustion import centered_box, cross_gram
+from oracles import gl_integral, quad_gram
 
 
 def test_embed_zero_vector():
@@ -40,6 +40,22 @@ def test_embed_round_trip():
     O = overlap_matrix(dst, src)
     back = O.T @ (O @ u)
     assert np.linalg.norm(back - u) < 1e-3
+
+
+def test_cross_gram_1d_boxes_of_different_lengths():
+    big, small = box_basis(3.0, 30.0), box_basis(1.3, 30.0)
+    boxes = [((-0.4, 0.2),), ((0.3, 0.65),)]
+    C = cross_gram(big, small, boxes)
+    assert C.shape == (big.n, small.n)
+    assert np.max(np.abs(C - quad_gram(big, boxes, other=small))) < 1e-10
+
+
+def test_cross_gram_2d_bases():
+    big, small = box_basis(3.0, 8.0, d=2), box_basis(1.7, 8.0, d=2)
+    boxes = [small.domain.box(), ((-0.5, 0.1), (0.2, 0.8))]
+    C = cross_gram(big, small, boxes)
+    assert C.shape == (big.n, small.n)
+    assert np.max(np.abs(C - quad_gram(big, boxes, order=48, other=small))) < 1e-10
 
 
 def test_embed_rejects_non_nested():

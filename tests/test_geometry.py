@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from heatctl import (DomainSpec, EquidistributedSpec, ObservabilitySet,
                      ParameterError, ThickParams, beta_complement, build_basis,
                      example_set, gram_matrix, make_equidistributed,
                      periodic_band, thickness_estimate)
+from heatctl import _trig
 from heatctl.geometry import disk_box_area
 from oracles import grid_measure_periodic, quad_gram, set_indicator
 
@@ -49,6 +51,72 @@ def test_gram_quadrature_oracle_2d():
     M = gram_matrix(basis, S)
     Mq = quad_gram(basis, S.boxes_in_region(dom.box()), order=48)
     assert np.max(np.abs(M - Mq)) < 1e-10
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+def test_gram_quadrature_oracle_2d_box_with_origin(boundary):
+    dom = DomainSpec(boundary, (2.0, 3.0), (-0.5, 1.25))
+    basis = build_basis(dom, 60.0)
+    # the second box wraps in x, so the cells cut it into two pieces
+    S = ObservabilitySet.periodic((1.0, 1.5), [((0.1, 0.6), (0.2, 0.9)),
+                                               ((0.7, 1.2), (1.0, 1.4))])
+    boxes = S.boxes_in_region(dom.box())
+    assert len(boxes) > 8 and basis.n > 20
+    Mq = quad_gram(basis, boxes, order=48)
+    assert np.max(np.abs(gram_matrix(basis, S) - Mq)) < 1e-10
+
+
+def test_gram_quadrature_oracle_equidistributed_straddling_edges():
+    dom = DomainSpec.torus(2 * math.pi, 2 * math.pi)
+    basis = build_basis(dom, 40.0)
+    # cells of side 1.1 do not tile the torus: the squares of the last cell
+    # on each axis straddle its edge 2*pi and are clipped there
+    S = make_equidistributed(EquidistributedSpec(G=1.1, delta=0.45, seed=3),
+                             [(0.0, 2 * math.pi), (0.0, 2 * math.pi)])
+    boxes = S.boxes_in_region(dom.box())
+    assert len(boxes) == len(S.boxes) == 36
+    assert sum(lo < 2 * math.pi < hi for box in S.boxes for lo, hi in box) == 12
+    Mq = quad_gram(basis, boxes, order=48)
+    assert np.max(np.abs(gram_matrix(basis, S) - Mq)) < 1e-10
+
+
+def test_gram_cost_scales_with_distinct_atoms(monkeypatch):
+    """Sixteen boxes at n=481: the kernel runs on per-axis atom tables only."""
+    dom = DomainSpec.torus(2 * math.pi, 2 * math.pi)
+    basis = build_basis(dom, 150.0)
+    S = ObservabilitySet.periodic((math.pi / 2,) * 2, [((0.2, 1.0), (0.3, 1.2))])
+    boxes = S.boxes_in_region(dom.box())
+    assert len(boxes) == 16 and basis.n == 481
+    evaluated = []
+    kernel = _trig._cos_primitive_diff
+
+    def counting(w, p, a, b):
+        evaluated.append(np.broadcast(w, p, a, b).size)
+        return kernel(w, p, a, b)
+
+    monkeypatch.setattr(_trig, "_cos_primitive_diff", counting)
+    M = gram_matrix(basis, S)
+    m = [len(basis.axis_atoms[ax][0][0]) for ax in range(2)]
+    assert evaluated
+    assert sum(evaluated) <= 4 * len(boxes) * sum(k * k for k in m)
+    assert 4 * len(boxes) * sum(k * k for k in m) < len(boxes) * basis.n ** 2
+    Mq = quad_gram(basis, boxes, order=32)
+    assert np.max(np.abs(M - Mq)) < 1e-10
+
+
+def test_gram_memory_does_not_grow_with_box_count():
+    """In 1D no atom is shared, so the boxes are integrated one at a time."""
+    dom = DomainSpec.interval(0.0, 20.0, "dirichlet")
+    basis = build_basis(dom, (200 * math.pi / 20.0) ** 2)
+    S = periodic_band(1.0, 0.5)
+    assert len(S.boxes_in_region(dom.box())) == 20
+    tracemalloc.start()
+    try:
+        gram_matrix(basis, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * basis.n ** 2 * 8
 
 
 def test_gram_additivity(dirichlet_op):

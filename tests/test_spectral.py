@@ -6,6 +6,7 @@ import pytest
 from heatctl import (CapacityError, DomainSpec, ParameterError, PotentialSpec,
                      build_basis, fractional_transform, galerkin_schrodinger,
                      semigroup_apply)
+from heatctl.spectral import BOUNDARIES, _axis_atom
 from oracles import quad_gram
 
 
@@ -98,6 +99,38 @@ def quad_gram_weighted(basis, f, order=96):
     x, w = gl_nodes(a, b, order)
     F = basis.evaluate(x[:, None])
     return (F * (w * f(x[:, None]))) @ F.T
+
+
+@pytest.mark.parametrize("dom, e_max", [
+    (DomainSpec.torus(2 * math.pi, 2 * math.pi), 20.0),
+    (DomainSpec("dirichlet", (2.0, 3.0), (-0.5, 1.25)), 60.0),
+], ids=["torus", "shifted-box"])
+@pytest.mark.parametrize("term", ["indicator", "cosine"])
+def test_galerkin_2d_matches_weighted_quadrature(term, dom, e_max):
+    basis = build_basis(dom, e_max)
+    box = ((0.2, 1.1), (1.5, 3.0))
+    if term == "indicator":
+        V = PotentialSpec(boxes=((1.5, box),))
+        Vq = 1.5 * quad_gram(basis, [box], order=48)
+    else:
+        V = PotentialSpec(cosines=((0.7, (1, 2)),))
+        Vq = quad_gram(basis, [dom.box()], order=64,
+                       weight=lambda pts: V.evaluate(pts, dom))
+    op = galerkin_schrodinger(basis, V)
+    assert np.max(np.abs(op.matrix - np.diag(basis.eigenvalues) - Vq)) < 1e-10
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_axis_atoms_are_distinct_and_gather_every_mode(boundary):
+    dom = DomainSpec(boundary, (2.0, 3.0), (-0.5, 1.25))
+    basis = build_basis(dom, 40.0)
+    for ax in range(2):
+        atoms, index = basis.axis_atoms[ax]
+        assert basis.axis_atoms[ax][0] is atoms  # built once per basis
+        assert len(atoms[0]) == len({m[ax] for m in basis.modes}) < basis.n
+        per_mode = [_axis_atom(boundary, dom.sides[ax], dom.origin[ax], m[ax])
+                    for m in basis.modes]
+        assert np.array_equal(np.stack(atoms, axis=1)[index], per_mode)
 
 
 def test_galerkin_symmetry_and_form_lower_bound():
