@@ -273,7 +273,7 @@ def regime_table(names, params, t_grid, constants=None):
     return rows, classifiers
 
 
-def calibrate_thick1(pairs, params, constants=None, k_max=2.0 ** 20):
+def calibrate_thick1(pairs, params, constants=None):
     """Smallest ``K >= 1`` making the bound an upper envelope of the data."""
     c = constants or UniversalConstants()
 
@@ -282,7 +282,7 @@ def calibrate_thick1(pairs, params, constants=None, k_max=2.0 ** 20):
         return all(cost_bound("thick1", params, cc, T=T) >= ce * (1 - 1e-12)
                    for T, ce in pairs)
 
-    return c.updated(K=_smallest_passing(ok, k_max))
+    return c.updated(K=_smallest_passing(ok, 2.0 ** 20))
 
 
 def calibrate_prefactor(name, pairs, params, constants=None):

@@ -16,10 +16,10 @@ from .errors import HeatctlError, ParameterError
 from .spectral import DEFAULT_N_MAX, build_basis, galerkin_schrodinger
 
 
-def _build_operator(cfg, n_max_default=DEFAULT_N_MAX):
+def _build_operator(cfg):
     domain = runio.parse_domain(cfg["domain"])
     basis = build_basis(domain, float(cfg["e_max"]),
-                        n_max=int(cfg.get("n_max", n_max_default)))
+                        n_max=int(cfg.get("n_max", DEFAULT_N_MAX)))
     potential = runio.parse_potential(cfg.get("potential"))
     return galerkin_schrodinger(basis, potential)
 

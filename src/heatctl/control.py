@@ -150,15 +150,6 @@ def _checked_inverse(factor, cond_cap):
     return factor
 
 
-def gramian_inverse(Q, cond_cap=COND_CAP):
-    """Pseudo-inverse with eigenvalue floor; reports the condition number.
-
-    Raises :class:`ConditioningError` above ``cond_cap``; pass
-    ``cond_cap=None`` to force the floored inverse regardless.
-    """
-    return _checked_inverse(_floored_inverse(Q), cond_cap)
-
-
 def min_norm_control(problem, cond_cap=COND_CAP):
     """Minimal-norm null-control via Gramian inversion.
 
@@ -252,19 +243,15 @@ def duhamel_solve(problem, signal, t_grid):
         anchors.append((ph.t_start, u_start))
         anchors.append((ph.t_end, _evolve_through_phase(mu, mtil, u_start, ph, ph.t_end)))
 
+    # each time continues from the last anchor at or before it; phases may
+    # overlap by up to 1e-12, so the anchor times need not be sorted
+    reached = np.array([ta for ta, _ in anchors]) <= t_grid[:, None] + 1e-15
+    last = len(anchors) - 1 - np.argmax(reached[:, ::-1], axis=1)
     states = np.empty((t_grid.size, mu.size))
-    for i, t in enumerate(t_grid):
-        k = max(j for j, (ta, _) in enumerate(anchors) if ta <= t + 1e-15)
+    for i, (t, k) in enumerate(zip(t_grid, last)):
         ta, ua = anchors[k]
-        inside = None
-        for ph in signal.phases:
-            if ph.t_start - 1e-15 <= t <= ph.t_end and ta <= ph.t_start + 1e-15:
-                inside = ph
-                break
-        if inside is not None and t > inside.t_start:
-            if ta < inside.t_start:  # anchor before the phase start
-                ua = np.exp(-(inside.t_start - ta) * mu) * ua
-            states[i] = _evolve_through_phase(mu, mtil, ua, inside, t)
+        if k % 2 and t > ta:  # odd anchors start phases
+            states[i] = _evolve_through_phase(mu, mtil, ua, signal.phases[k // 2], t)
         else:
             states[i] = np.exp(-(t - ta) * mu) * ua
     return Trajectory(times=t_grid, states=states)
@@ -382,7 +369,7 @@ def active_passive_synthesize(problem, fit, cond_cap=COND_CAP):
             y = (np.exp(-T_j * mu) * state)[mask]
             mu_m = mu[mask]
             Qj = mtil[np.ix_(mask, mask)] * _phi(T_j, mu_m[:, None] + mu_m[None, :])
-            Qinv, cond = gramian_inverse(Qj, cond_cap)
+            Qinv, cond = _checked_inverse(_floored_inverse(Qj), cond_cap)
             worst_cond = max(worst_cond, cond)
             v[mask] = Qinv @ y
             norm_sq = max(float(v[mask] @ y), 0.0)

@@ -14,8 +14,10 @@ import numpy as np
 from .control import ControlProblem, _phi, gramian_condition, min_norm_control
 from .errors import FidelityError, ParameterError
 from .spectral import (DEFAULT_N_MAX, DomainSpec, box_integrals, build_basis,
-                       galerkin_schrodinger)
+                       galerkin_schrodinger, semigroup_apply)
 from .uncertainty import _line_fit
+
+CONTROL_FIDELITY_TOL = 1e-3
 
 
 def centered_box(L, d=1, boundary="dirichlet"):
@@ -119,9 +121,7 @@ def _heat_state(L, run, t_or_none=None, tol=None):
             f"bump loses {1.0 - fid:.2e} of its norm in the L={L} basis")
     if t_or_none is None:
         return basis, op, c, fid
-    w = op.to_eigenbasis(c)
-    v = op.from_eigenbasis(np.exp(-t_or_none * op.eigvals) * w)
-    return basis, op, c, fid, v
+    return basis, op, c, fid, semigroup_apply(op, t_or_none, c)
 
 
 def semigroup_difference(run):
@@ -162,25 +162,25 @@ class ControlFamilyReport:
     conditions: tuple
 
 
-def nested_control_family(S, T, run, cond_cap=1e12, fidelity_tol=1e-3):
+def nested_control_family(S, T, run):
     """Min-norm null-controls on each box, replayed on the reference box.
 
     Per L: solve the truncated Gramian control for the bump state on
     ``(-L/2, L/2)``, record its norm, then drive the reference dynamics with
     the same control (supported in ``S ∩ Λ_L``) and record the final-state
     residual relative to the unit initial state.  Representation loss of the
-    bump shows up inside the residual, so only a coarse fidelity gate is
-    applied here.
+    bump shows up inside the residual, so only the coarse fidelity gate
+    ``CONTROL_FIDELITY_TOL`` is applied here.
     """
     if T <= 0:
         raise ParameterError("T must be positive")
-    basis_R, op_R, c_R, _ = _heat_state(run.L_ref, run, tol=fidelity_tol)
+    basis_R, op_R, c_R, _ = _heat_state(run.L_ref, run, tol=CONTROL_FIDELITY_TOL)
     mu_R = op_R.eigvals
     norms, residuals, conds = [], [], []
     for L in run.L_list:
-        basis_L, op_L, c_L, _ = _heat_state(L, run, tol=fidelity_tol)
+        basis_L, op_L, c_L, _ = _heat_state(L, run, tol=CONTROL_FIDELITY_TOL)
         problem = ControlProblem.from_set(op_L, S, T, u0=c_L)
-        signal, cost = min_norm_control(problem, cond_cap)
+        signal, cost = min_norm_control(problem)
         v = signal.phases[0].v if signal.phases else np.zeros(op_L.n)
         boxes = S.boxes_in_region(basis_L.domain.box())
         Cx = cross_gram(basis_R, basis_L, boxes)

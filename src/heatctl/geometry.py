@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._trig import separable_sum
 from .errors import ParameterError
 from .spectral import box_integrals
 
@@ -203,10 +204,6 @@ class ObservabilitySet:
             out.extend(_clip_boxes(shifted, region))
         return out
 
-    def measure_in(self, region):
-        return float(sum(np.prod([b - a for a, b in box])
-                         for box in self.boxes_in_region(region)))
-
     def to_json(self):
         data = {"schema": "heatctl-set/1", "kind": self.kind}
         if self.kind == "periodic_boxes":
@@ -283,6 +280,32 @@ def _axis_offsets(S, a_len, axis, grid):
     return sorted(pts)
 
 
+def _shifts(c, w_lo, w_hi):
+    # multiples of c that move a box in [0, c] onto some x + [w_lo, w_hi], x in [0, c]
+    return c * np.arange(np.floor(w_lo / c), np.ceil(w_hi / c) + 1)
+
+
+def _window_measures(S, offsets, w_lo, w_hi):
+    """``|S ∩ prod_i [x_i + w_lo_i, x_i + w_hi_i]|`` over the grid of ``offsets``.
+
+    Per axis, the overlap length of every window with every box, summed over
+    the box's translates by the cell (a periodic set) or taken alone (a finite
+    family), is a ``(boxes, offsets, 1)`` table; the measures over the whole
+    offset grid are then one box sum, the one that assembles Grams.  Overlaps
+    of at most ``_EPS`` count as empty, as in :meth:`boxes_in_region`.
+    """
+    tables = []
+    for i, xs in enumerate(offsets):
+        edges = np.array([box[i] for box in S.boxes])[:, :, None, None]
+        if S.kind == "periodic_boxes":
+            edges = edges + _shifts(S.cell[i], w_lo[i], w_hi[i])
+        xs = np.asarray(xs, dtype=float)[:, None]
+        ov = np.minimum(edges[:, 1], xs + w_hi[i]) - np.maximum(edges[:, 0], xs + w_lo[i])
+        tables.append(np.where(ov > _EPS, ov, 0.0).sum(axis=2, keepdims=True))
+    index = np.indices([len(xs) for xs in offsets]).reshape(len(offsets), -1)
+    return separable_sum(tables, index, np.zeros_like(index[:, :1]))[:, 0]
+
+
 def thickness_estimate(S, a, grid=64):
     """Infimum over window translates of ``|S ∩ (x + [0,a])| / prod(a)``.
 
@@ -293,81 +316,58 @@ def thickness_estimate(S, a, grid=64):
     upper estimate.
     """
     a = [float(x) for x in np.atleast_1d(a)]
-    if any(x <= 0 for x in a):
-        raise ParameterError("window lengths must be positive")
+    if any(x <= 0 for x in a) or len(a) != (S.dimension or len(a)):
+        raise ParameterError("window lengths must be positive, one per axis")
     if S.kind == "full":
         return 1.0
     if S.kind == "empty":
         return 0.0
-    vol = float(np.prod(a))
     if S.kind == "periodic_boxes":
         axes = [_axis_offsets(S, a[i], i, grid) for i in range(len(S.cell))]
-        best = np.inf
-        for x in itertools.product(*axes):
-            window = [(xi, xi + ai) for xi, ai in zip(x, a)]
-            best = min(best, S.measure_in(window) / vol)
-        return float(best)
-    # finite family: slide inside the bounding extent
-    lo = [min(b[i][0] for b in S.boxes) for i in range(S.dimension)]
-    hi = [max(b[i][1] for b in S.boxes) for i in range(S.dimension)]
-    axes = []
-    for i in range(S.dimension):
-        top = max(hi[i] - a[i], lo[i])
-        axes.append(np.linspace(lo[i], top, grid))
-    best = np.inf
-    for x in itertools.product(*axes):
-        window = [(xi, xi + ai) for xi, ai in zip(x, a)]
-        best = min(best, S.measure_in(window) / vol)
-    return float(best)
+    else:  # finite family: slide inside the bounding extent
+        lo, hi = np.min(S.boxes, axis=0)[:, 0], np.max(S.boxes, axis=0)[:, 1]
+        axes = [np.linspace(l, max(h - ai, l), grid) for l, h, ai in zip(lo, hi, a)]
+    return float(np.min(_window_measures(S, axes, [0.0] * len(axes), a)) / np.prod(a))
 
 
-def _disk_quadrant_area(x, y, r):
-    """Area of ``{u<=x, v<=y} ∩ disk(0, r)`` (vector-free, scalar args)."""
-    x = max(-r, min(x, r))
-    if y <= -r:
-        return 0.0
-    if x <= -r:
-        return 0.0
+def _disk_corner_area(x, y, r):
+    """Area of ``{u <= x, v <= y} ∩ disk(0, r)``; broadcasting, branch-free.
 
+    Every half-chord is ``h(u) = sqrt((r - u)(r + u))`` and the antiderivative
+    of ``h`` goes through ``arctan2(u, h)``: next to a tangent ``r*r - u*u``
+    loses half the digits, and ``arcsin(u/r)`` turns a rounding of ``u/r``
+    into an error of its square root.
+    """
     def H(u):
-        # antiderivative of sqrt(r^2 - u^2)
-        u = max(-r, min(u, r))
-        return 0.5 * (u * np.sqrt(max(r * r - u * u, 0.0)) + r * r * np.arcsin(u / r))
+        # antiderivative of h, odd in u
+        h = np.sqrt((r - u) * (r + u))
+        return 0.5 * (u * h + r * r * np.arctan2(u, h))
 
-    if y >= r:
-        # full vertical extent: integral of (h(u) - (-h(u)))
-        return 2.0 * (H(x) - H(-r))
-    ystar = np.sqrt(max(r * r - y * y, 0.0))
-    if y >= 0:
-        # left of -ystar the whole disk section lies below y
-        area = 2.0 * (H(min(x, -ystar)) - H(-r))
-        # between -ystar and ystar the section is cut by the chord at y
-        lo, hi = -ystar, min(x, ystar)
-        if hi > lo:
-            area += (H(hi) - H(lo)) + y * (hi - lo)
-        if x > ystar:
-            area += 2.0 * (H(x) - H(ystar))
-        return area
-    # y < 0: only the sliver between -h(u) and y, present for |u| < ystar
-    lo, hi = -ystar, min(x, ystar)
-    if hi <= lo:
-        return 0.0
-    return (H(hi) - H(lo)) + y * (hi - lo)
+    x = np.clip(x, -r, r)
+    y = np.clip(y, -r, r)
+    ys = np.sqrt((r - y) * (r + y))  # the chord at height y spans |u| <= ys
+    p = np.clip(x, -ys, ys)
+    # inside the chord the section below y runs from -h(u) up to y
+    area = y * (p + ys) + H(p) + H(ys)
+    # outside it, sections lie wholly below y (y > 0) or wholly above it
+    outside = 2.0 * ((H(np.minimum(x, -ys)) - H(-r)) + (H(np.maximum(x, ys)) - H(ys)))
+    return area + np.where(y > 0, outside, 0.0)
 
 
 def disk_box_area(center, r, box):
-    """Exact area of ``disk(center, r) ∩ box`` in 2D."""
+    """Exact area of ``disk(center, r) ∩ box`` in 2D; array arguments broadcast."""
     (x1, x2), (y1, y2) = box
     x1, x2, y1, y2 = x1 - center[0], x2 - center[0], y1 - center[1], y2 - center[1]
-    return (_disk_quadrant_area(x2, y2, r) - _disk_quadrant_area(x1, y2, r)
-            - _disk_quadrant_area(x2, y1, r) + _disk_quadrant_area(x1, y1, r))
+    return (_disk_corner_area(x2, y2, r) - _disk_corner_area(x1, y2, r)
+            - _disk_corner_area(x2, y1, r) + _disk_corner_area(x1, y1, r))
 
 
 def beta_complement(S, radii, grid=64):
     """Per radius, ``sup_x |S^c ∩ B(x, r)| / |B(x, r)|`` over a center grid.
 
-    Whole-cell decomposition keeps the 1D case exact (interval measures) and
-    the 2D case exact via closed-form disk/box intersection areas.  Returns a
+    The 1D case takes interval measures from the window scan; the 2D case
+    sums closed-form disk/box areas over every translate of every box, one
+    row of centers at a time so that memory stays at one row.  Returns a
     list of ``(r, beta_est)`` pairs in the order given.
     """
     radii = [float(r) for r in np.atleast_1d(radii)]
@@ -381,22 +381,22 @@ def beta_complement(S, radii, grid=64):
         return [(r, 1.0) for r in radii]
     if S.kind != "periodic_boxes":
         raise ParameterError("complement density needs a periodic set")
-    d = len(S.cell)
+    centers = [np.linspace(0.0, c, grid, endpoint=False) for c in S.cell]
     out = []
     for r in radii:
-        best = 0.0
-        centers = [np.linspace(0.0, c, grid, endpoint=False) for c in S.cell]
-        for x in itertools.product(*centers):
-            if d == 1:
-                ball_measure = 2.0 * r
-                inter = S.measure_in([(x[0] - r, x[0] + r)])
-            else:
-                ball_measure = np.pi * r * r
-                region = [(xi - r, xi + r) for xi in x]
-                inter = sum(disk_box_area(x, r, box)
-                            for box in S.boxes_in_region(region))
-            best = max(best, (ball_measure - inter) / ball_measure)
-        out.append((r, float(best)))
+        if len(S.cell) == 1:
+            ball_measure = 2.0 * r
+            inter = _window_measures(S, centers, [-r], [r])
+        else:
+            ball_measure = np.pi * r * r
+            # every translate of every box that some disk of the grid can meet
+            b = np.array(S.boxes)[:, None, None]
+            sx, sy = (_shifts(c, -r, r) for c in S.cell)
+            x, y = np.broadcast_arrays(b[..., 0, :] + sx[:, None, None], b[..., 1, :] + sy[:, None])
+            box = (x.reshape(-1, 2).T, y.reshape(-1, 2).T)
+            inter = np.concatenate([disk_box_area((cx, centers[1][:, None]), r, box).sum(axis=1)
+                                    for cx in centers[0]])
+        out.append((r, float(max(0.0, np.max((ball_measure - inter) / ball_measure)))))
     return out
 
 

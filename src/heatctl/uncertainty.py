@@ -415,7 +415,7 @@ def eigenvalue_lifting_check(op, W, E, support=None):
     )
 
 
-def calibrate_spectral_cube(pairs, gamma, a, d, constants=None, k_max=2.0 ** 40):
+def calibrate_spectral_cube(pairs, gamma, a, d, constants=None):
     """Smallest ``K5 >= 1`` whose bound stays below every empirical pair.
 
     The ``spectral_cube`` value is strictly decreasing in ``K5`` for
@@ -428,4 +428,4 @@ def calibrate_spectral_cube(pairs, gamma, a, d, constants=None, k_max=2.0 ** 40)
         return all(ucp_bound("spectral_cube", cc, gamma=gamma, a=a, d=d, E=E) <= ce
                    for E, ce in pairs)
 
-    return c.updated(K5=_smallest_passing(ok, k_max))
+    return c.updated(K5=_smallest_passing(ok, 2.0 ** 40))

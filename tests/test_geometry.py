@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -10,7 +11,12 @@ from heatctl import (DomainSpec, EquidistributedSpec, ObservabilitySet,
                      periodic_band, thickness_estimate)
 from heatctl import _trig
 from heatctl.geometry import disk_box_area
-from oracles import grid_measure_periodic, quad_gram, set_indicator
+from oracles import (beta_2d_mp, disk_box_area_mp, grid_measure_periodic, quad_gram,
+                     set_indicator, window_measure)
+
+# a 2D periodic set of six disjoint boxes per unit cell
+SIX_BOXES = [((0.05, 0.3), (0.1, 0.45)), ((0.4, 0.55), (0.6, 0.95)), ((0.6, 0.9), (0.05, 0.2)),
+             ((0.1, 0.2), (0.6, 0.8)), ((0.7, 0.95), (0.5, 0.7)), ((0.35, 0.5), (0.25, 0.4))]
 
 
 def test_thick_params_validation():
@@ -174,6 +180,15 @@ def grid_inf(S, a, n=20000):
     return best
 
 
+def test_thickness_window_needs_one_length_per_axis():
+    family = make_equidistributed(EquidistributedSpec(G=1.0, delta=0.35, seed=4),
+                                  [(0.0, 4.0), (0.0, 3.0)])
+    for S in (periodic_band(1.0, 0.25, d=2), family):
+        with pytest.raises(ParameterError):
+            thickness_estimate(S, [1.3])
+    assert thickness_estimate(ObservabilitySet.full(), [2.0, 2.0]) == 1.0
+
+
 def test_thickness_2d_product_set():
     S = periodic_band(1.0, 0.25, d=2)
     est = thickness_estimate(S, [1.0, 1.0], grid=16)
@@ -229,6 +244,85 @@ def test_disk_box_area_against_grid():
         approx = inside.sum() * cellarea
         assert abs(area - approx) < 30 * max(r, 1) * cellarea * n ** 0.5 + 1e-12
         assert -1e-12 <= area <= math.pi * r * r + 1e-12
+
+
+def test_disk_box_area_bounding_square():
+    # the box edges touch the disk, where r*r - u*u and arcsin(u/r) lose digits
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        c = rng.uniform(-10, 10, size=2)
+        r = 10.0 ** rng.uniform(-3, 3)
+        area = disk_box_area(c, r, ((c[0] - r, c[0] + r), (c[1] - r, c[1] + r)))
+        assert abs(area / (math.pi * r * r) - 1.0) <= 1e-14
+
+
+def test_disk_box_area_matches_mpmath_oracle():
+    rng = np.random.default_rng(11)
+    boxes = []
+    for k in range(120):
+        c = rng.uniform(-1, 1, size=2)
+        r = rng.uniform(0.2, 1.5)
+        box = [np.sort(rng.uniform(-2, 2, size=2)) for _ in range(2)]
+        if k % 3 == 0:  # one edge on a tangent of the disk
+            box[k % 2][1] = c[k % 2] + r
+        boxes.append(box)
+        area = disk_box_area(c, r, box)
+        assert abs(area - float(disk_box_area_mp(c, r, box))) <= 1e-13 * math.pi * r * r
+    # arrays broadcast: the last disk against every box at once
+    (x1, x2), (y1, y2) = np.array(boxes).transpose(1, 2, 0)
+    together = disk_box_area(c, r, ((x1, x2), (y1, y2)))
+    assert np.array_equal(together, [disk_box_area(c, r, b) for b in boxes])
+
+
+@pytest.mark.parametrize("r", [0.85, 0.9])
+def test_beta_2d_matches_mpmath_oracle(r):
+    # at these radii boxes cross the bounding square of the emptiest disk,
+    # where area formulas that are sensitive next to a tangent lose digits
+    S = ObservabilitySet.periodic((1.0, 1.0), SIX_BOXES)
+    (_, beta), = beta_complement(S, [r], grid=3)
+    assert abs(beta - float(beta_2d_mp(S, r, 3))) <= 1e-13
+
+
+def test_beta_2d_memory_stays_at_one_row_of_centers():
+    S = ObservabilitySet.periodic((1.0, 1.0), SIX_BOXES)
+    tracemalloc.start()
+    try:
+        (_, beta), = beta_complement(S, [8.0], grid=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all 1024 centers at once against the 6 * 17**2 translated boxes would
+    # hold 14 MB in every temporary
+    assert peak <= 8e6
+    assert 1.0 - S.density() - 0.05 < beta < 1.0
+
+
+def test_thickness_2d_multi_box_matches_brute_force_windows():
+    S = ObservabilitySet.periodic((1.0, 1.2), SIX_BOXES)
+    a = (0.7, 0.8)
+    # the window measure is bilinear between breakpoints, where one window
+    # edge passes one box edge: the infimum is attained on their grid
+    axes = [sorted({e % c for box in S.boxes for e in (box[i][0], box[i][1],
+                                                    box[i][0] - a[i], box[i][1] - a[i])}
+                   | set(np.linspace(0.0, c, 30, endpoint=False)))
+            for i, c in enumerate(S.cell)]
+    brute = {x: window_measure(S, [(xi, xi + ai) for xi, ai in zip(x, a)]) / np.prod(a)
+             for x in itertools.product(*axes)}
+    est = thickness_estimate(S, list(a), grid=4)
+    assert abs(est - min(brute.values())) < 1e-12
+    assert est > 0.1
+
+
+def test_thickness_2d_equidistributed_matches_brute_force_windows():
+    spec = EquidistributedSpec(G=1.0, delta=0.35, seed=4)
+    S = make_equidistributed(spec, [(0.0, 4.0), (0.0, 3.0)])
+    a = [1.3, 0.9]
+    lo, hi = np.min(S.boxes, axis=0)[:, 0], np.max(S.boxes, axis=0)[:, 1]
+    axes = [np.linspace(l, h - ai, 17) for l, h, ai in zip(lo, hi, a)]
+    brute = min(window_measure(S, [(xi, xi + ai) for xi, ai in zip(x, a)])
+                for x in itertools.product(*axes)) / np.prod(a)
+    assert abs(thickness_estimate(S, a, grid=17) - brute) < 1e-12
+    assert brute > 0.0
 
 
 def test_beta_2d_exact_density_at_integer_radius_cover():
