@@ -65,14 +65,9 @@ def separable_sum(tables, index_a, index_b):
     return R[ia[:, None], ib[None, :]]
 
 
-def gauss_legendre(order=32):
-    """Nodes and weights on [-1, 1]; tensorize per axis for quadrature."""
-    return np.polynomial.legendre.leggauss(order)
-
-
 def quad_interval(f, a, b, order=32, panels=1):
     """Gauss-Legendre quadrature of ``f`` over [a, b] with equal panels."""
-    x0, w0 = gauss_legendre(order)
+    x0, w0 = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):

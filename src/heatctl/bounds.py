@@ -12,7 +12,9 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .uncertainty import UniversalConstants, _line_fit, _smallest_passing
+from .uncertainty import (UniversalConstants, _a_norm1, _check_gamma, _check_nonneg,
+                          _check_ratio, _check_s, _evaluate, _get, _line_fit, _lookup,
+                          _smallest_passing, _ucp_exponent)
 
 
 def _exp(x):
@@ -23,100 +25,56 @@ def _exp(x):
         return math.inf
 
 
-def _get(params, name, key):
-    if key not in params or params[key] is None:
-        raise ParameterError(f"{name} needs parameter {key!r}")
-    return params[key]
-
-
-def _a_norm1(params, name):
-    a = _get(params, name, "a")
-    return float(np.sum(np.abs(np.atleast_1d(a))))
-
-
-def _check_T(params, name):
-    T = float(_get(params, name, "T"))
+def _check_T(params):
+    T = float(_get(params, "T"))
     if T <= 0:
         raise ParameterError("T must be positive")
     return T
 
 
-def _check_gamma(params, name):
-    gamma = float(_get(params, name, "gamma"))
-    if not (0 < gamma <= 1):
-        raise ParameterError("gamma must be in (0, 1]")
-    return gamma
-
-
-def _check_ratio(params, name):
-    G = float(_get(params, name, "G"))
-    delta = float(_get(params, name, "delta"))
-    if not (0 < delta < G / 2):
-        raise ParameterError("delta must lie in (0, G/2)")
-    return G, delta
-
-
-def thick1_c1(params, c):
-    gamma = _check_gamma(params, "thick1")
-    d = int(_get(params, "thick1", "d"))
-    a1 = _a_norm1(params, "thick1")
-    return (c.K ** d / gamma) ** (c.K * (d + a1))
-
-
 def _thick1(params, c):
-    T = _check_T(params, "thick1")
-    c1 = thick1_c1(params, c)
+    T, gamma, d = _check_T(params), _check_gamma(params), int(_get(params, "d"))
+    c1 = (c.K ** d / gamma) ** (c.K * (d + _a_norm1(params)))
     return math.sqrt(c1) * _exp(c1 / (2.0 * T))
 
 
 def thick2_exponent(params, c):
     """1/T coefficient of the thick-set bound; scales as ``||a||_1**2``."""
-    gamma = _check_gamma(params, "thick2")
-    a1 = _a_norm1(params, "thick2")
-    return c.D3 * a1 ** 2 * math.log(c.D4 * gamma) ** 2
+    return c.D3 * _a_norm1(params) ** 2 * math.log(c.D4 * _check_gamma(params)) ** 2
 
 
 def _thick2(params, c):
-    T = _check_T(params, "thick2")
-    gamma = _check_gamma(params, "thick2")
+    T, gamma = _check_T(params), _check_gamma(params)
     return c.D1 / (gamma ** c.D2 * math.sqrt(T)) * _exp(thick2_exponent(params, c) / T)
 
 
 def _equidistributed_small_time(params, c):
-    T = _check_T(params, "equidistributed_small_time")
-    G, delta = _check_ratio(params, "equidistributed_small_time")
-    v = float(_get(params, "equidistributed_small_time", "v_norm"))
-    lead = 2.0 * (G / delta) ** (c.K * (1.0 + G ** (4.0 / 3.0) * v ** (2.0 / 3.0)))
+    T, (G, delta), v = _check_T(params), _check_ratio(params), _check_nonneg(params, "v_norm")
+    lead = 2.0 * (G / delta) ** (c.K * _ucp_exponent(G, v))
     expo = v + math.log(delta / G) ** 2 * (c.K * G + 4.0 / math.log(2.0)) ** 2 / T
     return lead * _exp(expo)
 
 
 def equidistributed_exponent(params, c):
     """1/T coefficient of the equidistributed bound; scales as ``G**2``."""
-    G, delta = _check_ratio(params, "equidistributed")
+    G, delta = _check_ratio(params)
     return c.D3 * G ** 2 * math.log(delta / G) ** 2
 
 
 def _equidistributed(params, c):
-    T = _check_T(params, "equidistributed")
-    G, delta = _check_ratio(params, "equidistributed")
-    v = float(params.get("v_norm", 0.0))
-    lead = c.D1 / math.sqrt(T) * (G / delta) ** (c.D2 * (1.0 + G ** (4.0 / 3.0) * v ** (2.0 / 3.0)))
+    T, (G, delta), v = _check_T(params), _check_ratio(params), _check_nonneg(params, "v_norm", 0.0)
+    lead = c.D1 / math.sqrt(T) * (G / delta) ** (c.D2 * _ucp_exponent(G, v))
     return lead * _exp(equidistributed_exponent(params, c) / T)
 
 
 def _abstract_observability(params, c):
     """Squared observability constant of the abstract cost estimate."""
-    T = _check_T(params, "abstract_observability")
-    s = float(_get(params, "abstract_observability", "s"))
-    if not (0 < s < 1):
-        raise ParameterError("s must be in (0, 1)")
-    d0 = float(_get(params, "abstract_observability", "d0"))
-    d1 = float(_get(params, "abstract_observability", "d1"))
-    beta = float(params.get("beta", 0.0))
+    T, s = _check_T(params), _check_s(_get(params, "s"))
+    d0, d1 = float(_get(params, "d0")), float(_get(params, "d1"))
+    beta = float(_get(params, "beta", 0.0))
     if beta > 0:
         raise ParameterError("beta must be <= 0")
-    b_norm = float(_get(params, "abstract_observability", "B_norm"))
+    b_norm = float(_get(params, "B_norm"))
     if d0 <= 0 or d1 < 0 or b_norm < 0:
         raise ParameterError("d0 must be positive, d1 and B_norm non-negative")
     K = 2.0 * d0 * math.exp(-beta) * b_norm + 1.0
@@ -125,25 +83,21 @@ def _abstract_observability(params, c):
 
 
 def _tenenbaum_form(params, c):
-    T = _check_T(params, "tenenbaum_form")
-    s = float(_get(params, "tenenbaum_form", "s"))
-    if not (0 < s < 1):
-        raise ParameterError("s must be in (0, 1)")
+    T, s = _check_T(params), _check_s(_get(params, "s"))
     return c.C1 / math.sqrt(T) * _exp(c.C2 / T ** (s / (1.0 - s)))
 
 
 def _beauchard_form(params, c):
-    T = _check_T(params, "beauchard_form")
+    T = _check_T(params)
     return c.C1 * _exp(c.C1 / T)
 
 
 def _fractional(params, c):
-    T = _check_T(params, "fractional")
-    gamma = _check_gamma(params, "fractional")
-    theta = float(_get(params, "fractional", "theta"))
+    T, gamma = _check_T(params), _check_gamma(params)
+    theta = float(_get(params, "theta"))
     if theta <= 0.5:
         raise ParameterError("theta must exceed 1/2")
-    a1 = _a_norm1(params, "fractional")
+    a1 = _a_norm1(params)
     log_term = math.log(c.D4 / gamma)
     if log_term <= 0:
         raise ParameterError("fractional bound needs D4 > gamma")
@@ -167,27 +121,20 @@ BOUND_NAMES = tuple(sorted(_REGISTRY))
 
 
 def bound_validity(name):
-    key = name.replace("-", "_")
-    if key not in _REGISTRY:
-        raise ParameterError(f"unknown bound name {name!r}")
-    return _REGISTRY[key][1]
+    return _lookup(_REGISTRY, name)[1]
 
 
 def cost_bound(name, params=None, constants=None, **kw):
     """Evaluate one cost bound by name.
 
     ``params`` may be a dict; extra keyword arguments override it.  Missing
-    or out-of-range fields raise :class:`ParameterError` naming the field.
+    (or ``None``) and out-of-range fields, negative norms included, raise
+    :class:`ParameterError` naming the field.
     Note ``abstract_observability`` returns the squared observability constant,
     the quantity the underlying estimate controls.
     """
-    key = name.replace("-", "_")
-    if key not in _REGISTRY:
-        raise ParameterError(f"unknown bound name {name!r}")
-    merged = dict(params or {})
-    merged.update(kw)
-    fn, _ = _REGISTRY[key]
-    return fn(merged, constants or UniversalConstants())
+    fn, _ = _lookup(_REGISTRY, name)
+    return _evaluate(fn, name, {**(params or {}), **kw}, constants)
 
 
 def miller_root_map(s, beta):
@@ -226,8 +173,7 @@ def miller_cstar(beta, b, a=0.0, m=0.0):
 
 def tenenbaum_threshold(s, d1):
     """Admissible-coefficient threshold ``h^{gh} g^{-g^2} d1^h``."""
-    if not (0 < s < 1):
-        raise ParameterError("s must be in (0, 1)")
+    s = _check_s(s)
     if d1 < 0:
         raise ParameterError("d1 must be non-negative")
     g = s / (1.0 - s)

@@ -7,14 +7,14 @@ error enters.  The reference box stands in for the unbounded domain.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .control import ControlProblem, _phi, gramian_condition, min_norm_control
 from .errors import FidelityError, ParameterError
-from .spectral import (DEFAULT_N_MAX, DomainSpec, box_integrals, build_basis,
-                       galerkin_schrodinger, semigroup_apply)
+from .spectral import (DomainSpec, box_integrals, build_basis, galerkin_schrodinger,
+                       semigroup_apply)
 from .uncertainty import _line_fit
 
 CONTROL_FIDELITY_TOL = 1e-3
@@ -25,9 +25,9 @@ def centered_box(L, d=1, boundary="dirichlet"):
     return DomainSpec(boundary, (float(L),) * d, (-float(L) / 2,) * d)
 
 
-def box_basis(L, omega_cut, d=1, n_max=DEFAULT_N_MAX):
+def box_basis(L, omega_cut, d=1):
     """Dirichlet basis on the centered box with frequencies up to ``omega_cut``."""
-    return build_basis(centered_box(L, d), float(omega_cut) ** 2 * d, n_max=n_max)
+    return build_basis(centered_box(L, d), float(omega_cut) ** 2 * d)
 
 
 def cross_gram(basis_a, basis_b, boxes):
@@ -87,7 +87,6 @@ class ExhaustionRun:
     d: int = 1
     potential: object = None
     fidelity_tol: float = 1e-6
-    n_max: int = DEFAULT_N_MAX
 
     def __post_init__(self):
         L = tuple(float(x) for x in self.L_list)
@@ -112,7 +111,7 @@ class DiffReport:
 
 
 def _heat_state(L, run, t_or_none=None, tol=None):
-    basis = box_basis(L, run.omega_cut, run.d, run.n_max)
+    basis = box_basis(L, run.omega_cut, run.d)
     op = galerkin_schrodinger(basis, run.potential)
     c = bump_state(basis, run.R)
     fid = float(np.linalg.norm(c))

@@ -20,6 +20,22 @@ from .spectral import box_integrals
 _EPS = 1e-12
 
 
+def check_gamma(gamma):
+    """``gamma`` as a float; refused unless it is a density in (0, 1]."""
+    gamma = float(gamma)
+    if not (0 < gamma <= 1):
+        raise ParameterError("gamma must be in (0, 1]")
+    return gamma
+
+
+def check_ratio(G, delta):
+    """``(G, delta)`` as floats; refused unless ``0 < delta < G/2``."""
+    G, delta = float(G), float(delta)
+    if not (0 < delta < G / 2):
+        raise ParameterError("delta must lie in (0, G/2)")
+    return G, delta
+
+
 @dataclass(frozen=True)
 class ThickParams:
     """Density ``gamma`` over windows of edge lengths ``a``."""
@@ -28,8 +44,7 @@ class ThickParams:
     a: tuple
 
     def __post_init__(self):
-        if not (0 < self.gamma <= 1):
-            raise ParameterError("gamma must be in (0, 1]")
+        check_gamma(self.gamma)
         a = tuple(float(x) for x in self.a)
         if any(x <= 0 for x in a):
             raise ParameterError("window lengths must be positive")
@@ -49,8 +64,7 @@ class EquidistributedSpec:
     def __post_init__(self):
         if self.G <= 0:
             raise ParameterError("G must be positive")
-        if not (0 < self.delta < self.G / 2):
-            raise ParameterError("delta must lie in (0, G/2)")
+        check_ratio(self.G, self.delta)
         if self.mode not in ("uniform", "centered"):
             raise ParameterError("mode must be 'uniform' or 'centered'")
 

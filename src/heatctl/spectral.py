@@ -246,36 +246,29 @@ def box_integrals(basis_a, basis_b, boxes):
 class PotentialSpec:
     """Bounded potential given as constant + box indicators + cosine series.
 
-    ``boxes`` holds ``(coeff, box)`` indicator terms, ``cosines`` holds
-    ``(coeff, kvec)`` terms meaning ``coeff * prod_i cos(k_i * u_i * (x_i - o_i))``
-    in the harmonic unit ``u_i`` of the target domain axis.  ``func`` is an
-    arbitrary callable evaluated by tensor Gauss-Legendre quadrature.
+    ``boxes`` holds ``(coeff, box)`` indicator terms, each box one
+    ``(lo, hi)`` pair per axis; ``cosines`` holds ``(coeff, kvec)`` terms
+    meaning ``coeff * prod_i cos(k_i * u_i * (x_i - o_i))`` in the harmonic
+    unit ``u_i`` of the target domain axis, one ``k_i`` per axis.  Every term
+    has a closed-form Galerkin block, and ``sup_norm`` and ``inf_value``
+    follow from the coefficients.
     """
 
     constant: float = 0.0
     boxes: tuple = ()
     cosines: tuple = ()
-    func: object = None
-    sup_norm: float = None
-    inf_value: float = None
 
-    def __post_init__(self):
-        if self.sup_norm is None:
-            bound = abs(self.constant)
-            bound += sum(abs(c) for c, _ in self.boxes)
-            bound += sum(abs(c) for c, _ in self.cosines)
-            if self.func is not None and not (self.boxes or self.cosines or self.constant):
-                raise ParameterError("callable potentials need an explicit sup_norm")
-            object.__setattr__(self, "sup_norm", float(bound))
-        if self.inf_value is None:
-            low = self.constant
-            low += sum(min(c, 0.0) for c, _ in self.boxes)
-            low -= sum(abs(c) for c, _ in self.cosines)
-            object.__setattr__(self, "inf_value", float(low))
+    @property
+    def sup_norm(self):
+        """Upper bound on ``|V|``: the sum of the absolute coefficients."""
+        return float(abs(self.constant) + sum(abs(c) for c, _ in self.boxes)
+                     + sum(abs(c) for c, _ in self.cosines))
 
-    @classmethod
-    def zero(cls):
-        return cls()
+    @property
+    def inf_value(self):
+        """Lower bound on ``V``."""
+        return float(self.constant + sum(min(c, 0.0) for c, _ in self.boxes)
+                     - sum(abs(c) for c, _ in self.cosines))
 
     @classmethod
     def const(cls, c):
@@ -284,12 +277,6 @@ class PotentialSpec:
     @classmethod
     def indicator(cls, box, height=1.0):
         return cls(boxes=((float(height), tuple(tuple(map(float, e)) for e in box)),))
-
-    @classmethod
-    def from_callable(cls, f, sup_norm, inf_value=None):
-        return cls(func=f, sup_norm=float(sup_norm),
-                   inf_value=float(inf_value) if inf_value is not None else -float(sup_norm),
-                   constant=0.0)
 
     def evaluate(self, points, domain):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -306,8 +293,6 @@ class PotentialSpec:
                 w = k * unit / domain.sides[ax]
                 term *= np.cos(w * (pts[:, ax] - domain.origin[ax]))
             val += term
-        if self.func is not None:
-            val += self.func(pts)
         return val
 
 
@@ -328,10 +313,6 @@ class OperatorHandle:
     @property
     def is_diagonal(self):
         return self.potential is None
-
-    @property
-    def v_sup_norm(self):
-        return 0.0 if self.potential is None else self.potential.sup_norm
 
     def to_eigenbasis(self, u):
         return u if self.is_diagonal else self.eigvecs.T @ u
@@ -358,30 +339,13 @@ def _cosine_galerkin_block(basis, kvec):
     return _trig.separable_sum(tables, index, index)
 
 
-def _quadrature_galerkin(basis, f, order=32):
-    dom = basis.domain
-    x0, w0 = _trig.gauss_legendre(order)
-    axes_pts, axes_wts = [], []
-    for ax in range(dom.dimension):
-        a = dom.origin[ax]
-        b = a + dom.sides[ax]
-        axes_pts.append(0.5 * (a + b) + 0.5 * (b - a) * x0)
-        axes_wts.append(0.5 * (b - a) * w0)
-    grids = np.meshgrid(*axes_pts, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*axes_wts, indexing="ij")
-    wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    vals = f(pts)
-    F = basis.evaluate(pts)
-    return (F * (wts * vals)) @ F.T
-
-
 def galerkin_schrodinger(basis, potential=None):
     """Galerkin matrix of ``-Laplace + V`` in ``basis`` with eigensystem.
 
     With ``potential=None`` the handle is exactly diagonal.  Indicator and
-    cosine terms are integrated in closed form; a callable part falls back
-    to tensor Gauss-Legendre of order 32 per axis.
+    cosine terms are integrated in closed form.  A box without one
+    ``(lo, hi)`` pair with ``lo < hi`` per axis of the domain, or a cosine
+    without one frequency per axis, raises :class:`ParameterError`.
     """
     if basis.n == 0:
         raise ParameterError("basis is empty")
@@ -389,15 +353,18 @@ def galerkin_schrodinger(basis, potential=None):
         lam = basis.eigenvalues.copy()
         return OperatorHandle(basis=basis, matrix=np.diag(lam), eigvals=lam,
                               eigvecs=np.eye(basis.n), potential=None)
+    d = basis.domain.dimension
     M = np.diag(basis.eigenvalues).astype(float)
     if potential.constant:
         M += potential.constant * np.eye(basis.n)
     for coeff, box in potential.boxes:
+        if len(box) != d or any(len(e) != 2 or not e[0] < e[1] for e in box):
+            raise ParameterError(f"box {box} needs a (lo, hi) pair with lo < hi per axis")
         M += coeff * box_integrals(basis, basis, [box])
     for coeff, kvec in potential.cosines:
+        if len(kvec) != d:
+            raise ParameterError(f"cosine term {kvec} needs one frequency per axis")
         M += coeff * _cosine_galerkin_block(basis, kvec)
-    if potential.func is not None:
-        M += _quadrature_galerkin(basis, potential.func)
     if not np.all(np.isfinite(M)):
         raise NumericError("Galerkin matrix has non-finite entries")
     M = 0.5 * (M + M.T)

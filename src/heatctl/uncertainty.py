@@ -13,9 +13,8 @@ import numpy as np
 
 from . import _trig
 from .errors import DegenerateSetError, ParameterError
-from .geometry import gram_matrix
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .geometry import ObservabilitySet, check_gamma, check_ratio, gram_matrix
+from .spectral import PotentialSpec, galerkin_schrodinger
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,14 @@ def _smallest_passing(ok, k_max):
     return hi
 
 
+def _check_s(s):
+    """The decay exponent ``s`` as a float; refused unless it lies in (0, 1)."""
+    s = float(s)
+    if not (0 < s < 1):
+        raise ParameterError("s must be in (0, 1)")
+    return s
+
+
 def subspace_indices(op, E):
     idx = np.flatnonzero(op.eigvals <= E)
     if idx.size == 0:
@@ -149,8 +156,7 @@ def fit_uncertainty_form(pairs, s):
     ``d0`` is inflated so that ``C_emp >= 1/(d0 exp(d1 E^s))`` holds at every
     fitted point; ``d1`` is clamped at zero.
     """
-    if not (0 < s < 1):
-        raise ParameterError("s must be in (0, 1)")
+    s = _check_s(s)
     pairs = [(float(E), float(c)) for E, c in pairs]
     if len(pairs) < 3:
         raise ParameterError("need at least three (E, C_emp) pairs")
@@ -168,26 +174,137 @@ def fit_uncertainty_form(pairs, s):
                           e_grid=tuple(float(p[0]) for p in pairs))
 
 
-def _golden_min(f, lo, hi, tol=1e-8):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _lookup(registry, name):
+    """Registry entry of a bound name; ``-`` reads as ``_``."""
+    key = name.replace("-", "_")
+    if key not in registry:
+        raise ParameterError(f"unknown bound name {name!r}")
+    return registry[key]
+
+
+def _evaluate(form, name, params, constants):
+    """``form(params, constants)``; a refusal names the bound."""
+    try:
+        return form(params, constants or UniversalConstants())
+    except ParameterError as exc:
+        raise ParameterError(f"{name}: {exc}") from exc
+
+
+def _get(params, key, default=None):
+    """``params[key]``; a missing or ``None`` entry takes ``default`` or is refused."""
+    value = params.get(key)
+    value = default if value is None else value
+    if value is None:
+        raise ParameterError(f"missing parameter {key!r}")
+    return value
+
+
+def _check_nonneg(params, key, default=None):
+    value = float(_get(params, key, default))
+    if value < 0:
+        raise ParameterError(f"{key} must be non-negative")
+    return value
+
+
+def _check_gamma(params):
+    return check_gamma(_get(params, "gamma"))
+
+
+def _check_ratio(params):
+    return check_ratio(_get(params, "G"), _get(params, "delta"))
+
+
+def _ab(p):
+    return float(np.dot(_get(p, "a"), _get(p, "b")))
+
+
+def _a_norm1(p):
+    return float(np.sum(np.abs(np.atleast_1d(_get(p, "a")))))
+
+
+def _ucp_exponent(G, v, e=0.0):
+    """``1 + G^{4/3} v^{2/3} + G sqrt(e)``, the exponent of the (G, delta) forms."""
+    return 1.0 + G ** (4.0 / 3.0) * v ** (2.0 / 3.0) + G * math.sqrt(e)
+
+
+def _kovrijkine(p, c):
+    gamma, d = _check_gamma(p), int(_get(p, "d"))
+    return (gamma / c.K1 ** d) ** (c.K1 * (_ab(p) + d))
+
+
+def _parallelepiped(p, K):
+    """n-parallelepiped form ``(gamma/K^d)^((K^d/gamma)^n a.b + n - (p-1)/p)``."""
+    gamma, d, n, pp = _check_gamma(p), int(_get(p, "d")), int(_get(p, "n")), float(_get(p, "p"))
+    return (gamma / K ** d) ** ((K ** d / gamma) ** n * _ab(p) + n - (pp - 1.0) / pp)
+
+
+def _ls_torus(p, c):
+    gamma, d, pp = _check_gamma(p), int(_get(p, "d")), float(_get(p, "p"))
+    return (gamma / c.K3 ** d) ** (c.K3 * _ab(p) + (6.0 * d + 1.0) / pp)
+
+
+def _spectral_cube(p, c):
+    gamma, d, E = _check_gamma(p), int(_get(p, "d")), _check_nonneg(p, "E")
+    return (gamma / c.K5 ** d) ** (c.K5 * math.sqrt(E) * _a_norm1(p) + (6.0 * d + 1.0) / 2.0)
+
+
+def _spectral_fullspace(p, c):
+    gamma, d, E = _check_gamma(p), int(_get(p, "d")), _check_nonneg(p, "E")
+    return (gamma / c.K1 ** d) ** (c.K1 * (2.0 * math.sqrt(E) * _a_norm1(p) + d))
+
+
+def _eigenfunction(p, c):
+    G, delta = _check_ratio(p)
+    return (delta / G) ** (c.K * _ucp_exponent(G, _check_nonneg(p, "v_minus_e_norm")))
+
+
+def _klein_gamma(p, c):
+    G, delta = _check_ratio(p)
+    v, E = _check_nonneg(p, "v_norm"), float(_get(p, "E"))
+    if 2.0 * v + E < 0:
+        raise ParameterError("2 v_norm + E must be non-negative")
+    return 0.5 * (delta / G) ** (c.K * _ucp_exponent(G, 2.0 * v + E))
+
+
+def _spectral_projector(p, c):
+    G, delta = _check_ratio(p)
+    v, E = _check_nonneg(p, "v_norm"), _check_nonneg(p, "E")
+    return (delta / G) ** (c.K * _ucp_exponent(G, v, E))
 
 
 def _shifted_ucp_exponent(lam, G, E, v_lo, v_hi):
-    v_dist = max(v_hi - lam, lam - v_lo)
-    return 1.0 + G ** (4.0 / 3.0) * v_dist ** (2.0 / 3.0) + G * math.sqrt(max(E - lam, 0.0))
+    return _ucp_exponent(G, max(v_hi - lam, lam - v_lo), max(E - lam, 0.0))
+
+
+def _spectral_projector_shifted(p, c):
+    """``spectral_projector`` at the best shift ``lambda`` of ``V`` and ``E``.
+
+    The exponent is non-increasing up to the midpoint ``m`` of
+    ``[v_lo, v_hi]``, concave on ``[m, E]`` (a sum of two concave terms) and
+    increasing beyond ``max(E, m)``, so its minimum is at ``m`` or at
+    ``max(E, m)``.
+    """
+    G, delta = _check_ratio(p)
+    E, v_lo, v_hi = (float(_get(p, k)) for k in ("E", "v_lo", "v_hi"))
+    if v_hi < v_lo:
+        raise ParameterError("v_hi must be >= v_lo")
+    m = 0.5 * (v_lo + v_hi)
+    expo = min(_shifted_ucp_exponent(lam, G, E, v_lo, v_hi) for lam in (m, max(E, m)))
+    return (delta / G) ** (c.K * expo)
+
+
+_UCP_FORMS = {
+    "kovrijkine": _kovrijkine,
+    "kovrijkine_multi": lambda p, c: _parallelepiped(p, c.K2),
+    "ls_torus": _ls_torus,
+    "ls_torus_multi": lambda p, c: _parallelepiped(p, c.K4),
+    "spectral_cube": _spectral_cube,
+    "spectral_fullspace": _spectral_fullspace,
+    "eigenfunction": _eigenfunction,
+    "klein_gamma": _klein_gamma,
+    "spectral_projector": _spectral_projector,
+    "spectral_projector_shifted": _spectral_projector_shifted,
+}
 
 
 def ucp_bound(name, constants=None, **p):
@@ -204,99 +321,16 @@ def ucp_bound(name, constants=None, **p):
     ``klein_gamma``: G, delta, E, v_norm -- returns the norm lower-bound
     constant ``G^4 gamma^2 = (delta/G)^(K(1+G^{4/3}(2||V||+E)^{2/3})) / 2``
     ``spectral_projector``: G, delta, E, v_norm -- ``(delta/G)^(K(1+G^{4/3}||V||^{2/3}+G sqrt(E)))``
-    ``spectral_projector_shifted``: G, delta, E, v_lo, v_hi -- ``sup_lambda`` of the shifted spectral_projector
-    exponent, solved by a 256-point grid scan plus golden-section refinement.
+    ``spectral_projector_shifted``: G, delta, E, v_lo, v_hi -- the
+    ``spectral_projector`` exponent minimized over shifts, in closed form.
+
+    A parameter that is missing or ``None``, or that lies outside its
+    formula's domain (``gamma`` in (0, 1], ``delta`` in (0, G/2), norms and
+    ``E`` under a square root non-negative, ``2 v_norm + E >= 0``), raises
+    :class:`ParameterError` that names the bound, as
+    :func:`heatctl.bounds.cost_bound` does.
     """
-    c = constants or UniversalConstants()
-    key = name.replace("-", "_")
-
-    def need(*keys):
-        missing = [k for k in keys if k not in p]
-        if missing:
-            raise ParameterError(f"{name} needs parameters {missing}")
-
-    def thick():
-        gamma = p["gamma"]
-        if not (0 < gamma <= 1):
-            raise ParameterError("gamma must be in (0, 1]")
-        return gamma
-
-    if key == "kovrijkine":
-        need("gamma", "a", "b", "d")
-        gamma, d = thick(), int(p["d"])
-        ab = float(np.dot(p["a"], p["b"]))
-        return (gamma / c.K1 ** d) ** (c.K1 * (ab + d))
-    if key == "kovrijkine_multi":
-        need("gamma", "a", "b", "d", "n", "p")
-        gamma, d, n, pp = thick(), int(p["d"]), int(p["n"]), float(p["p"])
-        ab = float(np.dot(p["a"], p["b"]))
-        expo = (c.K2 ** d / gamma) ** n * ab + n - (pp - 1.0) / pp
-        return (gamma / c.K2 ** d) ** expo
-    if key == "ls_torus":
-        need("gamma", "a", "b", "d", "p")
-        gamma, d, pp = thick(), int(p["d"]), float(p["p"])
-        ab = float(np.dot(p["a"], p["b"]))
-        return (gamma / c.K3 ** d) ** (c.K3 * ab + (6.0 * d + 1.0) / pp)
-    if key == "ls_torus_multi":
-        need("gamma", "a", "b", "d", "n", "p")
-        gamma, d, n, pp = thick(), int(p["d"]), int(p["n"]), float(p["p"])
-        ab = float(np.dot(p["a"], p["b"]))
-        expo = (c.K4 ** d / gamma) ** n * ab + n - (pp - 1.0) / pp
-        return (gamma / c.K4 ** d) ** expo
-    if key == "spectral_cube":
-        need("gamma", "a", "d", "E")
-        gamma, d, E = thick(), int(p["d"]), float(p["E"])
-        if E < 0:
-            raise ParameterError("E must be non-negative")
-        a1 = float(np.sum(np.abs(p["a"])))
-        return (gamma / c.K5 ** d) ** (c.K5 * math.sqrt(E) * a1 + (6.0 * d + 1.0) / 2.0)
-    if key == "spectral_fullspace":
-        need("gamma", "a", "d", "E")
-        gamma, d, E = thick(), int(p["d"]), float(p["E"])
-        a1 = float(np.sum(np.abs(p["a"])))
-        return (gamma / c.K1 ** d) ** (c.K1 * (2.0 * math.sqrt(E) * a1 + d))
-
-    if key in ("eigenfunction", "klein_gamma", "spectral_projector", "spectral_projector_shifted"):
-        need("G", "delta")
-        G, delta = float(p["G"]), float(p["delta"])
-        if not (0 < delta < G / 2):
-            raise ParameterError("delta must lie in (0, G/2)")
-        ratio = delta / G
-        if key == "eigenfunction":
-            need("v_minus_e_norm")
-            return ratio ** (c.K * (1.0 + G ** (4.0 / 3.0) * p["v_minus_e_norm"] ** (2.0 / 3.0)))
-        if key == "klein_gamma":
-            need("E", "v_norm")
-            expo = c.K * (1.0 + G ** (4.0 / 3.0) * (2.0 * p["v_norm"] + p["E"]) ** (2.0 / 3.0))
-            return 0.5 * ratio ** expo
-        if key == "spectral_projector":
-            need("E", "v_norm")
-            E = float(p["E"])
-            if E < 0:
-                raise ParameterError("E must be non-negative")
-            expo = c.K * (1.0 + G ** (4.0 / 3.0) * p["v_norm"] ** (2.0 / 3.0)
-                          + G * math.sqrt(E))
-            return ratio ** expo
-        # spectral_projector_shifted: best shift of the potential/energy pair
-        need("E", "v_lo", "v_hi")
-        E, v_lo, v_hi = float(p["E"]), float(p["v_lo"]), float(p["v_hi"])
-        if v_hi < v_lo:
-            raise ParameterError("v_hi must be >= v_lo")
-        v_norm = max(abs(v_lo), abs(v_hi))
-        lo = -v_norm - max(E, 0.0)
-        hi = max(E, v_hi)
-        if hi - lo < 1e-12:
-            lam_star = lo
-        else:
-            grid = np.linspace(lo, hi, 256)
-            vals = [_shifted_ucp_exponent(l, G, E, v_lo, v_hi) for l in grid]
-            i = int(np.argmin(vals))
-            a = grid[max(i - 1, 0)]
-            b = grid[min(i + 1, 255)]
-            lam_star = _golden_min(lambda l: _shifted_ucp_exponent(l, G, E, v_lo, v_hi), a, b)
-        return ratio ** (c.K * _shifted_ucp_exponent(lam_star, G, E, v_lo, v_hi))
-
-    raise ParameterError(f"unknown bound name {name!r}")
+    return _evaluate(_lookup(_UCP_FORMS, name), name, p, constants)
 
 
 def _sin_power_integral(power, x):
@@ -355,8 +389,7 @@ def sharpness_example_sparse(b, gamma):
     b = int(b)
     if b < 1:
         raise ParameterError("b must be a positive integer")
-    if not (0 < gamma <= 1):
-        raise ParameterError("gamma must be in (0, 1]")
+    check_gamma(gamma)
     w = 2 * b * math.pi
     half = 1.0 / (2 * b)        # half-period of |sin|
     m = int(math.floor(gamma / half))
@@ -390,9 +423,6 @@ def eigenvalue_lifting_check(op, W, E, support=None):
     set is known (``W`` itself, or ``support``), the derivatives are compared
     against the empirical spectral-inequality constant of that set.
     """
-    from .geometry import ObservabilitySet
-    from .spectral import PotentialSpec, galerkin_schrodinger
-
     if isinstance(W, ObservabilitySet):
         Mw = gram_matrix(op.basis, W)
         support = W if support is None else support

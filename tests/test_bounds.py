@@ -99,6 +99,13 @@ def test_missing_parameter_named():
     assert "'a'" in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["equidistributed", "equidistributed_small_time"])
+def test_negative_potential_norm_refused(name):
+    # a negative norm made (G/delta)^(... v^(2/3)) complex
+    with pytest.raises(ParameterError, match="v_norm"):
+        cost_bound(name, G=1.0, delta=0.25, v_norm=-1.0, T=1.0)
+
+
 def test_miller_quadratic_case():
     s, c_star = miller_cstar(1.0, 1.0, 0.0, 1.0)
     assert abs(s - (math.sqrt(3.0) - 1.0)) < 1e-12

@@ -2,11 +2,14 @@ import csv
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
 from heatctl.cli import main
+
+CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def write_config(tmp_path, name, cfg):
@@ -69,6 +72,71 @@ def test_malformed_config_exits_2_without_files(tmp_path, capsys):
     assert rc == 2
     assert not out.exists()
     assert "bogus_key" in capsys.readouterr().err
+
+
+def test_negative_norm_bound_exits_2_without_files(tmp_path, capsys):
+    cfg = base("bounds", evaluations=[{"name": "equidistributed",
+                                       "params": {"G": 1.0, "delta": 0.25,
+                                                  "v_norm": -1.0, "T": 1.0}}])
+    out = tmp_path / "out"
+    rc = main(["bounds", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "v_norm" in capsys.readouterr().err
+
+
+def test_potential_of_wrong_dimension_exits_2_without_files(tmp_path, capsys):
+    cfg = base("spectral-ineq", domain={"torus": [2 * math.pi, 2 * math.pi]},
+               set="full", e_max=8.0, e_grid=[4.0],
+               potential={"cosines": [[0.5, [1, 0, 2]]]})
+    out = tmp_path / "out"
+    rc = main(["spectral-ineq", "--config", write_config(tmp_path, "c.json", cfg),
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "per axis" in capsys.readouterr().err
+
+
+def _numbers(data):
+    if isinstance(data, dict):
+        return [x for v in data.values() for x in _numbers(v)]
+    if isinstance(data, list):
+        return [x for v in data for x in _numbers(v)]
+    return [data] if isinstance(data, (int, float)) and not isinstance(data, bool) else []
+
+
+def _csv_numbers(path):
+    header, *rows = read_csv(path)
+    out = []
+    for row in rows:
+        for col, cell in zip(header, row):
+            if "hash" in col:
+                continue
+            try:
+                out.append(complex(cell))
+            except ValueError:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_is_reproducible_and_finite(tmp_path, config):
+    experiment = json.loads(config.read_text())["experiment"]
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    for out in outs:
+        assert main([experiment, "--config", str(config), "--out", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "run_meta.json" in names
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        if name.endswith(".csv"):
+            values = _csv_numbers(outs[0] / name)
+        else:
+            values = _numbers(json.loads((outs[0] / name).read_text()))
+        assert values, name
+        for v in values:
+            assert complex(v).imag == 0 and math.isfinite(complex(v).real), (name, v)
 
 
 def test_wrong_experiment_exits_2(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heatctl import (ExhaustionRun, FidelityError, ParameterError,
+from heatctl import (ExhaustionRun, FidelityError, ParameterError, PotentialSpec,
                      box_basis, bump_state, embed_zero_extension,
                      nested_control_family, overlap_matrix, periodic_band,
                      semigroup_difference)
@@ -126,6 +126,31 @@ def test_difference_decay_2d():
     rep = semigroup_difference(run)
     assert rep.differences[0] > rep.differences[1] > 0
     assert rep.slope_vs_Lsq < 0
+
+
+def test_difference_with_constant_potential_scales_by_exp_minus_ct():
+    # -Laplace + c on every box: exp(-t(H + c)) = exp(-ct) exp(-tH), so each
+    # difference scales by exp(-ct); the larger boxes lose digits to the
+    # cancellation in d^2 = |v_R|^2 + |v_L|^2 - 2 v_R.O v_L
+    c, t, L = 1.5, 0.1, (2.0, 3.0, 4.0)
+    free = semigroup_difference(ExhaustionRun(L_list=L, L_ref=8.0, t=t, omega_cut=161.0))
+    shifted = semigroup_difference(ExhaustionRun(L_list=L, L_ref=8.0, t=t, omega_cut=161.0,
+                                                 potential=PotentialSpec.const(c)))
+    for d0, d1, tol in zip(free.differences, shifted.differences, (1e-12, 1e-9, 1e-6)):
+        assert abs(d1 - math.exp(-c * t) * d0) <= tol * d1
+
+
+def test_nested_controls_with_indicator_potential():
+    # the replay conjugates the cross Gram into both eigenbases; without it
+    # the residuals do not fall with L
+    S = periodic_band(1.0, 0.5)
+    run = ExhaustionRun(L_list=(2.0, 3.0, 4.0), L_ref=8.0, t=0.1, omega_cut=40.0,
+                        potential=PotentialSpec.indicator([(-0.5, 0.5)], height=2.0))
+    fam = nested_control_family(S, 0.5, run)
+    res = fam.residuals
+    assert res[0] > res[1] > res[2]
+    assert res[2] < 0.02
+    assert max(fam.control_norms) / min(fam.control_norms) <= 2.0
 
 
 def test_nested_controls_zero_state():

@@ -120,6 +120,20 @@ def test_galerkin_2d_matches_weighted_quadrature(term, dom, e_max):
     assert np.max(np.abs(op.matrix - np.diag(basis.eigenvalues) - Vq)) < 1e-10
 
 
+@pytest.mark.parametrize("V", [
+    PotentialSpec(cosines=((0.7, (1,)),)),
+    PotentialSpec(cosines=((0.7, (1, 2, 3)),)),
+    PotentialSpec(boxes=((1.5, ((0.2, 1.1),)),)),
+    PotentialSpec(boxes=((1.5, ((0.2, 1.1), (1.5, 3.0), (0.0, 1.0))),)),
+    PotentialSpec(boxes=((1.5, ((0.2, 1.1), (3.0, 1.5))),)),
+    PotentialSpec(boxes=((1.5, ((0.2, 1.1), (1.5,))),)),
+], ids=["kvec-1", "kvec-3", "box-1d", "box-3d", "box-reversed", "box-no-pair"])
+def test_galerkin_refuses_potential_terms_of_the_wrong_shape(V):
+    basis = build_basis(DomainSpec.torus(2 * math.pi, 2 * math.pi), 8.0)
+    with pytest.raises(ParameterError, match="per axis"):
+        galerkin_schrodinger(basis, V)
+
+
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_axis_atoms_are_distinct_and_gather_every_mode(boundary):
     dom = DomainSpec(boundary, (2.0, 3.0), (-0.5, 1.25))

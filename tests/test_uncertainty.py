@@ -169,6 +169,57 @@ def test_ucp_bound_parameter_errors():
         ucp_bound("no_such_bound", gamma=0.5)
 
 
+def _shifted_exponent_grid(lams, G, E, v_lo, v_hi):
+    """The shifted exponent on an array of shifts, coded independently."""
+    dist = np.maximum(v_hi - lams, lams - v_lo)
+    return 1.0 + G ** (4.0 / 3.0) * dist ** (2.0 / 3.0) + G * np.sqrt(np.maximum(E - lams, 0.0))
+
+
+def _shifted_cases():
+    rng = np.random.default_rng(2018)
+    cases = [(4.3, 0.0, -38.9, 20.9)]
+    for _ in range(24):
+        v_lo, v_hi = np.sort(rng.uniform(-40.0, 40.0, 2))
+        cases.append((rng.uniform(0.2, 5.0), rng.uniform(-10.0, 60.0), v_lo, v_hi))
+    return cases
+
+
+@pytest.mark.parametrize("G, E, v_lo, v_hi", _shifted_cases(),
+                         ids=["G4.3"] + [f"random{i}" for i in range(24)])
+def test_spectral_projector_shifted_matches_dense_grid(G, E, v_lo, v_hi):
+    # bound = (1/4)^exponent, so no shift on the grid may give a smaller
+    # exponent than the closed form, and the closed form sits within the
+    # grid's resolution of the grid minimum
+    v = ucp_bound("spectral_projector_shifted", G=G, delta=G / 4, E=E, v_lo=v_lo, v_hi=v_hi)
+    expo = math.log(v) / math.log(0.25)
+    lams = np.linspace(min(v_lo, E) - 1.0, max(v_hi, E) + 1.0, 10 ** 6 + 1)
+    grid_min = float(np.min(_shifted_exponent_grid(lams, G, E, v_lo, v_hi)))
+    assert expo <= grid_min * (1.0 + 1e-12)
+    assert expo >= grid_min * (1.0 - 1e-3)
+
+
+def test_spectral_projector_shifted_constant_potential_is_exact():
+    # V = 10 above E = 4: the shift lambda = 10 leaves the exponent K = 1
+    assert ucp_bound("spectral_projector_shifted", G=1.0, delta=0.25, E=4.0,
+                     v_lo=10.0, v_hi=10.0) == 0.25
+
+
+@pytest.mark.parametrize("name, params", [
+    ("klein_gamma", {"G": 1.0, "delta": 0.25, "E": 4.0, "v_norm": -1.0}),
+    ("klein_gamma", {"G": 1.0, "delta": 0.25, "E": -3.0, "v_norm": 1.0}),
+    ("eigenfunction", {"G": 1.0, "delta": 0.25, "v_minus_e_norm": -1.0}),
+    ("spectral_projector", {"G": 1.0, "delta": 0.25, "E": 4.0, "v_norm": -1.0}),
+    ("spectral_projector", {"G": 1.0, "delta": 0.25, "E": -1.0, "v_norm": 0.0}),
+    ("spectral_fullspace", {"gamma": 0.5, "a": [1.0], "d": 1, "E": -1.0}),
+    ("spectral_cube", {"gamma": 0.5, "a": [1.0], "d": 1, "E": None}),
+    ("kovrijkine", {"gamma": None, "a": [1.0], "b": [2.0], "d": 1}),
+], ids=["klein-norm", "klein-2v+E", "eigenfunction-norm", "projector-norm",
+        "projector-E", "fullspace-E", "cube-E-None", "kovrijkine-gamma-None"])
+def test_ucp_bound_refuses_inputs_outside_the_formula(name, params):
+    with pytest.raises(ParameterError, match=name):
+        ucp_bound(name, **params)
+
+
 def test_sharpness_torus_values():
     ratio, upper = sharpness_example_torus(0.1, 8 * math.pi, p=2)
     assert abs(upper - 0.1 / (2 / math.pi ** 2)) < 1e-12
