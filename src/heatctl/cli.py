@@ -1,9 +1,14 @@
-"""Command-line front end: reproducible experiments to CSV/JSON tables."""
+"""Command-line front end: reproducible experiments to CSV/JSON tables.
+
+A runner's parameters are its config keys, plus keyword-only ``constants``
+and ``seed``; it binds each nested object before its first computation.
+"""
 
 import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
@@ -13,65 +18,54 @@ from . import exhaustion as ex
 from . import runio
 from . import uncertainty as uc
 from .errors import HeatctlError, ParameterError
+from .geometry import ThickParams, periodic_band
 from .spectral import DEFAULT_N_MAX, build_basis, galerkin_schrodinger
 
 
-def _build_operator(cfg):
-    domain = runio.parse_domain(cfg["domain"])
-    basis = build_basis(domain, float(cfg["e_max"]),
-                        n_max=int(cfg.get("n_max", DEFAULT_N_MAX)))
-    potential = runio.parse_potential(cfg.get("potential"))
-    return galerkin_schrodinger(basis, potential)
+def _operator(domain, e_max, n_max, potential=None):
+    domain = runio.parse_domain(domain)
+    if potential is not None:
+        potential = runio.call(runio.potential_spec, potential, "potential")
+    return galerkin_schrodinger(build_basis(domain, float(e_max), n_max=int(n_max)), potential)
 
 
-def _parse_u0(spec, problem):
-    if spec == "worst":
-        return ct.worst_initial_state(problem)
-    if isinstance(spec, dict) and "mode" in spec:
-        u0 = np.zeros(problem.op.n)
-        u0[int(spec["mode"])] = 1.0
-        return u0
-    if isinstance(spec, dict) and "coeffs" in spec:
-        u0 = np.asarray(spec["coeffs"], dtype=float)
-        if u0.shape != (problem.op.n,):
+def _named(name, params=None):
+    """An entry of ``bounds`` or ``evaluations``: a bound name and its parameters."""
+    return name, dict(params or {})
+
+
+def _initial_state(mode=None, coeffs=None):
+    """The ``u0`` object of ``synthesize`` as a function of the mode count ``n``."""
+    if (mode is None) == (coeffs is None):
+        raise ParameterError("u0 must be 'worst', {'mode': k} or {'coeffs': [...]}")
+
+    def state(n):
+        if mode is not None and mode not in range(n):
+            raise ParameterError(f"u0: mode must be an integer in [0, {n})")
+        u0 = np.asarray(coeffs, dtype=float) if mode is None else np.eye(1, n, int(mode))[0]
+        if u0.shape != (n,):
             raise ParameterError("u0 coefficient vector has wrong length")
         return u0
-    raise ParameterError("u0 must be 'worst', {'mode': k} or {'coeffs': [...]}")
+    return state
 
 
-def run_spectral_ineq(cfg, constants, seed):
-    op = _build_operator(cfg)
-    S = runio.parse_set(cfg["set"], seed)
-    pairs = uc.spectral_ineq_sweep(op, S, [float(e) for e in cfg["e_grid"]])
+def run_spectral_ineq(domain, set, e_max, e_grid, potential=None, bounds=None,
+                      n_max=DEFAULT_N_MAX, *, constants, seed=None):
+    S = runio.parse_set(set, seed)
+    specs = [runio.call(_named, b, f"bounds[{i}]") for i, b in enumerate(bounds or ())]
+    op = _operator(domain, e_max, n_max, potential)
+    pairs = uc.spectral_ineq_sweep(op, S, [float(e) for e in e_grid])
     set_hash = S.descriptor_hash()
-    bound_specs = cfg.get("bounds") or []
     rows = []
     for E, c_emp in pairs:
-        if not bound_specs:
+        if not specs:
             rows.append([E, repr(c_emp), None, None, set_hash])
-        for spec in bound_specs:
-            params = dict(spec.get("params") or {})
-            params["E"] = E
-            val = uc.ucp_bound(spec["name"], constants, **params)
-            rows.append([E, repr(c_emp), spec["name"], repr(val), set_hash])
+        for name, params in specs:
+            val = uc.ucp_bound(name, constants, **{**params, "E": E})
+            rows.append([E, repr(c_emp), name, repr(val), set_hash])
     return {"spectral_ineq.csv":
             runio.csv_text(["E", "C_emp", "bound_name", "bound_value", "set_hash"],
                            rows)}
-
-
-def _control_problem(cfg, seed, u0=None):
-    op = _build_operator(cfg)
-    T = float(cfg["T"])
-    if "set" in cfg and "control_scale" in cfg:
-        raise ParameterError("give either 'set' or 'control_scale', not both")
-    if "set" in cfg:
-        S = runio.parse_set(cfg["set"], seed)
-        problem = ct.ControlProblem.from_set(op, S, T, u0=u0)
-    elif "control_scale" in cfg:
-        problem = ct.ControlProblem.scalar(op, float(cfg["control_scale"]), T, u0=u0)
-    else:
-        raise ParameterError("synthesize needs a 'set' or a 'control_scale'")
-    return problem
 
 
 def _trajectory_rows(problem, signal, t_points):
@@ -86,11 +80,19 @@ def _trajectory_rows(problem, signal, t_points):
     return rows, traj
 
 
-def run_synthesize(cfg, constants, seed):
-    mode = cfg.get("mode", "gramian")
-    problem = _control_problem(cfg, seed)
-    problem.u0 = _parse_u0(cfg.get("u0", "worst"), problem)
-    t_points = int(cfg.get("t_points", 33))
+def run_synthesize(domain, e_max, T, set=None, control_scale=None, u0="worst",
+                   mode="gramian", s=0.5, t_points=33, potential=None,
+                   n_max=DEFAULT_N_MAX, *, constants, seed=None):
+    if (set is None) == (control_scale is None):
+        raise ParameterError("synthesize needs exactly one of 'set' and 'control_scale'")
+    if mode not in ("gramian", "active-passive"):
+        raise ParameterError(f"unknown synthesize mode {mode!r}")
+    S = None if set is None else runio.parse_set(set, seed)
+    u0 = u0 if u0 == "worst" else runio.call(_initial_state, u0, "u0")
+    op = _operator(domain, e_max, n_max, potential)
+    problem = (ct.ControlProblem.scalar(op, float(control_scale), float(T)) if S is None
+               else ct.ControlProblem.from_set(op, S, float(T)))
+    problem.u0 = ct.worst_initial_state(problem) if u0 == "worst" else u0(problem.op.n)
     files = {}
     if mode == "gramian":
         signal, cost = ct.min_norm_control(problem)
@@ -101,12 +103,11 @@ def run_synthesize(cfg, constants, seed):
             diagnostics={"cost_for_u0": cost},
             set_hash=problem.set_hash,
         )
-    elif mode == "active-passive":
-        s = float(cfg.get("s", 0.5))
+    else:
         sched = ct.active_passive_schedule(problem.T, max(float(problem.op.eigvals[-1]), 1.0))
         pairs = [(E, uc.spectral_ineq_constant(problem.op, None, E, gram=problem.control_gram))
                  for E in sched.E_j if E >= problem.op.eigvals[0]]
-        fit = uc.fit_uncertainty_form(pairs, s)
+        fit = uc.fit_uncertainty_form(pairs, float(s))
         signal, report = ct.active_passive_synthesize(problem, fit)
         report.c_emp = ct.empirical_cost(problem)
         report.diagnostics["uncertainty_fit"] = {"d0": fit.d0, "d1": fit.d1, "s": fit.s}
@@ -120,9 +121,7 @@ def run_synthesize(cfg, constants, seed):
         files["phases.csv"] = runio.csv_text(
             ["j", "E_j", "T_j", "a_j", "norm_sq", "norm_bound", "bound_ok",
              "low_mode_residual", "decay_ratio", "decay_bound"], phase_rows)
-    else:
-        raise ParameterError(f"unknown synthesize mode {mode!r}")
-    rows, traj = _trajectory_rows(problem, signal, t_points)
+    rows, traj = _trajectory_rows(problem, signal, int(t_points))
     report.diagnostics["final_residual"] = traj.final_norm()
     report.constants = constants.to_dict()
     files["report.json"] = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
@@ -130,34 +129,33 @@ def run_synthesize(cfg, constants, seed):
     return files
 
 
-def run_bounds(cfg, constants, seed):
+def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
+               constants, seed=None):
+    specs = [runio.call(_named, e, f"evaluations[{i}]")
+             for i, e in enumerate(evaluations or ())]
     rows = []
     report = {}
-    for spec in cfg.get("evaluations") or []:
-        params = dict(spec.get("params") or {})
-        value = bd.cost_bound(spec["name"], params, constants)
-        rows.append([spec["name"], params.get("T"), runio.config_hash(params),
-                     repr(value), bd.bound_validity(spec["name"])])
-    if "miller" in cfg:
-        m = cfg["miller"]
-        s_root, c_star = bd.miller_cstar(m["beta"], m["b"], m.get("a", 0.0),
-                                         m.get("m", 0.0))
-        h = runio.config_hash(m)
+    for name, params in specs:
+        value = bd.cost_bound(name, params, constants)
+        # every bound is a function of T, so an evaluation that passed has one
+        rows.append([name, params["T"], runio.config_hash(params), repr(value),
+                     bd.bound_validity(name)])
+    if miller is not None:
+        s_root, c_star = runio.call(bd.miller_cstar, miller, "miller")
+        h = runio.config_hash(miller)
         rows.append(["miller_s_root", None, h, repr(s_root), "small_T_only"])
         rows.append(["miller_cstar", None, h, repr(c_star), "small_T_only"])
         report["miller"] = {"s_root": s_root, "c_star": c_star}
-    if "tenenbaum" in cfg:
-        t = cfg["tenenbaum"]
-        val = bd.tenenbaum_threshold(t["s"], t["d1"])
-        rows.append(["tenenbaum_threshold", None, runio.config_hash(t),
+    if tenenbaum is not None:
+        val = runio.call(bd.tenenbaum_threshold, tenenbaum, "tenenbaum")
+        rows.append(["tenenbaum_threshold", None, runio.config_hash(tenenbaum),
                      repr(val), "all_T"])
         report["tenenbaum_threshold"] = val
     files = {"bounds.csv": runio.csv_text(
         ["name", "T", "params_hash", "value", "validity"], rows)}
-    if "regime" in cfg:
-        r = cfg["regime"]
-        regime_rows, classifiers = bd.regime_table(r["names"], r.get("params") or {},
-                                                   r["t_grid"], constants)
+    if regime is not None:
+        regime_rows, classifiers = runio.call(bd.regime_table, regime, "regime",
+                                              constants=constants)
         files["regime.csv"] = runio.csv_text(
             ["name", "T", "value", "validity", "best"],
             [[row["name"], repr(row["T"]), repr(row["value"]), row["validity"],
@@ -168,18 +166,15 @@ def run_bounds(cfg, constants, seed):
     return files
 
 
-def run_homogenize(cfg, constants, seed):
-    from .geometry import periodic_band
-    op = _build_operator(cfg)
-    gamma = float(cfg["gamma"])
-    period0 = float(cfg["period0"])
-    halvings = int(cfg.get("halvings", 3))
-    t_grid = [float(t) for t in cfg["t_grid"]]
+def run_homogenize(domain, gamma, period0, e_max, t_grid, halvings=3, n_max=DEFAULT_N_MAX,
+                   *, constants, seed=None):
+    op = _operator(domain, e_max, n_max)
+    t_grid = [float(t) for t in t_grid]
     d = op.basis.domain.dimension
     sweep_rows, fit_rows = [], []
-    for k in range(halvings + 1):
-        period = period0 / 2.0 ** k
-        S = periodic_band(period, gamma, d)
+    for k in range(int(halvings) + 1):
+        period = float(period0) / 2.0 ** k
+        S = periodic_band(period, float(gamma), d)
         problem = ct.ControlProblem.from_set(op, S, t_grid[0])
         costs = [ct.empirical_cost(problem.with_time(T)) for T in t_grid]
         y = np.log(costs)
@@ -198,47 +193,39 @@ def run_homogenize(cfg, constants, seed):
     }
 
 
-def run_exhaust(cfg, constants, seed):
-    run = ex.ExhaustionRun(
-        L_list=tuple(float(L) for L in cfg["L"]),
-        L_ref=float(cfg["L_ref"]),
-        t=float(cfg["t"]),
-        R=float(cfg.get("R", 1.0)),
-        omega_cut=float(cfg.get("omega_cut", 161.0)),
-    )
-    diff = ex.semigroup_difference(run)
-    report = {
-        "diff_slope_vs_Lsq": diff.slope_vs_Lsq,
-        "diff_intercept": diff.intercept,
-        "fidelities": list(diff.fidelities),
+def _nested_controls(T, omega_cut=40.0, set={"band": {"period": 1.0, "gamma": 0.5}}, *,
+                     run, seed, constants):
+    """The ``control`` object of ``exhaust``: controls on the nested boxes of ``run``."""
+    S = runio.parse_set(set, seed)
+    T = float(T)
+    fam = ex.nested_control_family(S, T, replace(run, omega_cut=float(omega_cut)))
+    norms = fam.control_norms
+    # scale-free check: the thick-set bound calibrated on the smallest box
+    # is L-independent; later boxes must stay within the same uniformity
+    # margin used for the norms themselves (factor 2)
+    params = {"gamma": S.density(), "a": [S.cell[0]], "d": 1}
+    cal = bd.calibrate_prefactor("thick2", [(T, norms[0])], params, constants)
+    bound = bd.cost_bound("thick2", params, cal, T=T)
+    return fam, {
+        "control_conditions": list(fam.conditions),
+        "thick2_calibrated_bound": bound,
+        "norm_to_bound_ratio": max(norms) / bound,
+        "norms_uniformly_bounded": bool(max(norms) <= 2.0 * bound
+                                        and max(norms) <= 2.0 * min(norms)),
     }
-    norms = residuals = None
-    if "control" in cfg:
-        c = cfg["control"]
-        S = runio.parse_set(c.get("set", {"band": {"period": 1.0, "gamma": 0.5}}), seed)
-        ctl_run = ex.ExhaustionRun(
-            L_list=run.L_list, L_ref=run.L_ref, t=run.t, R=run.R,
-            omega_cut=float(c.get("omega_cut", 40.0)))
-        fam = ex.nested_control_family(S, float(c["T"]), ctl_run)
-        norms, residuals = fam.control_norms, fam.residuals
-        report["control_conditions"] = list(fam.conditions)
-        # scale-free check: the thick-set bound calibrated on the smallest box
-        # is L-independent; later boxes must stay within the same uniformity
-        # margin used for the norms themselves (factor 2)
-        gamma_est = S.density()
-        params = {"gamma": gamma_est, "a": [S.cell[0]], "d": 1}
-        cal = bd.calibrate_prefactor("thick2", [(float(c["T"]), norms[0])],
-                                     params, constants)
-        bound = bd.cost_bound("thick2", params, cal, T=float(c["T"]))
-        report["thick2_calibrated_bound"] = bound
-        report["norm_to_bound_ratio"] = max(norms) / bound
-        report["norms_uniformly_bounded"] = bool(
-            max(norms) <= 2.0 * bound and max(norms) <= 2.0 * min(norms))
-    rows = []
-    for i, L in enumerate(run.L_list):
-        rows.append([repr(L), repr(diff.differences[i]),
-                     repr(norms[i]) if norms else None,
-                     repr(residuals[i]) if residuals else None])
+
+
+def run_exhaust(t, L, L_ref, R=1.0, omega_cut=161.0, control=None, *, constants, seed=None):
+    run = ex.ExhaustionRun(L_list=L, L_ref=float(L_ref), t=float(t), R=float(R),
+                           omega_cut=float(omega_cut))
+    fam, report = (None, {}) if control is None else runio.call(
+        _nested_controls, control, "control", run=run, seed=seed, constants=constants)
+    diff = ex.semigroup_difference(run)
+    report.update(diff_slope_vs_Lsq=diff.slope_vs_Lsq, diff_intercept=diff.intercept,
+                  fidelities=list(diff.fidelities))
+    rows = [[repr(L), repr(diff.differences[i]),
+             fam and repr(fam.control_norms[i]), fam and repr(fam.residuals[i])]
+            for i, L in enumerate(run.L_list)]
     return {
         "exhaust.csv": runio.csv_text(["L", "difference", "control_norm", "residual"],
                                       rows),
@@ -246,34 +233,34 @@ def run_exhaust(cfg, constants, seed):
     }
 
 
-def run_calibrate(cfg, constants, seed):
-    target = cfg["target"]
-    files = {}
-    if target == "spectral_cube":
-        op = _build_operator(cfg)
-        S = runio.parse_set(cfg["set"], seed)
-        pairs = uc.spectral_ineq_sweep(op, S, [float(e) for e in cfg["e_grid"]])
-        thick = cfg["thick"]
-        cal = uc.calibrate_spectral_cube(pairs, thick["gamma"], thick["a"],
+def run_calibrate(target, domain, set, e_max, e_grid=None, t_grid=None, thick=None,
+                  params=None, n_max=DEFAULT_N_MAX, *, constants, seed=None):
+    cube = target == "spectral_cube"
+    if not cube and target not in ("thick1", "thick2", "equidistributed"):
+        raise ParameterError(f"unknown calibration target {target!r}")
+    needs = {"e_grid": e_grid, "thick": thick} if cube else {"t_grid": t_grid}
+    if None in needs.values():
+        raise ParameterError(f"config: calibration target {target!r} needs {sorted(needs)}")
+    thick = cube and runio.call(ThickParams, thick, "thick")
+    S = runio.parse_set(set, seed)
+    op = _operator(domain, e_max, n_max)
+    grid = [float(x) for x in (e_grid if cube else t_grid)]
+    if cube:
+        pairs = uc.spectral_ineq_sweep(op, S, grid)
+        cal = uc.calibrate_spectral_cube(pairs, thick.gamma, thick.a,
                                          op.basis.domain.dimension, constants)
         fitted = {"K5": cal.K5}
-    elif target in ("thick1", "thick2", "equidistributed"):
-        op = _build_operator(cfg)
-        S = runio.parse_set(cfg["set"], seed)
-        t_grid = [float(t) for t in cfg["t_grid"]]
-        problem = ct.ControlProblem.from_set(op, S, t_grid[0])
-        pairs = [(T, ct.empirical_cost(problem.with_time(T))) for T in t_grid]
-        params = dict(cfg.get("params") or {})
+    else:
+        problem = ct.ControlProblem.from_set(op, S, grid[0])
+        pairs = [(T, ct.empirical_cost(problem.with_time(T))) for T in grid]
         if target == "thick1":
             cal = bd.calibrate_thick1(pairs, params, constants)
             fitted = {"K": cal.K}
         else:
             cal = bd.calibrate_prefactor(target, pairs, params, constants)
             fitted = {"D1": cal.D1}
-    else:
-        raise ParameterError(f"unknown calibration target {target!r}")
-    files["constants_out.json"] = json.dumps(cal.to_dict(), sort_keys=True,
-                                             indent=2) + "\n"
+    files = {"constants_out.json": json.dumps(cal.to_dict(), sort_keys=True,
+                                              indent=2) + "\n"}
     files["calibrate.csv"] = runio.csv_text(
         ["target", "constant", "value"],
         [[target, k, repr(v)] for k, v in sorted(fitted.items())])
@@ -308,25 +295,23 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        config = runio.load_config(args.config)
-        if config["experiment"] != args.command:
-            raise ParameterError(
-                f"config is for {config['experiment']!r}, not {args.command!r}")
+        config = runio.load_config(args.config, args.command)
         if args.seed is not None:
             config["seed"] = args.seed
         if args.constants:
-            with open(args.constants) as fh:
-                config["constants"] = json.load(fh)
-        constants = runio.parse_constants(config.get("constants"))
-        out_dir = args.out or config.get("out") or "heatctl_out"
-        files = RUNNERS[args.command](config, constants, config.get("seed"))
+            config["constants"] = runio.read_json(args.constants, "constants file")
+        keys = dict(config)
+        del keys["schema"], keys["experiment"]
+        out = keys.pop("out", None)
+        constants = runio.call(uc.UniversalConstants, keys.pop("constants", {}), "constants")
+        files = runio.call(RUNNERS[args.command], keys, "config", constants=constants)
         meta = {
             "schema": runio.CONFIG_SCHEMA,
             "experiment": args.command,
             "config_hash": runio.config_hash(config),
             "constants": constants.to_dict(),
         }
-        runio.write_outputs(out_dir, files, meta)
+        runio.write_outputs(args.out or out or "heatctl_out", files, meta)
     except HeatctlError as exc:
         print(f"heatctl: error: {exc}", file=sys.stderr)
         return 2

@@ -471,37 +471,41 @@ def periodic_band(period, gamma, d=1):
     return ObservabilitySet.periodic((period,) * d, [tuple(band for _ in range(d))])
 
 
-def example_set(name, **params):
-    """Constructors for the three reference periodic sets.
+def _centered_bands(eps, d=1):
+    """Product of bands of width ``eps`` centered in each unit cell (density ``eps**d``)."""
+    if not (0 < eps < 1):
+        raise ParameterError("eps must be in (0, 1)")
+    return periodic_band(1.0, eps ** int(d), int(d))
 
-    ``centered_bands(eps, d)``: 1-periodic product of bands of width
-    ``eps`` centered in each unit cell (density ``eps**d``).
-    ``corner_interval(gamma)``: 1-periodic set with cell trace ``[0, gamma]``.
-    ``edge_bands(gamma, d)``: 1-periodic set with two edge bands of
-    width ``gamma/2`` against the centered unit cell, crossed with full
-    axes in higher dimension.
-    """
-    key = name.replace("-", "_")
-    if key == "centered_bands":
-        eps = params["eps"]
-        d = int(params.get("d", 1))
-        if not (0 < eps < 1):
-            raise ParameterError("eps must be in (0, 1)")
-        return periodic_band(1.0, eps ** d, d)
-    if key == "corner_interval":
-        gamma = params["gamma"]
-        if not (0 < gamma < 1):
-            raise ParameterError("gamma must be in (0, 1)")
-        return ObservabilitySet.periodic((1.0,), [((0.0, gamma),)])
-    if key == "edge_bands":
-        gamma = params["gamma"]
-        d = int(params.get("d", 1))
-        if not (0 < gamma < 1):
-            raise ParameterError("gamma must be in (0, 1)")
-        # edge bands of the centered cell wrap to one centered band mod [0,1)
-        band = ((1 - gamma) / 2, (1 + gamma) / 2)
-        if d == 1:
-            return ObservabilitySet.periodic((1.0,), [(band,)])
-        box = (band,) + tuple((0.0, 1.0) for _ in range(d - 1))
-        return ObservabilitySet.periodic((1.0,) * d, [box])
-    raise ParameterError(f"unknown example set {name!r}")
+
+def _corner_interval(gamma):
+    """The set with cell trace ``[0, gamma]``."""
+    if not (0 < gamma < 1):
+        raise ParameterError("gamma must be in (0, 1)")
+    return ObservabilitySet.periodic((1.0,), [((0.0, gamma),)])
+
+
+def _edge_bands(gamma, d=1):
+    """Edge bands of width ``gamma/2`` of the centered unit cell, times full axes."""
+    if not (0 < gamma < 1):
+        raise ParameterError("gamma must be in (0, 1)")
+    # edge bands of the centered cell wrap to one centered band mod [0,1)
+    band = ((1 - gamma) / 2, (1 + gamma) / 2)
+    return ObservabilitySet.periodic((1.0,) * int(d), [(band,) + ((0.0, 1.0),) * (int(d) - 1)])
+
+
+EXAMPLE_SETS = {"centered_bands": _centered_bands, "corner_interval": _corner_interval,
+                "edge_bands": _edge_bands}
+
+
+def example_constructor(name):
+    """The constructor of an ``EXAMPLE_SETS`` entry; ``-`` reads as ``_``."""
+    key = str(name).replace("-", "_")
+    if key not in EXAMPLE_SETS:
+        raise ParameterError(f"unknown example set {name!r}")
+    return EXAMPLE_SETS[key]
+
+
+def example_set(name, **params):
+    """The reference 1-periodic set ``name`` of ``EXAMPLE_SETS`` built from ``params``."""
+    return example_constructor(name)(**params)

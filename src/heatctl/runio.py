@@ -1,34 +1,40 @@
-"""Config parsing, deterministic serialization and atomic file output."""
+"""Config reading, deterministic serialization and atomic file output.
+
+Every config object reaches the library through :func:`call`, which binds
+its keys to the parameters, and their defaults, of the function reading it.
+"""
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
 import tempfile
 
 from .errors import ParameterError
-from .geometry import (EquidistributedSpec, ObservabilitySet, example_set,
+from .geometry import (EquidistributedSpec, ObservabilitySet, example_constructor,
                        make_equidistributed, periodic_band)
 from .spectral import DomainSpec, PotentialSpec
-from .uncertainty import UniversalConstants
 
 CONFIG_SCHEMA = "heatctl-run/1"
 
-EXPERIMENTS = {
-    "spectral-ineq": {"domain", "set", "e_max", "e_grid", "potential", "bounds",
-                      "n_max"},
-    "synthesize": {"domain", "set", "control_scale", "e_max", "T", "u0", "mode",
-                   "s", "t_points", "potential", "n_max"},
-    "bounds": {"evaluations", "miller", "tenenbaum", "regime"},
-    "homogenize": {"domain", "gamma", "period0", "halvings", "e_max", "t_grid",
-                   "n_max"},
-    "exhaust": {"t", "L", "L_ref", "R", "omega_cut", "control"},
-    "calibrate": {"target", "domain", "set", "e_max", "e_grid", "t_grid",
-                  "thick", "params", "n_max"},
-}
 
-COMMON_KEYS = {"schema", "experiment", "seed", "constants", "out"}
+def call(fn, section, where, **given):
+    """``fn(**section, **given)`` once the keys of ``section`` bind to ``fn``.
+
+    A ``section`` that is not a JSON object, or that misses a required key
+    or holds an unknown one, is refused naming ``where`` and the key.  A
+    ``TypeError`` raised inside ``fn`` propagates unchanged.
+    """
+    if not isinstance(section, dict):
+        raise ParameterError(f"{where} must be a JSON object, not {json.dumps(section)}")
+    try:
+        inspect.signature(fn).bind(**section, **given)
+    except TypeError as exc:
+        reason = str(exc).replace("keyword argument", "key").replace("argument", "key")
+        raise ParameterError(f"{where}: {reason}") from exc
+    return fn(**section, **given)
 
 
 def canonical_json(data):
@@ -82,84 +88,91 @@ def write_outputs(out_dir, files, meta):
                       json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def validate_config(config):
-    if not isinstance(config, dict):
-        raise ParameterError("config must be a JSON object")
-    if config.get("schema") != CONFIG_SCHEMA:
-        raise ParameterError(f"config schema must be {CONFIG_SCHEMA!r}")
-    exp = config.get("experiment")
-    if exp not in EXPERIMENTS:
-        raise ParameterError(f"unknown experiment {exp!r}")
-    allowed = EXPERIMENTS[exp] | COMMON_KEYS
-    unknown = set(config) - allowed
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    return exp
-
-
-def load_config(path):
+def read_json(path, what):
+    """The JSON document at ``path``; an unreadable one is refused naming ``what``."""
     try:
         with open(path) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"cannot read config: {exc}") from exc
-    validate_config(config)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read {what}: {exc}") from exc
+
+
+def load_config(path, experiment):
+    """The ``heatctl-run/1`` config object at ``path``; refused unless it is for ``experiment``."""
+    config = read_json(path, "config")
+    if not isinstance(config, dict) or config.get("schema") != CONFIG_SCHEMA:
+        raise ParameterError(f"config must be a JSON object of schema {CONFIG_SCHEMA!r}")
+    if config.get("experiment") != experiment:
+        raise ParameterError(f"config is for {config.get('experiment')!r}, not {experiment!r}")
     return config
 
 
+def _interval(interval, boundary="dirichlet"):
+    return DomainSpec.interval(*interval, boundary=boundary)
+
+
+def _torus(torus):
+    return DomainSpec.torus(*torus)
+
+
 def parse_domain(data):
-    if "interval" in data:
-        a, b = data["interval"]
-        return DomainSpec.interval(a, b, data.get("boundary", "dirichlet"))
-    if "torus" in data:
-        return DomainSpec.torus(*data["torus"])
-    return DomainSpec.from_json(data)
+    """A ``domain``: ``interval`` (with ``boundary``), ``torus``, or the fields of ``DomainSpec``."""
+    fn = next((fn for key, fn in (("interval", _interval), ("torus", _torus))
+               if isinstance(data, dict) and key in data), DomainSpec)
+    return call(fn, data, "domain")
+
+
+def _band(band):
+    return call(periodic_band, band, "set band")
+
+
+def _equidistributed(equidistributed, extent, *, seed):
+    if isinstance(equidistributed, dict):
+        equidistributed = {"seed": seed, **equidistributed}
+    return make_equidistributed(
+        call(EquidistributedSpec, equidistributed, "set equidistributed"), extent)
+
+
+def _set_record(kind, cell=None, boxes=(), meta=None, schema=None):
+    """A set-schema record as ``ObservabilitySet.to_json`` writes it, ``schema`` tag included."""
+    return ObservabilitySet.from_json({"kind": kind, "cell": cell, "boxes": boxes,
+                                       "meta": meta or {}})
 
 
 def parse_set(data, seed=None):
-    if data == "full":
-        return ObservabilitySet.full()
-    if data == "empty":
-        return ObservabilitySet.empty()
+    """A ``set``: ``full``, ``empty``, a set-file path, or an object read by its key.
+
+    ``example`` takes the example's parameters beside it, ``band`` the
+    arguments of ``periodic_band``, ``equidistributed`` those of
+    ``EquidistributedSpec`` (the config ``seed`` unless it sets its own) and
+    an ``extent``; any other object is a set-schema record.
+    """
+    if data in ("full", "empty"):
+        return ObservabilitySet(kind=data)
     if isinstance(data, str):
         # anything else is a path to a set-schema JSON file
-        try:
-            with open(data) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParameterError(f"cannot read set file {data!r}: {exc}") from exc
-    if "example" in data:
-        params = {k: v for k, v in data.items() if k != "example"}
-        return example_set(data["example"], **params)
-    if "band" in data:
-        return periodic_band(**data["band"])
-    if "equidistributed" in data:
-        spec_data = dict(data["equidistributed"])
-        if "seed" not in spec_data and seed is not None:
-            spec_data["seed"] = seed
-        spec = EquidistributedSpec(**spec_data)
-        return make_equidistributed(spec, data["extent"])
-    return ObservabilitySet.from_json(data)
+        data = read_json(data, f"set file {data!r}")
+    form = data if isinstance(data, dict) else {}
+    if "example" in form:
+        params = dict(data)
+        name = params.pop("example")
+        return call(example_constructor(name), params, f"set example {name!r}")
+    if "band" in form:
+        return call(_band, data, "set")
+    if "equidistributed" in form:
+        return call(_equidistributed, data, "set", seed=seed)
+    return call(_set_record, data, "set")
 
 
-def parse_potential(data):
-    if data is None:
-        return None
-    kw = {}
-    if "constant" in data:
-        kw["constant"] = float(data["constant"])
-    if "boxes" in data:
-        kw["boxes"] = tuple((float(c), tuple(tuple(map(float, e)) for e in b))
-                            for c, b in data["boxes"])
-    if "cosines" in data:
-        kw["cosines"] = tuple((float(c), tuple(int(k) for k in kv))
-                              for c, kv in data["cosines"])
-    if not kw:
+def potential_spec(constant=None, boxes=None, cosines=None):
+    """A ``potential``: a ``constant`` plus ``[coeff, box]`` and ``[coeff, kvec]`` terms."""
+    if constant is None and boxes is None and cosines is None:
         raise ParameterError("potential spec is empty")
-    return PotentialSpec(**kw)
-
-
-def parse_constants(data):
-    if data is None:
-        return UniversalConstants()
-    return UniversalConstants.from_dict(data)
+    try:
+        return PotentialSpec(
+            0.0 if constant is None else float(constant),
+            tuple((float(c), tuple(tuple(map(float, e)) for e in b)) for c, b in boxes or ()),
+            tuple((float(c), tuple(int(k) for k in kv)) for c, kv in cosines or ()))
+    except (TypeError, ValueError) as exc:
+        raise ParameterError("potential: constant must be a number, each term of boxes "
+                             "[coeff, box] and each term of cosines [coeff, kvec]") from exc

@@ -7,6 +7,7 @@ unspecified universal constants live in :class:`UniversalConstants`.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
@@ -46,19 +47,12 @@ class UniversalConstants:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ParameterError(f"constant {f.name} must be positive")
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+                raise ParameterError(f"constant {f.name} must be a positive number")
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ParameterError(f"unknown constants: {sorted(unknown)}")
-        return cls(**data)
 
     def updated(self, **kw):
         return replace(self, **kw)

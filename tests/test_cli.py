@@ -1,15 +1,22 @@
 import csv
+import hashlib
+import inspect
 import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from heatctl.cli import main
+from heatctl import runio
+from heatctl.cli import RUNNERS, main
+from heatctl.errors import ParameterError
 
-CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
 def write_config(tmp_path, name, cfg):
@@ -321,3 +328,201 @@ def test_constants_override(tmp_path):
     meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
     assert meta["constants"]["K5"] == 2.0
 
+
+
+# one small config per experiment; each malformed case below breaks one key
+SI = {"domain": {"interval": [0.0, math.pi]}, "set": "full", "e_max": 4.0, "e_grid": [1.0]}
+SYNTH = {"domain": {"interval": [0.0, math.pi], "boundary": "neumann"}, "e_max": 1.0,
+         "control_scale": 1.0, "T": 1.0}
+EXHAUST = {"t": 0.1, "L": [2.0, 3.0], "L_ref": 8.0}
+CUBE = {"target": "spectral_cube", "domain": {"interval": [0.0, math.pi]},
+        "set": {"band": {"period": math.pi, "gamma": 0.5}}, "e_max": 4.0, "e_grid": [1.0]}
+THICK1 = {"name": "thick1", "params": {"gamma": 0.5, "a": [1.0], "d": 1}}
+
+# (experiment, config keys, --constants file content or None, section, key)
+MALFORMED = {
+    "example_without_eps": ("spectral-ineq", {**SI, "set": {"example": "centered_bands"}},
+                            None, "set example", "'eps'"),
+    "band_without_gamma": ("spectral-ineq", {**SI, "set": {"band": {"period": 1.0}}},
+                           None, "set band", "'gamma'"),
+    "equidistributed_without_extent": (
+        "spectral-ineq", {**SI, "set": {"equidistributed": {"G": 1.0, "delta": 0.2}}},
+        None, "set", "'extent'"),
+    "set_record_without_kind": ("spectral-ineq",
+                                {**SI, "set": {"cell": [math.pi], "boxes": []}},
+                                None, "set", "'kind'"),
+    "domain_without_sides": ("spectral-ineq", {**SI, "domain": {"boundary": "dirichlet"}},
+                             None, "domain", "'sides'"),
+    "control_without_T": ("exhaust", {**EXHAUST, "control": {"omega_cut": 40.0}},
+                          None, "control", "'T'"),
+    "control_misspelt_omega_cut": ("exhaust",
+                                   {**EXHAUST, "control": {"T": 0.5, "omega_cutt": 40.0}},
+                                   None, "control", "'omega_cutt'"),
+    "miller_without_b": ("bounds", {"miller": {"beta": 1.0}}, None, "miller", "'b'"),
+    "tenenbaum_extra_x": ("bounds", {"tenenbaum": {"s": 0.5, "d1": 1.0, "x": 1.0}},
+                          None, "tenenbaum", "'x'"),
+    "regime_without_t_grid": ("bounds", {"regime": {"names": ["thick1"],
+                                                    "params": THICK1["params"]}},
+                              None, "regime", "'t_grid'"),
+    "evaluation_without_name": ("bounds", {"evaluations": [{"params": {"T": 1.0}}]},
+                                None, "evaluations[0]", "'name'"),
+    "synthesize_without_T": ("synthesize", {k: v for k, v in SYNTH.items() if k != "T"},
+                             None, "config", "'T'"),
+    "spectral_ineq_without_e_grid": ("spectral-ineq",
+                                     {k: v for k, v in SI.items() if k != "e_grid"},
+                                     None, "config", "'e_grid'"),
+    "calibrate_cube_without_thick": ("calibrate", CUBE, None, "config", "'thick'"),
+    "thick_without_a": ("calibrate", {**CUBE, "thick": {"gamma": 0.5}}, None, "thick", "'a'"),
+    "potential_box_not_a_box": ("spectral-ineq", {**SI, "potential": {"boxes": [[1.0, 5]]}},
+                                None, "potential", "boxes"),
+    "u0_mode_out_of_range": ("synthesize", {**SYNTH, "u0": {"mode": 99}}, None, "u0", "mode"),
+    "missing_constants_file": ("spectral-ineq", SI, "MISSING", "constants file",
+                               "no_such_constants.json"),
+    "non_numeric_constant": ("spectral-ineq", SI, {"K5": "2"}, "constant", "K5"),
+}
+
+
+def run_case(tmp_path, experiment, keys, constants):
+    argv = [experiment, "--config", write_config(tmp_path, "c.json", base(experiment, **keys)),
+            "--out", str(tmp_path / "out")]
+    if constants == "MISSING":
+        argv += ["--constants", str(tmp_path / "no_such_constants.json")]
+    elif constants is not None:
+        argv += ["--constants", write_config(tmp_path, "consts.json", constants)]
+    return main(argv)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_section_exits_2_naming_section_and_key(tmp_path, capsys, case):
+    experiment, keys, constants, section, key = MALFORMED[case]
+    assert run_case(tmp_path, experiment, keys, constants) == 2
+    assert not (tmp_path / "out").exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("heatctl: error:") and section in line and key in line
+               for line in lines), lines
+
+
+SET_RECORD = {"schema": "heatctl-set/1", "kind": "periodic_boxes", "cell": [math.pi],
+              "boxes": [[[0.0, math.pi / 2]]]}
+
+
+def _si(domain, set_, **kw):
+    return {"domain": domain, "set": set_, "e_max": 9.0, "e_grid": [1.0, 4.0, 9.0], **kw}
+
+
+# each valid form of a config object, with the SHA-256 of every artifact that
+# the code before the section binding wrote for it (recorded with numpy 2 on
+# x86-64 Linux)
+VALID_FORMS = {
+    "equidistributed_config_seed": (
+        _si({"interval": [0.0, 4.0]},
+            {"equidistributed": {"G": 1.0, "delta": 0.2}, "extent": [[0.0, 4.0]]}, seed=11),
+        None, "6232515e65981d7a64f5adbb31a658a4ecf53d0481284f3e63897b3d253614ad"),
+    "example": (_si({"torus": [4.0]}, {"example": "centered_bands", "eps": 0.4}),
+                None, "33e8aabce8b7a6477b929fa9b8d14df3f3513cf0b07163dcb88ed8e1fc746919"),
+    "band": (_si({"interval": [0.0, math.pi], "boundary": "neumann"},
+                 {"band": {"period": 1.0, "gamma": 0.5}}),
+             None, "36899c1033758c82bbfc744a4e7fd630feb1527970907c53c8deb8fb21b00a45"),
+    "set_file": (_si({"interval": [0.0, math.pi]}, "SET_FILE"),
+                 None, "0b65b40293dcb52ed859a5b740e406ce27148e41804cde6423b83b0cc523c9d3"),
+    "torus": (_si({"torus": [2 * math.pi, 2 * math.pi]},
+                  {"kind": "periodic_boxes", "cell": [2 * math.pi, 2 * math.pi],
+                   "boxes": [[[0.0, math.pi], [0.0, math.pi]]]}),
+              None, "d27dd4329380c3d21a022790f9a2417d8046a3afb90703fc26a415990d99a902"),
+    "domain_spec": (_si({"boundary": "neumann", "sides": [2.0, 1.0], "origin": [0.5, 0.0]},
+                        {"kind": "periodic_boxes", "cell": [1.0, 1.0],
+                         "boxes": [[[0.0, 0.5], [0.0, 0.5]]]}),
+                    None, "44b18fe74cc2f8cc170a651ccf64fd45a131a4cfb743dea7bec93c51b819e2a5"),
+    "constants_file": (_si({"interval": [0.0, math.pi]}, "full",
+                           bounds=[{"name": "spectral_cube",
+                                    "params": {"gamma": 0.5, "a": [1.0], "d": 1}}]),
+                       {"K5": 2.0},
+                       "f33bc1aa29617f621f1752a67d47991d3af1aeddb7838b3685bab901817b7172"),
+    "potential": (_si({"torus": [2 * math.pi]}, {**SET_RECORD, "cell": [2 * math.pi]},
+                      potential={"constant": 0.5, "boxes": [[1.0, [[0.0, 1.0]]]],
+                                 "cosines": [[0.25, [2]]]}),
+                  None, "100773454841c836a389f4e88d2cfb3091a182b263f316dab1914939214a5279"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(VALID_FORMS))
+def test_valid_form_writes_the_recorded_bytes(tmp_path, form):
+    keys, constants, digest = VALID_FORMS[form]
+    if keys["set"] == "SET_FILE":
+        keys = {**keys, "set": write_config(tmp_path, "set.json", SET_RECORD)}
+    assert run_case(tmp_path, "spectral-ineq", keys, constants) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    data = (tmp_path / "out" / "spectral_ineq.csv").read_bytes()
+    assert meta["outputs"] == {"spectral_ineq.csv": hashlib.sha256(data).hexdigest()}
+    assert meta["outputs"]["spectral_ineq.csv"] == digest
+
+
+# the top-level keys of each experiment before the runners took them as
+# parameters, and the ones indexed as required on every path of the runner
+EXPERIMENTS = {
+    "spectral-ineq": {"domain", "set", "e_max", "e_grid", "potential", "bounds",
+                      "n_max"},
+    "synthesize": {"domain", "set", "control_scale", "e_max", "T", "u0", "mode",
+                   "s", "t_points", "potential", "n_max"},
+    "bounds": {"evaluations", "miller", "tenenbaum", "regime"},
+    "homogenize": {"domain", "gamma", "period0", "halvings", "e_max", "t_grid",
+                   "n_max"},
+    "exhaust": {"t", "L", "L_ref", "R", "omega_cut", "control"},
+    "calibrate": {"target", "domain", "set", "e_max", "e_grid", "t_grid",
+                  "thick", "params", "n_max"},
+}
+REQUIRED = {
+    "spectral-ineq": {"domain", "set", "e_max", "e_grid"},
+    "synthesize": {"domain", "e_max", "T"},
+    "bounds": set(),
+    "homogenize": {"domain", "gamma", "period0", "e_max", "t_grid"},
+    "exhaust": {"t", "L", "L_ref"},
+    "calibrate": {"target", "domain", "set", "e_max"},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_runner_signature_keeps_the_top_level_keys(experiment):
+    params = inspect.signature(RUNNERS[experiment]).parameters.values()
+    keys = {p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD}
+    assert keys == EXPERIMENTS[experiment]
+    assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} == {"constants", "seed"}
+    assert {p.name for p in params if p.default is p.empty} == REQUIRED[experiment] | {"constants"}
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "heatctl.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok = run("bounds", "--config", str(ROOT / "configs" / "bounds_catalog.json"),
+             "--out", str(tmp_path / "ok"))
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "ok" / "run_meta.json").exists()
+    bad_cfg = write_config(tmp_path, "bad.json",
+                           base("bounds", miller={"beta": 1.0, "b": 1.0, "bb": 2.0}))
+    bad = run("bounds", "--config", bad_cfg, "--out", str(tmp_path / "bad"))
+    assert bad.returncode == 2
+    assert len(bad.stderr.splitlines()) == 1
+    assert bad.stderr.startswith("heatctl: error: miller:") and "'bb'" in bad.stderr
+    assert not (tmp_path / "bad").exists()
+
+
+def test_call_refuses_keys_that_do_not_bind_and_passes_errors_inside_through():
+    def f(a, b=2):
+        return a + b
+
+    assert runio.call(f, {"a": 1}, "sec") == 3
+    assert runio.call(f, {"b": 1}, "sec", a=1) == 2
+    # a missing key, an unknown key, and a key that is also given by the caller
+    for section, given, key in (({}, {}, "'a'"), ({"a": 1, "c": 3}, {}, "'c'"),
+                                ({"a": 1}, {"a": 1}, "'a'")):
+        with pytest.raises(ParameterError, match=f"^sec: .*{key}"):
+            runio.call(f, section, "sec", **given)
+    with pytest.raises(ParameterError, match="^sec must be a JSON object"):
+        runio.call(f, [1], "sec")
+    with pytest.raises(TypeError):
+        runio.call(f, {"a": "x"}, "sec")
