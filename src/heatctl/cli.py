@@ -29,9 +29,22 @@ def _operator(domain, e_max, n_max, potential=None):
     return galerkin_schrodinger(build_basis(domain, float(e_max), n_max=int(n_max)), potential)
 
 
-def _named(name, params=None):
-    """An entry of ``bounds`` or ``evaluations``: a bound name and its parameters."""
-    return name, dict(params or {})
+def _entry(name, params=None):
+    return name, {} if params is None else params
+
+
+def _named(entries, where):
+    """The ``bounds`` or ``evaluations`` entries as ``(bound name, parameters)`` pairs."""
+    if not isinstance(entries, (list, type(None))):
+        raise ParameterError(f"{where} must be a list, not {json.dumps(entries)}")
+    named = []
+    for i, entry in enumerate(entries or ()):
+        name, params = runio.call(_entry, entry, f"{where}[{i}]")
+        if not isinstance(params, dict):
+            raise ParameterError(f"{where}[{i}]: params must be a JSON object, "
+                                 f"not {json.dumps(params)}")
+        named.append((name, dict(params)))
+    return named
 
 
 def _initial_state(mode=None, coeffs=None):
@@ -52,9 +65,10 @@ def _initial_state(mode=None, coeffs=None):
 def run_spectral_ineq(domain, set, e_max, e_grid, potential=None, bounds=None,
                       n_max=DEFAULT_N_MAX, *, constants, seed=None):
     S = runio.parse_set(set, seed)
-    specs = [runio.call(_named, b, f"bounds[{i}]") for i, b in enumerate(bounds or ())]
+    specs = _named(bounds, "bounds")
+    e_grid = runio.floats(e_grid, "e_grid")
     op = _operator(domain, e_max, n_max, potential)
-    pairs = uc.spectral_ineq_sweep(op, S, [float(e) for e in e_grid])
+    pairs = uc.spectral_ineq_sweep(op, S, e_grid)
     set_hash = S.descriptor_hash()
     rows = []
     for E, c_emp in pairs:
@@ -131,8 +145,7 @@ def run_synthesize(domain, e_max, T, set=None, control_scale=None, u0="worst",
 
 def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
                constants, seed=None):
-    specs = [runio.call(_named, e, f"evaluations[{i}]")
-             for i, e in enumerate(evaluations or ())]
+    specs = _named(evaluations, "evaluations")
     rows = []
     report = {}
     for name, params in specs:
@@ -168,8 +181,8 @@ def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
 
 def run_homogenize(domain, gamma, period0, e_max, t_grid, halvings=3, n_max=DEFAULT_N_MAX,
                    *, constants, seed=None):
+    t_grid = runio.floats(t_grid, "t_grid")
     op = _operator(domain, e_max, n_max)
-    t_grid = [float(t) for t in t_grid]
     d = op.basis.domain.dimension
     sweep_rows, fit_rows = [], []
     for k in range(int(halvings) + 1):
@@ -216,8 +229,8 @@ def _nested_controls(T, omega_cut=40.0, set={"band": {"period": 1.0, "gamma": 0.
 
 
 def run_exhaust(t, L, L_ref, R=1.0, omega_cut=161.0, control=None, *, constants, seed=None):
-    run = ex.ExhaustionRun(L_list=L, L_ref=float(L_ref), t=float(t), R=float(R),
-                           omega_cut=float(omega_cut))
+    run = ex.ExhaustionRun(L_list=runio.floats(L, "L"), L_ref=float(L_ref), t=float(t),
+                           R=float(R), omega_cut=float(omega_cut))
     fam, report = (None, {}) if control is None else runio.call(
         _nested_controls, control, "control", run=run, seed=seed, constants=constants)
     diff = ex.semigroup_difference(run)
@@ -242,9 +255,9 @@ def run_calibrate(target, domain, set, e_max, e_grid=None, t_grid=None, thick=No
     if None in needs.values():
         raise ParameterError(f"config: calibration target {target!r} needs {sorted(needs)}")
     thick = cube and runio.call(ThickParams, thick, "thick")
+    grid = runio.floats(e_grid, "e_grid") if cube else runio.floats(t_grid, "t_grid")
     S = runio.parse_set(set, seed)
     op = _operator(domain, e_max, n_max)
-    grid = [float(x) for x in (e_grid if cube else t_grid)]
     if cube:
         pairs = uc.spectral_ineq_sweep(op, S, grid)
         cal = uc.calibrate_spectral_cube(pairs, thick.gamma, thick.a,

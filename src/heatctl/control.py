@@ -3,8 +3,9 @@
 Everything acts in the eigenbasis of the generator handle: the control
 operator enters only through its Gram matrix conjugated into that basis,
 which is exact for the truncated Galerkin system.  Controls are closed-form
-``f(s) = -B* exp(-(t_end - s) A) v`` phases, so trajectories and norms are
-integrated analytically rather than time-stepped.
+``f(s) = -B* exp(-(t_end - s) A) v`` phases, so norms are integrated
+analytically and trajectories are stepped exactly in time, with one kernel
+per step length.
 """
 
 import math
@@ -89,13 +90,21 @@ class ControlProblem:
 
 @dataclass(frozen=True)
 class Phase:
-    """One active window carrying ``f(s) = -B* exp(-(t_end-s) A) v``."""
+    """One active window carrying ``f(s) = -B* exp(-(t_end-s) A) v``.
+
+    ``v`` vanishes outside ``mode_mask``, the modes the phase steers (all
+    modes when it is ``None``).
+    """
 
     t_start: float
     t_end: float
     v: np.ndarray
     mode_mask: np.ndarray = None
     norm_sq: float = None
+
+    def __post_init__(self):
+        if self.mode_mask is not None and np.any(self.v[~self.mode_mask]):
+            raise ParameterError("phase vector must vanish outside its mode mask")
 
 
 @dataclass(frozen=True)
@@ -222,8 +231,40 @@ def _evolve_through_phase(mu, mtil, state, phase, t):
     return np.exp(-alpha * mu) * state - (mtil * K) @ phase.v
 
 
+def _step_through_phase(mu, mtil, state, phase, times):
+    """States at the ascending ``times`` inside ``phase``, from ``state`` at t_start.
+
+    The exact step from ``t`` to ``t + h`` subtracts
+    ``(mtil o Phi_h) exp(-(t_end - t - h) A) v`` from the decayed state; its
+    kernel depends on ``h`` alone, so the steps of one length share one
+    kernel (restricted to the phase's modes) and one GEMM.
+    """
+    m = slice(None) if phase.mode_mask is None else phase.mode_mask
+    mu_m, mtil_m = mu[m], mtil[:, m]
+    h = np.diff(times, prepend=phase.t_start)
+    steps, group = np.unique(h, return_inverse=True)
+    rhs = np.exp(-(phase.t_end - times)[None, :] * mu_m[:, None]) * phase.v[m][:, None]
+    s = mu[:, None] + mu_m[None, :]
+    forced = np.empty((mu.size, times.size))
+    for g, step in enumerate(steps):
+        cols = group == g
+        forced[:, cols] = (mtil_m * _phi(step, s)) @ rhs[:, cols]
+    decay = np.exp(-steps[:, None] * mu[None, :])
+    states = np.empty((times.size, mu.size))
+    w = np.zeros_like(mu)
+    for k, t in enumerate(times):
+        w = decay[group[k]] * w + forced[:, k]
+        states[k] = np.exp(-(t - phase.t_start) * mu) * state - w
+    return states
+
+
 def duhamel_solve(problem, signal, t_grid):
-    """Mild solution under a phase signal, exactly integrated per mode."""
+    """Mild solution under a phase signal, stepped exactly in time per mode.
+
+    States at 0 and at every phase boundary come from each phase's closed
+    form; inside a phase the grid is walked by exact steps, with one kernel
+    per distinct step length.
+    """
     if problem.u0 is None:
         raise ParameterError("problem has no initial state")
     mu = problem.op.eigvals
@@ -231,7 +272,10 @@ def duhamel_solve(problem, signal, t_grid):
     for ph in signal.phases:
         if ph.t_start < -1e-12 or ph.t_end > problem.T + 1e-12:
             raise ParameterError("signal phases must lie within [0, T]")
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid)):
+        raise ParameterError("time grid must be a non-empty list of finite times")
+    t_grid = np.sort(t_grid)
     if t_grid[0] < 0 or t_grid[-1] > problem.T + 1e-12:
         raise ParameterError("time grid must lie within [0, T]")
 
@@ -244,16 +288,20 @@ def duhamel_solve(problem, signal, t_grid):
         anchors.append((ph.t_end, _evolve_through_phase(mu, mtil, u_start, ph, ph.t_end)))
 
     # each time continues from the last anchor at or before it; phases may
-    # overlap by up to 1e-12, so the anchor times need not be sorted
-    reached = np.array([ta for ta, _ in anchors]) <= t_grid[:, None] + 1e-15
+    # overlap by up to 1e-12, so the anchor times need not be sorted, but the
+    # times continuing from one anchor are consecutive in the sorted grid
+    anchor_times = np.array([ta for ta, _ in anchors])
+    reached = anchor_times <= t_grid[:, None] + 1e-15
     last = len(anchors) - 1 - np.argmax(reached[:, ::-1], axis=1)
+    inside = (last % 2 == 1) & (t_grid > anchor_times[last])  # odd anchors start phases
     states = np.empty((t_grid.size, mu.size))
-    for i, (t, k) in enumerate(zip(t_grid, last)):
-        ta, ua = anchors[k]
-        if k % 2 and t > ta:  # odd anchors start phases
-            states[i] = _evolve_through_phase(mu, mtil, ua, signal.phases[k // 2], t)
-        else:
-            states[i] = np.exp(-(t - ta) * mu) * ua
+    for i in np.flatnonzero(~inside):
+        ta, ua = anchors[last[i]]
+        states[i] = np.exp(-(t_grid[i] - ta) * mu) * ua
+    for k in np.unique(last[inside]):
+        rows = inside & (last == k)
+        states[rows] = _step_through_phase(mu, mtil, anchors[k][1], signal.phases[k // 2],
+                                           t_grid[rows])
     return Trajectory(times=t_grid, states=states)
 
 

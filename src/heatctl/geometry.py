@@ -150,7 +150,11 @@ class ObservabilitySet:
         if self.kind not in ("full", "empty", "periodic_boxes", "equidistributed_balls"):
             raise ParameterError(f"unknown set kind {self.kind!r}")
         if self.kind == "periodic_boxes":
-            cell = tuple(float(c) for c in self.cell)
+            try:
+                cell = tuple(float(c) for c in self.cell)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError("a periodic_boxes set needs a cell, a list of side "
+                                     f"lengths, not {self.cell!r}") from exc
             if any(c <= 0 for c in cell):
                 raise ParameterError("cell lengths must be positive")
             object.__setattr__(self, "cell", cell)
@@ -174,7 +178,7 @@ class ObservabilitySet:
 
     @classmethod
     def periodic(cls, cell, boxes):
-        return cls(kind="periodic_boxes", cell=tuple(cell),
+        return cls(kind="periodic_boxes", cell=cell,
                    boxes=tuple(tuple(tuple(e) for e in b) for b in boxes))
 
     def union(self, other):

@@ -37,6 +37,19 @@ def call(fn, section, where, **given):
     return fn(**section, **given)
 
 
+def floats(values, where, size=None):
+    """``values`` as a list of floats; refused naming ``where`` unless it is a
+    JSON list of numbers (of length ``size`` when given)."""
+    try:
+        out = [float(x) for x in values] if isinstance(values, (list, tuple)) else None
+    except (TypeError, ValueError):
+        out = None
+    if out is None or size not in (None, len(out)):
+        count = "numbers" if size is None else f"{size} numbers"
+        raise ParameterError(f"{where} must be a list of {count}, not {json.dumps(values)}")
+    return out
+
+
 def canonical_json(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
@@ -108,11 +121,12 @@ def load_config(path, experiment):
 
 
 def _interval(interval, boundary="dirichlet"):
-    return DomainSpec.interval(*interval, boundary=boundary)
+    return DomainSpec.interval(*floats(interval, "domain interval", size=2),
+                               boundary=boundary)
 
 
 def _torus(torus):
-    return DomainSpec.torus(*torus)
+    return DomainSpec.torus(*floats(torus, "domain torus"))
 
 
 def parse_domain(data):

@@ -170,3 +170,57 @@ def window_measure(S, window):
         total += math.prod(max(min(b, hi) - max(a, lo), 0.0)
                            for (a, b), (lo, hi) in zip(box, window))
     return total
+
+
+def duhamel_mp(mu, mtil, u0, phases, times, dps=50):
+    """Duhamel states at ``times`` in the eigenbasis, in ``dps``-digit arithmetic.
+
+    ``phases`` are ``(t_start, t_end, v)`` with the forcing
+    ``-mtil exp(-(t_end - s) mu) v`` on ``[t_start, t_end]``.  Inside a phase
+    started from ``u(a)`` each mode has the closed form
+    ``u_i(t) = e^{-(t-a) mu_i} u_i(a)
+    - sum_j mtil_ij v_j e^{-(t_end-t) mu_j} (1 - e^{-(t-a)(mu_i+mu_j)}) / (mu_i+mu_j)``
+    (the last factor is ``t - a`` where ``mu_i + mu_j = 0``); outside phases
+    the modes decay freely.  A time continues from the last of the states at
+    0 and at the phase boundaries (in phase order) whose time is at most
+    1e-15 past it, as in ``duhamel_solve``.  The inputs are taken as the
+    exact values of their doubles.
+    """
+    with mpmath.workdps(dps):
+        mu = [mpmath.mpf(float(x)) for x in mu]
+        n = len(mu)
+        M = [[mpmath.mpf(float(x)) for x in row] for row in np.asarray(mtil)]
+
+        def forced(state, a, b, v, t):
+            alpha = mpmath.mpf(float(t)) - a
+            E = [mpmath.exp(-alpha * m) for m in mu]
+            F = [mpmath.mpf(float(vj)) * mpmath.exp(-(b - mpmath.mpf(float(t))) * m)
+                 for vj, m in zip(v, mu)]
+            out = []
+            for i in range(n):
+                acc = mpmath.mpf(0)
+                for j in range(n):
+                    if F[j]:
+                        s = mu[i] + mu[j]
+                        acc += M[i][j] * F[j] * (alpha if s == 0 else (1 - E[i] * E[j]) / s)
+                out.append(E[i] * state[i] - acc)
+            return out
+
+        def decay(state, dt):
+            return [mpmath.exp(-dt * m) * x for m, x in zip(mu, state)]
+
+        anchors = [(mpmath.mpf(0), [mpmath.mpf(float(x)) for x in u0], None)]
+        for a, b, v in phases:
+            a, b = mpmath.mpf(float(a)), mpmath.mpf(float(b))
+            start = decay(anchors[-1][1], a - anchors[-1][0])
+            anchors.append((a, start, (a, b, v)))
+            anchors.append((b, forced(start, a, b, v, b), None))
+        rows = []
+        for t in times:
+            k = max(i for i, (ta, _, _) in enumerate(anchors) if ta <= float(t) + 1e-15)
+            ta, ua, phase = anchors[k]
+            if phase is not None and mpmath.mpf(float(t)) > ta:
+                rows.append(forced(ua, *phase, t))
+            else:
+                rows.append(decay(ua, mpmath.mpf(float(t)) - ta))
+        return np.array([[float(x) for x in row] for row in rows])

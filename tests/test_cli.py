@@ -379,6 +379,22 @@ MALFORMED = {
     "missing_constants_file": ("spectral-ineq", SI, "MISSING", "constants file",
                                "no_such_constants.json"),
     "non_numeric_constant": ("spectral-ineq", SI, {"K5": "2"}, "constant", "K5"),
+    "e_grid_not_a_list": ("spectral-ineq", {**SI, "e_grid": 5}, None, "e_grid",
+                          "list of numbers"),
+    "interval_of_one_end": ("spectral-ineq", {**SI, "domain": {"interval": [1.0]}}, None,
+                            "domain", "interval"),
+    "bound_params_not_an_object": (
+        "spectral-ineq", {**SI, "bounds": [{"name": "spectral_cube", "params": [1, 2]}]},
+        None, "bounds[0]", "params"),
+    "evaluation_params_not_an_object": (
+        "bounds", {"evaluations": [{"name": "thick1", "params": [1, 2]}]}, None,
+        "evaluations[0]", "params"),
+    "bounds_not_a_list": ("spectral-ineq", {**SI, "bounds": 5}, None, "bounds", "list"),
+    "exhaust_L_not_a_list": ("exhaust", {**EXHAUST, "L": 2.0}, None, "L", "list of numbers"),
+    "set_record_without_cell": ("spectral-ineq",
+                                {**SI, "set": {"kind": "periodic_boxes",
+                                               "boxes": [[[0.0, 1.0]]]}},
+                                None, "periodic_boxes set", "cell"),
 }
 
 
@@ -455,6 +471,29 @@ def test_valid_form_writes_the_recorded_bytes(tmp_path, form):
     data = (tmp_path / "out" / "spectral_ineq.csv").read_bytes()
     assert meta["outputs"] == {"spectral_ineq.csv": hashlib.sha256(data).hexdigest()}
     assert meta["outputs"]["spectral_ineq.csv"] == digest
+
+
+# the SHA-256 of the synthesize artifacts whose bits the exact time stepping
+# of trajectories keeps, as the per-time closed form wrote them (recorded
+# with numpy 2.4.6 on x86-64 Linux)
+SYNTHESIZE_DIGESTS = {
+    "synthesize_gramian": {
+        "report.json": "9506a8ea607c0a1f8226e6cfc7640fc335b995278dd593f4bf0e09765ec75d83"},
+    "synthesize_active_passive": {
+        "report.json": "5268a1c1ec359b019ec66a6ec2283d993469135a85fb7e79caa99df6bda44037",
+        "phases.csv": "d599d01ac82c0102862bbabcad8f412ddc71ddd12ef0866d2220d2a474f4bd88"},
+    "synthesize_scalar": {
+        "report.json": "83057a02d9cf3753124a87bdf6e508019806177e20fdb7c73c19807e2d521c54",
+        "trajectory.csv": "b2405e08bfab11305b9c3c1c65ea1c5c7daa710a0cbbaf3a80d09d48e3c6dd14"},
+}
+
+
+@pytest.mark.parametrize("config", sorted(SYNTHESIZE_DIGESTS))
+def test_synthesize_keeps_the_recorded_report_bytes(tmp_path, config):
+    assert main(["synthesize", "--config", str(ROOT / "configs" / f"{config}.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    for name, digest in SYNTHESIZE_DIGESTS[config].items():
+        assert runio.sha256_of(tmp_path / "out" / name) == digest, name
 
 
 # the top-level keys of each experiment before the runners took them as
