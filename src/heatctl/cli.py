@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -24,9 +24,10 @@ from .spectral import DEFAULT_N_MAX, build_basis, galerkin_schrodinger
 
 def _operator(domain, e_max, n_max, potential=None):
     domain = runio.parse_domain(domain)
+    e_max, n_max = runio.number(e_max, "e_max"), runio.number(n_max, "n_max", int)
     if potential is not None:
         potential = runio.call(runio.potential_spec, potential, "potential")
-    return galerkin_schrodinger(build_basis(domain, float(e_max), n_max=int(n_max)), potential)
+    return galerkin_schrodinger(build_basis(domain, e_max, n_max=n_max), potential)
 
 
 def _entry(name, params=None):
@@ -83,9 +84,13 @@ def run_spectral_ineq(domain, set, e_max, e_grid, potential=None, bounds=None,
 
 
 def _trajectory_rows(problem, signal, t_points):
+    """Rows at ``t_points`` evenly spaced times and at every phase edge; a
+    grid time within ``1e-12 T`` of an edge gives way to the edge."""
     t_grid = np.linspace(0.0, problem.T, t_points)
-    edges = [t for ph in signal.phases for t in (ph.t_start, ph.t_end)]
-    t_grid = np.unique(np.concatenate([t_grid, edges])) if edges else t_grid
+    edges = np.array([t for ph in signal.phases for t in (ph.t_start, ph.t_end)])
+    if edges.size:
+        near = np.abs(t_grid[:, None] - edges[None, :]).min(axis=1) <= 1e-12 * problem.T
+        t_grid = np.unique(np.concatenate([t_grid[~near], edges]))
     traj = ct.duhamel_solve(problem, signal, t_grid)
     rows = [[repr(float(t)), repr(float(n)), "state_norm"]
             for t, n in zip(traj.times, traj.norms)]
@@ -101,11 +106,15 @@ def run_synthesize(domain, e_max, T, set=None, control_scale=None, u0="worst",
         raise ParameterError("synthesize needs exactly one of 'set' and 'control_scale'")
     if mode not in ("gramian", "active-passive"):
         raise ParameterError(f"unknown synthesize mode {mode!r}")
+    T, s = runio.number(T, "T"), runio.number(s, "s")
+    t_points = runio.number(t_points, "t_points", int)
     S = None if set is None else runio.parse_set(set, seed)
     u0 = u0 if u0 == "worst" else runio.call(_initial_state, u0, "u0")
+    if S is None:
+        control_scale = runio.number(control_scale, "control_scale")
     op = _operator(domain, e_max, n_max, potential)
-    problem = (ct.ControlProblem.scalar(op, float(control_scale), float(T)) if S is None
-               else ct.ControlProblem.from_set(op, S, float(T)))
+    problem = (ct.ControlProblem.scalar(op, control_scale, T) if S is None
+               else ct.ControlProblem.from_set(op, S, T))
     problem.u0 = ct.worst_initial_state(problem) if u0 == "worst" else u0(problem.op.n)
     files = {}
     if mode == "gramian":
@@ -121,26 +130,30 @@ def run_synthesize(domain, e_max, T, set=None, control_scale=None, u0="worst",
         sched = ct.active_passive_schedule(problem.T, max(float(problem.op.eigvals[-1]), 1.0))
         pairs = [(E, uc.spectral_ineq_constant(problem.op, None, E, gram=problem.control_gram))
                  for E in sched.E_j if E >= problem.op.eigvals[0]]
-        fit = uc.fit_uncertainty_form(pairs, float(s))
+        fit = uc.fit_uncertainty_form(pairs, s)
         signal, report = ct.active_passive_synthesize(problem, fit)
         report.c_emp = ct.empirical_cost(problem)
         report.diagnostics["uncertainty_fit"] = {"d0": fit.d0, "d1": fit.d1, "s": fit.s}
         _, min_cost = ct.min_norm_control(problem)
         report.diagnostics["min_norm_cost"] = min_cost
-        phase_rows = [[r["j"], repr(r["E_j"]), repr(r["T_j"]), repr(r["a_j"]),
-                       repr(r["norm_sq"]), repr(r["norm_bound"]), r["bound_ok"],
-                       repr(r["low_mode_residual"]), repr(r["decay_ratio"]),
-                       repr(r["decay_bound"])]
-                      for r in report.diagnostics["phases"]]
+        columns = ["j", "E_j", "T_j", "a_j", "norm_sq", "norm_bound", "bound_ok",
+                   "low_mode_residual", "decay_ratio", "decay_bound"]
         files["phases.csv"] = runio.csv_text(
-            ["j", "E_j", "T_j", "a_j", "norm_sq", "norm_bound", "bound_ok",
-             "low_mode_residual", "decay_ratio", "decay_bound"], phase_rows)
-    rows, traj = _trajectory_rows(problem, signal, int(t_points))
+            columns, [[repr(r[c]) for c in columns] for r in report.diagnostics["phases"]])
+    rows, traj = _trajectory_rows(problem, signal, t_points)
     report.diagnostics["final_residual"] = traj.final_norm()
     report.constants = constants.to_dict()
-    files["report.json"] = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    files["report.json"] = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
     files["trajectory.csv"] = runio.csv_text(["x", "y", "series"], rows)
     return files
+
+
+def _regime(names, params, t_grid, *, constants):
+    """The ``regime`` object of ``bounds``: the named bounds tabulated over ``t_grid``."""
+    if not (names and isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ParameterError("regime: names must be a non-empty list of bound names, "
+                             f"not {json.dumps(names)}")
+    return bd.regime_table(names, params, runio.floats(t_grid, "regime: t_grid"), constants)
 
 
 def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
@@ -154,21 +167,20 @@ def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
         rows.append([name, params["T"], runio.config_hash(params), repr(value),
                      bd.bound_validity(name)])
     if miller is not None:
-        s_root, c_star = runio.call(bd.miller_cstar, miller, "miller")
+        s_root, c_star = runio.call(bd.miller_cstar, miller, "miller", numbers=True)
         h = runio.config_hash(miller)
         rows.append(["miller_s_root", None, h, repr(s_root), "small_T_only"])
         rows.append(["miller_cstar", None, h, repr(c_star), "small_T_only"])
         report["miller"] = {"s_root": s_root, "c_star": c_star}
     if tenenbaum is not None:
-        val = runio.call(bd.tenenbaum_threshold, tenenbaum, "tenenbaum")
+        val = runio.call(bd.tenenbaum_threshold, tenenbaum, "tenenbaum", numbers=True)
         rows.append(["tenenbaum_threshold", None, runio.config_hash(tenenbaum),
                      repr(val), "all_T"])
         report["tenenbaum_threshold"] = val
     files = {"bounds.csv": runio.csv_text(
         ["name", "T", "params_hash", "value", "validity"], rows)}
     if regime is not None:
-        regime_rows, classifiers = runio.call(bd.regime_table, regime, "regime",
-                                              constants=constants)
+        regime_rows, classifiers = runio.call(_regime, regime, "regime", constants=constants)
         files["regime.csv"] = runio.csv_text(
             ["name", "T", "value", "validity", "best"],
             [[row["name"], repr(row["T"]), repr(row["value"]), row["validity"],
@@ -182,12 +194,14 @@ def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
 def run_homogenize(domain, gamma, period0, e_max, t_grid, halvings=3, n_max=DEFAULT_N_MAX,
                    *, constants, seed=None):
     t_grid = runio.floats(t_grid, "t_grid")
+    gamma, period0 = runio.number(gamma, "gamma"), runio.number(period0, "period0")
+    halvings = runio.number(halvings, "halvings", int)
     op = _operator(domain, e_max, n_max)
     d = op.basis.domain.dimension
     sweep_rows, fit_rows = [], []
-    for k in range(int(halvings) + 1):
-        period = float(period0) / 2.0 ** k
-        S = periodic_band(period, float(gamma), d)
+    for k in range(halvings + 1):
+        period = period0 / 2.0 ** k
+        S = periodic_band(period, gamma, d)
         problem = ct.ControlProblem.from_set(op, S, t_grid[0])
         costs = [ct.empirical_cost(problem.with_time(T)) for T in t_grid]
         y = np.log(costs)
@@ -209,9 +223,9 @@ def run_homogenize(domain, gamma, period0, e_max, t_grid, halvings=3, n_max=DEFA
 def _nested_controls(T, omega_cut=40.0, set={"band": {"period": 1.0, "gamma": 0.5}}, *,
                      run, seed, constants):
     """The ``control`` object of ``exhaust``: controls on the nested boxes of ``run``."""
+    T, omega_cut = runio.number(T, "control: T"), runio.number(omega_cut, "control: omega_cut")
     S = runio.parse_set(set, seed)
-    T = float(T)
-    fam = ex.nested_control_family(S, T, replace(run, omega_cut=float(omega_cut)))
+    fam = ex.nested_control_family(S, T, replace(run, omega_cut=omega_cut))
     norms = fam.control_norms
     # scale-free check: the thick-set bound calibrated on the smallest box
     # is L-independent; later boxes must stay within the same uniformity
@@ -229,8 +243,9 @@ def _nested_controls(T, omega_cut=40.0, set={"band": {"period": 1.0, "gamma": 0.
 
 
 def run_exhaust(t, L, L_ref, R=1.0, omega_cut=161.0, control=None, *, constants, seed=None):
-    run = ex.ExhaustionRun(L_list=runio.floats(L, "L"), L_ref=float(L_ref), t=float(t),
-                           R=float(R), omega_cut=float(omega_cut))
+    run = ex.ExhaustionRun(L_list=runio.floats(L, "L"), L_ref=runio.number(L_ref, "L_ref"),
+                           t=runio.number(t, "t"), R=runio.number(R, "R"),
+                           omega_cut=runio.number(omega_cut, "omega_cut"))
     fam, report = (None, {}) if control is None else runio.call(
         _nested_controls, control, "control", run=run, seed=seed, constants=constants)
     diff = ex.semigroup_difference(run)

@@ -4,12 +4,13 @@ Everything acts in the eigenbasis of the generator handle: the control
 operator enters only through its Gram matrix conjugated into that basis,
 which is exact for the truncated Galerkin system.  Controls are closed-form
 ``f(s) = -B* exp(-(t_end - s) A) v`` phases, so norms are integrated
-analytically and trajectories are stepped exactly in time, with one kernel
-per step length.
+analytically.  One kernel ``M o Phi_h`` and one phase end
+``exp(-h A) u - (M o Phi_h) v`` serve every Gramian, every exact time step
+of a trajectory, every active/passive phase and the exhaustion replay.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,6 +26,17 @@ def _phi(alpha, s):
     s = np.asarray(s, dtype=float)
     safe = np.where(s == 0.0, 1.0, s)
     return np.where(s == 0.0, alpha, -np.expm1(-safe * alpha) / safe)
+
+
+def _kernel(M, mu_rows, mu_cols, h):
+    """``M o Phi_h``: ``M_ij int_0^h exp(-(mu_rows_i + mu_cols_j) t) dt``."""
+    return M * _phi(h, mu_rows[:, None] + mu_cols[None, :])
+
+
+def _forced_end(M, mu_rows, mu_cols, u, v, h):
+    """``exp(-h mu_rows) u - (M o Phi_h) v``: the end of a phase of length ``h``
+    that starts at ``u`` and carries ``f(s) = -B* exp(-(h - s) A) v``."""
+    return np.exp(-h * mu_rows) * u - _kernel(M, mu_rows, mu_cols, h) @ v
 
 
 @dataclass
@@ -130,8 +142,7 @@ class ControlSignal:
 def gramian(problem):
     """Controllability Gramian ``Q_T`` in the eigenbasis of the handle."""
     mu = problem.op.eigvals
-    s = mu[:, None] + mu[None, :]
-    return problem.mtil() * _phi(problem.T, s)
+    return _kernel(problem.mtil(), mu, mu, problem.T)
 
 
 def _floored_inverse(Q):
@@ -149,17 +160,23 @@ def _floored_inverse(Q):
     return (V / w_floored) @ V.T, cond
 
 
-def _checked_inverse(factor, cond_cap):
-    """``factor`` as ``(Qinv, cond)`` once its inverse exists and passes the cap."""
+def _checked_inverse(factor):
+    """The inverse of ``factor = (Qinv, cond)`` once it exists and passes ``COND_CAP``."""
     Qinv, cond = factor
     if Qinv is None:
         raise ConditioningError("Gramian is not positive", math.inf)
-    if cond_cap is not None and cond > cond_cap:
+    if cond > COND_CAP:
         raise ConditioningError("Gramian inversion refused", cond)
-    return factor
+    return Qinv
 
 
-def min_norm_control(problem, cond_cap=COND_CAP):
+def _steer(factor, y):
+    """Minimal-norm steering of ``y``: ``v = Q^{-1} y`` and ``max(<v, y>, 0)``."""
+    v = _checked_inverse(factor) @ y
+    return v, max(float(v @ y), 0.0)
+
+
+def min_norm_control(problem):
     """Minimal-norm null-control via Gramian inversion.
 
     Returns ``(signal, cost)`` with ``cost**2 = <Q_T^{-1} y, y>`` for
@@ -172,36 +189,34 @@ def min_norm_control(problem, cond_cap=COND_CAP):
     u0e = problem.op.to_eigenbasis(problem.u0)
     if not np.any(u0e):
         return ControlSignal.zero(), 0.0
-    Qinv, _ = _checked_inverse(problem.gramian_factor(), cond_cap)
     y = np.exp(-problem.T * mu) * u0e
-    v = Qinv @ y
-    cost_sq = max(float(v @ y), 0.0)
+    v, cost_sq = _steer(problem.gramian_factor(), y)
     phase = Phase(0.0, problem.T, v, None, cost_sq)
     return ControlSignal(phases=(phase,)), math.sqrt(cost_sq)
 
 
-def _cost_operator(problem, cond_cap):
+def _cost_operator(problem):
     """``exp(-TA) Q_T^{-1} exp(-TA)``, symmetrized."""
-    Qinv, _ = _checked_inverse(problem.gramian_factor(), cond_cap)
+    Qinv = _checked_inverse(problem.gramian_factor())
     e = np.exp(-problem.T * problem.op.eigvals)
     A = (e[:, None] * Qinv) * e[None, :]
     return 0.5 * (A + A.T)
 
 
-def empirical_cost(problem, cond_cap=COND_CAP):
+def empirical_cost(problem):
     """Control cost ``C_T``: worst minimal control norm over unit states.
 
     Equals ``sqrt(lambda_max(exp(-TA) Q_T^{-1} exp(-TA)))``, i.e. the optimal
     constant of the final-state observability inequality for the truncated
     system.
     """
-    lam = float(np.linalg.eigvalsh(_cost_operator(problem, cond_cap))[-1])
+    lam = float(np.linalg.eigvalsh(_cost_operator(problem))[-1])
     return math.sqrt(max(lam, 0.0))
 
 
-def worst_initial_state(problem, cond_cap=COND_CAP):
+def worst_initial_state(problem):
     """Unit initial state attaining the control cost (in the function basis)."""
-    w, V = np.linalg.eigh(_cost_operator(problem, cond_cap))
+    w, V = np.linalg.eigh(_cost_operator(problem))
     return problem.op.from_eigenbasis(V[:, -1])
 
 
@@ -223,14 +238,6 @@ class Trajectory:
         return float(np.linalg.norm(self.states[-1]))
 
 
-def _evolve_through_phase(mu, mtil, state, phase, t):
-    """State at time ``t`` inside ``phase``, starting from ``state`` at t_start."""
-    alpha = t - phase.t_start
-    beta = phase.t_end - phase.t_start
-    K = np.exp(-(beta - alpha) * mu)[None, :] * _phi(alpha, mu[:, None] + mu[None, :])
-    return np.exp(-alpha * mu) * state - (mtil * K) @ phase.v
-
-
 def _step_through_phase(mu, mtil, state, phase, times):
     """States at the ascending ``times`` inside ``phase``, from ``state`` at t_start.
 
@@ -244,11 +251,10 @@ def _step_through_phase(mu, mtil, state, phase, times):
     h = np.diff(times, prepend=phase.t_start)
     steps, group = np.unique(h, return_inverse=True)
     rhs = np.exp(-(phase.t_end - times)[None, :] * mu_m[:, None]) * phase.v[m][:, None]
-    s = mu[:, None] + mu_m[None, :]
     forced = np.empty((mu.size, times.size))
     for g, step in enumerate(steps):
         cols = group == g
-        forced[:, cols] = (mtil_m * _phi(step, s)) @ rhs[:, cols]
+        forced[:, cols] = _kernel(mtil_m, mu, mu_m, step) @ rhs[:, cols]
     decay = np.exp(-steps[:, None] * mu[None, :])
     states = np.empty((times.size, mu.size))
     w = np.zeros_like(mu)
@@ -285,7 +291,8 @@ def duhamel_solve(problem, signal, t_grid):
         t_prev, u_prev = anchors[-1]
         u_start = np.exp(-(ph.t_start - t_prev) * mu) * u_prev
         anchors.append((ph.t_start, u_start))
-        anchors.append((ph.t_end, _evolve_through_phase(mu, mtil, u_start, ph, ph.t_end)))
+        anchors.append((ph.t_end, _forced_end(mtil, mu, mu, u_start, ph.v,
+                                              ph.t_end - ph.t_start)))
 
     # each time continues from the last anchor at or before it; phases may
     # overlap by up to 1e-12, so the anchor times need not be sorted, but the
@@ -327,10 +334,6 @@ class PhaseSchedule:
     T_j: tuple      # active-phase lengths
     E_j: tuple      # energy cutoffs 4**j
 
-    def to_json(self):
-        return {"T": self.T, "K": self.K, "J": self.J, "a": list(self.a),
-                "T_j": list(self.T_j), "E_j": list(self.E_j)}
-
 
 def active_passive_schedule(T, e_cap):
     """Schedule with ``T_j = K 2^{-j/2}``, ``E_j = 4^j``, ``2 sum T_j = T``.
@@ -369,20 +372,8 @@ class CostReport:
     set_hash: str = None
     constants: dict = None
 
-    def to_json(self):
-        return {
-            "T": self.T,
-            "c_emp": self.c_emp,
-            "condition_number": self.condition_number,
-            "bounds": dict(sorted(self.bounds.items())),
-            "diagnostics": self.diagnostics,
-            "schedule": self.schedule,
-            "set_hash": self.set_hash,
-            "constants": self.constants,
-        }
 
-
-def active_passive_synthesize(problem, fit, cond_cap=COND_CAP):
+def active_passive_synthesize(problem, fit):
     """Iterative null-control: truncated Gramian controls + free decay.
 
     In every active phase the modes below ``E_j`` are steered to zero by a
@@ -394,10 +385,7 @@ def active_passive_synthesize(problem, fit, cond_cap=COND_CAP):
     if problem.u0 is None:
         raise ParameterError("problem has no initial state")
     mu = problem.op.eigvals
-    e_cap = float(mu[-1])
-    sched = active_passive_schedule(problem.T, max(e_cap, 1.0))
-    if sched.E_j[-1] < e_cap:
-        raise CapacityError("schedule does not cover the basis")
+    sched = active_passive_schedule(problem.T, max(float(mu[-1]), 1.0))
     mtil = problem.mtil()
     state = problem.op.to_eigenbasis(problem.u0).copy()
     u0_norm = float(np.linalg.norm(state))
@@ -415,17 +403,14 @@ def active_passive_synthesize(problem, fit, cond_cap=COND_CAP):
         # phase carries the zero control and only the free decay acts
         if mask.any():
             y = (np.exp(-T_j * mu) * state)[mask]
-            mu_m = mu[mask]
-            Qj = mtil[np.ix_(mask, mask)] * _phi(T_j, mu_m[:, None] + mu_m[None, :])
-            Qinv, cond = _checked_inverse(_floored_inverse(Qj), cond_cap)
-            worst_cond = max(worst_cond, cond)
-            v[mask] = Qinv @ y
-            norm_sq = max(float(v[mask] @ y), 0.0)
+            factor = _floored_inverse(_kernel(mtil[np.ix_(mask, mask)], mu[mask], mu[mask], T_j))
+            v[mask], norm_sq = _steer(factor, y)
+            worst_cond = max(worst_cond, factor[1])
         phase = Phase(a_j, a_j + T_j, v, mask.copy(), norm_sq)
         phases.append(phase)
         total_sq += norm_sq
         # end of active phase
-        state = _evolve_through_phase(mu, mtil, state, phase, phase.t_end)
+        state = _forced_end(mtil, mu, mu, state, v, phase.t_end - phase.t_start)
         low_residual = float(np.linalg.norm(state[mask]))
         norm_mid = float(np.linalg.norm(state))
         # passive phase [a_j + T_j, a_{j+1}]
@@ -461,7 +446,7 @@ def active_passive_synthesize(problem, fit, cond_cap=COND_CAP):
             "final_residual": final,
             "u0_norm": u0_norm,
         },
-        schedule=sched.to_json(),
+        schedule=asdict(sched),
         set_hash=problem.set_hash,
     )
     return ControlSignal(phases=tuple(phases)), report

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlProblem, _phi, gramian_condition, min_norm_control
+from .control import ControlProblem, _forced_end, gramian_condition, min_norm_control
 from .errors import FidelityError, ParameterError
 from .spectral import (DomainSpec, box_integrals, build_basis, galerkin_schrodinger,
                        semigroup_apply)
@@ -185,9 +185,7 @@ def nested_control_family(S, T, run):
         Cx = cross_gram(basis_R, basis_L, boxes)
         if not op_R.is_diagonal or not op_L.is_diagonal:
             Cx = op_R.eigvecs.T @ Cx @ op_L.eigvecs
-        mu_L = op_L.eigvals
-        K = _phi(T, mu_R[:, None] + mu_L[None, :])
-        uT = np.exp(-T * mu_R) * op_R.to_eigenbasis(c_R) - (Cx * K) @ v
+        uT = _forced_end(Cx, mu_R, op_L.eigvals, op_R.to_eigenbasis(c_R), v, T)
         norms.append(cost)
         residuals.append(float(np.linalg.norm(uT)))
         conds.append(gramian_condition(problem))

@@ -1,7 +1,9 @@
 """Config reading, deterministic serialization and atomic file output.
 
 Every config object reaches the library through :func:`call`, which binds
-its keys to the parameters, and their defaults, of the function reading it.
+its keys to the parameters, and their defaults, of the function reading it;
+the scalar keys of the runners are read by :func:`number`, which takes JSON
+numbers only.
 """
 
 import csv
@@ -20,12 +22,13 @@ from .spectral import DomainSpec, PotentialSpec
 CONFIG_SCHEMA = "heatctl-run/1"
 
 
-def call(fn, section, where, **given):
+def call(fn, section, where, numbers=False, **given):
     """``fn(**section, **given)`` once the keys of ``section`` bind to ``fn``.
 
     A ``section`` that is not a JSON object, or that misses a required key
-    or holds an unknown one, is refused naming ``where`` and the key.  A
-    ``TypeError`` raised inside ``fn`` propagates unchanged.
+    or holds an unknown one, is refused naming ``where`` and the key; with
+    ``numbers``, every value is read by :func:`number`.  A ``TypeError``
+    raised inside ``fn`` propagates unchanged.
     """
     if not isinstance(section, dict):
         raise ParameterError(f"{where} must be a JSON object, not {json.dumps(section)}")
@@ -34,20 +37,33 @@ def call(fn, section, where, **given):
     except TypeError as exc:
         reason = str(exc).replace("keyword argument", "key").replace("argument", "key")
         raise ParameterError(f"{where}: {reason}") from exc
+    if numbers:
+        section = {key: number(value, f"{where}: {key}") for key, value in section.items()}
     return fn(**section, **given)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def number(value, where, kind=float):
+    """``value`` as a ``kind`` (``float`` or ``int``); refused naming ``where``
+    unless it is a JSON number, a whole one for ``int``."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if not _is_number(value) or kind is int and not whole:
+        noun = "an integer" if kind is int else "a number"
+        raise ParameterError(f"{where} must be {noun}, not {json.dumps(value)}")
+    return kind(value)
 
 
 def floats(values, where, size=None):
     """``values`` as a list of floats; refused naming ``where`` unless it is a
     JSON list of numbers (of length ``size`` when given)."""
-    try:
-        out = [float(x) for x in values] if isinstance(values, (list, tuple)) else None
-    except (TypeError, ValueError):
-        out = None
-    if out is None or size not in (None, len(out)):
+    if (not isinstance(values, (list, tuple)) or not all(map(_is_number, values))
+            or size not in (None, len(values))):
         count = "numbers" if size is None else f"{size} numbers"
         raise ParameterError(f"{where} must be a list of {count}, not {json.dumps(values)}")
-    return out
+    return [float(x) for x in values]
 
 
 def canonical_json(data):
@@ -147,8 +163,17 @@ def _equidistributed(equidistributed, extent, *, seed):
         call(EquidistributedSpec, equidistributed, "set equidistributed"), extent)
 
 
+def _is_box(box):
+    return isinstance(box, (list, tuple)) and all(
+        isinstance(edge, (list, tuple)) and len(edge) == 2 and all(map(_is_number, edge))
+        for edge in box)
+
+
 def _set_record(kind, cell=None, boxes=(), meta=None, schema=None):
     """A set-schema record as ``ObservabilitySet.to_json`` writes it, ``schema`` tag included."""
+    if not isinstance(boxes, (list, tuple)) or not all(map(_is_box, boxes)):
+        raise ParameterError("set: boxes must be a list of boxes, each a list of "
+                             f"[lo, hi] edges, not {json.dumps(boxes)}")
     return ObservabilitySet.from_json({"kind": kind, "cell": cell, "boxes": boxes,
                                        "meta": meta or {}})
 

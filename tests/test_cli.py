@@ -338,6 +338,8 @@ EXHAUST = {"t": 0.1, "L": [2.0, 3.0], "L_ref": 8.0}
 CUBE = {"target": "spectral_cube", "domain": {"interval": [0.0, math.pi]},
         "set": {"band": {"period": math.pi, "gamma": 0.5}}, "e_max": 4.0, "e_grid": [1.0]}
 THICK1 = {"name": "thick1", "params": {"gamma": 0.5, "a": [1.0], "d": 1}}
+HOMOGENIZE = {"domain": {"interval": [0.0, math.pi]}, "gamma": 0.5, "period0": 1.0,
+              "e_max": 4.0, "t_grid": [0.5, 1.0]}
 
 # (experiment, config keys, --constants file content or None, section, key)
 MALFORMED = {
@@ -395,6 +397,27 @@ MALFORMED = {
                                 {**SI, "set": {"kind": "periodic_boxes",
                                                "boxes": [[[0.0, 1.0]]]}},
                                 None, "periodic_boxes set", "cell"),
+    "e_max_a_string": ("synthesize", {**SYNTH, "e_max": "x"}, None, "e_max", "a number"),
+    "T_a_string": ("synthesize", {**SYNTH, "T": "soon"}, None, "T", "a number"),
+    "t_points_a_string": ("synthesize", {**SYNTH, "t_points": "many"}, None, "t_points",
+                          "an integer"),
+    "set_boxes_a_number": ("spectral-ineq",
+                           {**SI, "set": {"kind": "periodic_boxes", "cell": [math.pi],
+                                          "boxes": 5}},
+                           None, "set", "boxes"),
+    "regime_t_grid_a_number": ("bounds", {"regime": {"names": ["thick1"],
+                                                     "params": THICK1["params"],
+                                                     "t_grid": 5}},
+                               None, "regime", "t_grid"),
+    "regime_names_a_string": ("bounds", {"regime": {"names": "thick1",
+                                                    "params": THICK1["params"],
+                                                    "t_grid": [1.0]}},
+                              None, "regime", "names"),
+    "miller_beta_a_string": ("bounds", {"miller": {"beta": "1", "b": 1.0}}, None, "miller",
+                             "beta"),
+    "exhaust_t_a_list": ("exhaust", {**EXHAUST, "t": [0.1]}, None, "t", "a number"),
+    "halvings_a_string": ("homogenize", {**HOMOGENIZE, "halvings": "3"}, None, "halvings",
+                          "an integer"),
 }
 
 
@@ -473,27 +496,73 @@ def test_valid_form_writes_the_recorded_bytes(tmp_path, form):
     assert meta["outputs"]["spectral_ineq.csv"] == digest
 
 
-# the SHA-256 of the synthesize artifacts whose bits the exact time stepping
-# of trajectories keeps, as the per-time closed form wrote them (recorded
-# with numpy 2.4.6 on x86-64 Linux)
-SYNTHESIZE_DIGESTS = {
-    "synthesize_gramian": {
-        "report.json": "9506a8ea607c0a1f8226e6cfc7640fc335b995278dd593f4bf0e09765ec75d83"},
+# the SHA-256 of every artifact of every shipped config (recorded with numpy
+# 2.4.6 on x86-64 Linux); the synthesize reports, phases.csv and the scalar
+# trajectory.csv keep the bytes that the per-time closed form wrote
+ARTIFACT_DIGESTS = {
+    "bounds_catalog": {
+        "bounds.csv": "13d899f94a79166786722e32180185f64338e6a9b5f1709e5ad03da8922a38ce",
+        "bounds_report.json": "24f6db30c98c3d3d545736ade0ca159225ddec2326072bbc474da63dfdd8a51a",
+        "regime.csv": "c637b69513f34cb8c782c4f1ec3ce1854ced613684f106bc32f2379161378d10",
+        "run_meta.json": "c755ee9d0d6f730bce310f7084732732406a65fdc8ad0de0f90aa8fd8b7f8cab",
+    },
+    "calibrate_spectral_cube": {
+        "calibrate.csv": "828ea5233fb029beff32c515e75edc5485e65d1682ed1c14afaab0f8df9d9ebe",
+        "constants_out.json": "9396c5157e8e4f209f8bd6d0455dd345a12adb4c8ff2e39484105b5f8493121e",
+        "run_meta.json": "549b084b257033d21b51abbd5afcd71497bd4fc920aaa97d3e0bd8d9d5509217",
+    },
+    "exhaust": {
+        "exhaust.csv": "cb6cad978e2a74d2751475cdc7d4a38c90f71e0c0bf89375336a5a8d17fd8f20",
+        "exhaust_report.json": "8f8abf289b61728993b0bcb1510f97c3cee31e8c077028c71d9a5ceaa641cb49",
+        "run_meta.json": "1c4d2a5030787ab5564d44b590efb462059a08b8cbe61d2f9a90c05f4a684e80",
+    },
+    "homogenize": {
+        "homogenize.csv": "5a78bc746a99f837a7f4e9716e27588fc16c52553108f275e8c0a5d11a7bcff8",
+        "homogenize_sweep.csv": "a9b2899bc8b265d7b83aedb60b638c67ba08a7619cd94aafc7bad22bd992bc2b",
+        "run_meta.json": "623ccd53468f7dd3599886f436242881acf1afcf6ed9f186cfac7dfe02593b4c",
+    },
+    "spectral_ineq_half_interval": {
+        "run_meta.json": "ef248ef23d8d1f68163e07654c0da8ab9ac7db550fefce4e4e814a6ee65f85b2",
+        "spectral_ineq.csv": "d4b82b6499eb2cd3c806d174bb49f7e64995623a479d8d91157d270159c87770",
+    },
     "synthesize_active_passive": {
+        "phases.csv": "d599d01ac82c0102862bbabcad8f412ddc71ddd12ef0866d2220d2a474f4bd88",
         "report.json": "5268a1c1ec359b019ec66a6ec2283d993469135a85fb7e79caa99df6bda44037",
-        "phases.csv": "d599d01ac82c0102862bbabcad8f412ddc71ddd12ef0866d2220d2a474f4bd88"},
+        "run_meta.json": "15f85031b2481224c96b74ecb2c7dec71a707abd06713092f716e4fd4c5eb8e3",
+        "trajectory.csv": "56f8aac6b2d110c6db5d4ba198ab80b82cbbcc244359e2dcd62553e948aef5ad",
+    },
+    "synthesize_gramian": {
+        "report.json": "9506a8ea607c0a1f8226e6cfc7640fc335b995278dd593f4bf0e09765ec75d83",
+        "run_meta.json": "5d0b958d1c2cba435ed937d4a423f6b6b776d39688ab735727f4c8aacfcf0a3d",
+        "trajectory.csv": "1964ae3a914927ab2484a4f6733935a878ba24c4161210b4b9edf707f9d0106d",
+    },
     "synthesize_scalar": {
         "report.json": "83057a02d9cf3753124a87bdf6e508019806177e20fdb7c73c19807e2d521c54",
-        "trajectory.csv": "b2405e08bfab11305b9c3c1c65ea1c5c7daa710a0cbbaf3a80d09d48e3c6dd14"},
+        "run_meta.json": "157c4b0bcb4d23c84824ee94209828e87950bf898be4da11a2c73e0064b11ed9",
+        "trajectory.csv": "b2405e08bfab11305b9c3c1c65ea1c5c7daa710a0cbbaf3a80d09d48e3c6dd14",
+    },
 }
 
 
-@pytest.mark.parametrize("config", sorted(SYNTHESIZE_DIGESTS))
-def test_synthesize_keeps_the_recorded_report_bytes(tmp_path, config):
-    assert main(["synthesize", "--config", str(ROOT / "configs" / f"{config}.json"),
-                 "--out", str(tmp_path / "out")]) == 0
-    for name, digest in SYNTHESIZE_DIGESTS[config].items():
-        assert runio.sha256_of(tmp_path / "out" / name) == digest, name
+@pytest.mark.parametrize("config", sorted(ARTIFACT_DIGESTS))
+def test_shipped_config_writes_the_recorded_bytes(tmp_path, config):
+    path = ROOT / "configs" / f"{config}.json"
+    experiment = json.loads(path.read_text())["experiment"]
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(path), "--out", str(out)]) == 0
+    written = {p.name: runio.sha256_of(p) for p in out.iterdir()}
+    assert written == ARTIFACT_DIGESTS[config]
+
+
+@pytest.mark.parametrize("config", [c for c in sorted(ARTIFACT_DIGESTS) if "synthesize" in c])
+def test_synthesize_trajectory_has_no_near_duplicate_times(tmp_path, config):
+    path = ROOT / "configs" / f"{config}.json"
+    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    T = json.loads(path.read_text())["T"]
+    header, *rows = read_csv(tmp_path / "out" / "trajectory.csv")
+    for series in ("state_norm", "control_norm"):
+        times = sorted(float(r[0]) for r in rows if r[2] == series)
+        assert np.min(np.diff(times)) > 1e-12 * T, series
 
 
 # the top-level keys of each experiment before the runners took them as

@@ -203,7 +203,8 @@ def test_rows_at_zero_boundaries_and_horizon_keep_the_closed_form_bits(kind):
     for ph in signal.phases:
         u = np.exp(-(ph.t_start - t_prev) * mu) * u
         expected[ph.t_start] = u
-        u = control._evolve_through_phase(mu, mtil, u, ph, ph.t_end)
+        beta = ph.t_end - ph.t_start
+        u = np.exp(-beta * mu) * u - (mtil * control._phi(beta, mu[:, None] + mu[None, :])) @ ph.v
         expected[ph.t_end] = u
         t_prev = ph.t_end
     if problem.T not in expected:
