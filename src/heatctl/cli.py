@@ -41,10 +41,7 @@ def _named(entries, where):
     named = []
     for i, entry in enumerate(entries or ()):
         name, params = runio.call(_entry, entry, f"{where}[{i}]")
-        if not isinstance(params, dict):
-            raise ParameterError(f"{where}[{i}]: params must be a JSON object, "
-                                 f"not {json.dumps(params)}")
-        named.append((name, dict(params)))
+        named.append((name, dict(runio.numeric(params, f"{where}[{i}]: params"))))
     return named
 
 
@@ -128,7 +125,7 @@ def run_synthesize(domain, e_max, T, set=None, control_scale=None, u0="worst",
         )
     else:
         sched = ct.active_passive_schedule(problem.T, max(float(problem.op.eigvals[-1]), 1.0))
-        pairs = [(E, uc.spectral_ineq_constant(problem.op, None, E, gram=problem.control_gram))
+        pairs = [(E, uc.spectral_ineq_constant(problem.op, S, E, gram=problem.control_gram))
                  for E in sched.E_j if E >= problem.op.eigvals[0]]
         fit = uc.fit_uncertainty_form(pairs, s)
         signal, report = ct.active_passive_synthesize(problem, fit)
@@ -153,7 +150,8 @@ def _regime(names, params, t_grid, *, constants):
     if not (names and isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ParameterError("regime: names must be a non-empty list of bound names, "
                              f"not {json.dumps(names)}")
-    return bd.regime_table(names, params, runio.floats(t_grid, "regime: t_grid"), constants)
+    return bd.regime_table(names, runio.numeric(params, "regime: params"),
+                           runio.floats(t_grid, "regime: t_grid"), constants)
 
 
 def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
@@ -269,8 +267,10 @@ def run_calibrate(target, domain, set, e_max, e_grid=None, t_grid=None, thick=No
     needs = {"e_grid": e_grid, "thick": thick} if cube else {"t_grid": t_grid}
     if None in needs.values():
         raise ParameterError(f"config: calibration target {target!r} needs {sorted(needs)}")
-    thick = cube and runio.call(ThickParams, thick, "thick")
+    thick = cube and runio.call(ThickParams, runio.numeric(thick, "thick"), "thick")
     grid = runio.floats(e_grid, "e_grid") if cube else runio.floats(t_grid, "t_grid")
+    if params is not None:
+        runio.numeric(params, "params")
     S = runio.parse_set(set, seed)
     op = _operator(domain, e_max, n_max)
     if cube:

@@ -7,6 +7,15 @@ which is exact for the truncated Galerkin system.  Controls are closed-form
 analytically.  One kernel ``M o Phi_h`` and one phase end
 ``exp(-h A) u - (M o Phi_h) v`` serve every Gramian, every exact time step
 of a trajectory, every active/passive phase and the exhaustion replay.
+
+On a torus tiled by a periodic set, a diagonal handle splits the modes into
+Bloch-Floquet classes (:func:`heatctl.geometry.mode_classes`) that the
+control Gram never couples.  Every Gramian, cost operator, phase end, step
+kernel and control norm is then block diagonal, and each is formed,
+decomposed and applied one class at a time: ``C_T`` is the largest of the
+classes' costs and the condition number that of the whole.  Any other
+problem has the one class ``slice(None)``, whose blocks are views of the
+dense arrays.
 """
 
 import math
@@ -15,10 +24,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConditioningError, ParameterError
-from .geometry import gram_matrix
+from .geometry import ONE_CLASS, gram_matrix, mode_classes
 
 COND_CAP = 1e12
-EIG_FLOOR = 1e-14
 
 
 def _phi(alpha, s):
@@ -39,13 +47,29 @@ def _forced_end(M, mu_rows, mu_cols, u, v, h):
     return np.exp(-h * mu_rows) * u - _kernel(M, mu_rows, mu_cols, h) @ v
 
 
+def _block(M, rows, cols):
+    """``M`` restricted to ``rows`` x ``cols``; a view when both are slices."""
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return M[rows, cols]
+    return M[np.ix_(rows, cols)]
+
+
+def _in_mask(c, mask):
+    """The modes of class ``c`` inside ``mask`` (all of them when it is ``None``)."""
+    if mask is None:
+        return c
+    return mask if isinstance(c, slice) else c[mask[c]]
+
+
 @dataclass
 class ControlProblem:
     """Generator handle + control Gram + horizon (+ optional initial state).
 
     ``control_gram`` is the matrix of ``B B*`` in the handle's function
     basis; for interior control on a set it is the set's Gram matrix, for a
-    scalar system ``B = c`` it is ``[[c**2]]``.
+    scalar system ``B = c`` it is ``[[c**2]]``.  ``classes`` are the mode
+    classes that ``control_gram`` never couples (one class unless the
+    problem comes from a set that tiles a torus).
     """
 
     op: object
@@ -53,6 +77,7 @@ class ControlProblem:
     T: float
     u0: np.ndarray = None
     set_hash: str = None
+    classes: tuple = field(default=ONE_CLASS, repr=False)
     _mtil: np.ndarray = field(default=None, repr=False)
     _factor: tuple = field(default=None, repr=False)
 
@@ -70,7 +95,8 @@ class ControlProblem:
     @classmethod
     def from_set(cls, op, S, T, u0=None):
         return cls(op=op, control_gram=gram_matrix(op.basis, S), T=T, u0=u0,
-                   set_hash=S.descriptor_hash())
+                   set_hash=S.descriptor_hash(),
+                   classes=mode_classes(op.basis, S, op.is_diagonal))
 
     @classmethod
     def scalar(cls, op, scale, T, u0=None):
@@ -87,17 +113,18 @@ class ControlProblem:
         return self._mtil
 
     def gramian_factor(self):
-        """``(floored inverse, condition number)`` of ``Q_T``, decomposed once.
-
-        The inverse is ``None`` when ``Q_T`` has no positive eigenvalue.
-        """
+        """``(per-class inverses, condition number)`` of ``Q_T``, decomposed
+        once per class (see :func:`_inverse_blocks`)."""
         if self._factor is None:
-            self._factor = _floored_inverse(gramian(self))
+            mu, mtil = self.op.eigvals, self.mtil()
+            self._factor = _inverse_blocks([_kernel(_block(mtil, c, c), mu[c], mu[c], self.T)
+                                            for c in self.classes])
         return self._factor
 
     def with_time(self, T):
         return ControlProblem(op=self.op, control_gram=self.control_gram, T=T,
-                              u0=self.u0, set_hash=self.set_hash, _mtil=self._mtil)
+                              u0=self.u0, set_hash=self.set_hash, classes=self.classes,
+                              _mtil=self._mtil)
 
 
 @dataclass(frozen=True)
@@ -140,40 +167,54 @@ class ControlSignal:
 
 
 def gramian(problem):
-    """Controllability Gramian ``Q_T`` in the eigenbasis of the handle."""
+    """Controllability Gramian ``Q_T`` in the eigenbasis of the handle, dense."""
     mu = problem.op.eigvals
     return _kernel(problem.mtil(), mu, mu, problem.T)
 
 
-def _floored_inverse(Q):
-    """Eigenvalue-floored inverse of the symmetrized ``Q`` and its condition number.
+def _inverse_blocks(blocks):
+    """Inverses of the symmetrized diagonal blocks of a Gramian, and its
+    condition number ``lambda_max / lambda_min`` over all blocks.
 
-    Returns ``(None, inf)`` when ``Q`` has no positive eigenvalue.
+    The condition number is ``inf`` unless every eigenvalue is positive, and
+    the inverses are ``None`` unless it is at most ``COND_CAP``.
     """
-    Q = 0.5 * (Q + Q.T)
-    w, V = np.linalg.eigh(Q)
-    w_max = float(w[-1])
-    if w_max <= 0:
-        return None, math.inf
-    cond = math.inf if w[0] <= 0 else w_max / float(w[0])
-    w_floored = np.maximum(w, EIG_FLOOR * w_max)
-    return (V / w_floored) @ V.T, cond
+    eigs = [np.linalg.eigh(0.5 * (Q + Q.T)) for Q in blocks]
+    w_min = min(float(w[0]) for w, _ in eigs)
+    w_max = max(float(w[-1]) for w, _ in eigs)
+    cond = w_max / w_min if w_min > 0 else math.inf
+    if cond > COND_CAP:
+        return None, cond
+    return tuple((V / w) @ V.T for w, V in eigs), cond
 
 
 def _checked_inverse(factor):
-    """The inverse of ``factor = (Qinv, cond)`` once it exists and passes ``COND_CAP``."""
-    Qinv, cond = factor
-    if Qinv is None:
-        raise ConditioningError("Gramian is not positive", math.inf)
-    if cond > COND_CAP:
-        raise ConditioningError("Gramian inversion refused", cond)
-    return Qinv
+    """The inverses of ``factor = (inverses, cond)``; refused past ``COND_CAP``."""
+    inverses, cond = factor
+    if inverses is None:
+        reason = "is not positive definite" if cond == math.inf else "inversion refused"
+        raise ConditioningError(f"Gramian {reason}", cond)
+    return inverses
 
 
-def _steer(factor, y):
-    """Minimal-norm steering of ``y``: ``v = Q^{-1} y`` and ``max(<v, y>, 0)``."""
-    v = _checked_inverse(factor) @ y
-    return v, max(float(v @ y), 0.0)
+def _steer(inverses, blocks, y):
+    """Minimal-norm steering of ``y`` per block: ``v = Q^{-1} y`` (zero
+    outside the blocks) and ``max(<v, y>, 0)``."""
+    v = np.zeros_like(y)
+    cost_sq = 0.0
+    for m, Qinv in zip(blocks, inverses):
+        v[m] = Qinv @ y[m]
+        cost_sq += float(v[m] @ y[m])
+    return v, max(cost_sq, 0.0)
+
+
+def _phase_end(problem, u, v, h):
+    """``_forced_end`` of a phase of length ``h`` in ``problem``, class by class."""
+    mu, mtil = problem.op.eigvals, problem.mtil()
+    end = np.empty_like(u)
+    for c in problem.classes:
+        end[c] = _forced_end(_block(mtil, c, c), mu[c], mu[c], u[c], v[c], h)
+    return end
 
 
 def min_norm_control(problem):
@@ -190,17 +231,19 @@ def min_norm_control(problem):
     if not np.any(u0e):
         return ControlSignal.zero(), 0.0
     y = np.exp(-problem.T * mu) * u0e
-    v, cost_sq = _steer(problem.gramian_factor(), y)
+    v, cost_sq = _steer(_checked_inverse(problem.gramian_factor()), problem.classes, y)
     phase = Phase(0.0, problem.T, v, None, cost_sq)
     return ControlSignal(phases=(phase,)), math.sqrt(cost_sq)
 
 
 def _cost_operator(problem):
-    """``exp(-TA) Q_T^{-1} exp(-TA)``, symmetrized."""
-    Qinv = _checked_inverse(problem.gramian_factor())
+    """Per class, ``exp(-TA) Q_T^{-1} exp(-TA)``, symmetrized."""
     e = np.exp(-problem.T * problem.op.eigvals)
-    A = (e[:, None] * Qinv) * e[None, :]
-    return 0.5 * (A + A.T)
+    blocks = []
+    for c, Qinv in zip(problem.classes, _checked_inverse(problem.gramian_factor())):
+        A = (e[c][:, None] * Qinv) * e[c][None, :]
+        blocks.append(0.5 * (A + A.T))
+    return blocks
 
 
 def empirical_cost(problem):
@@ -208,16 +251,23 @@ def empirical_cost(problem):
 
     Equals ``sqrt(lambda_max(exp(-TA) Q_T^{-1} exp(-TA)))``, i.e. the optimal
     constant of the final-state observability inequality for the truncated
-    system.
+    system; the largest eigenvalue is the largest over the classes.
     """
-    lam = float(np.linalg.eigvalsh(_cost_operator(problem))[-1])
+    lam = max(float(np.linalg.eigvalsh(A)[-1]) for A in _cost_operator(problem))
     return math.sqrt(max(lam, 0.0))
 
 
 def worst_initial_state(problem):
-    """Unit initial state attaining the control cost (in the function basis)."""
-    w, V = np.linalg.eigh(_cost_operator(problem))
-    return problem.op.from_eigenbasis(V[:, -1])
+    """Unit initial state attaining the control cost (in the function basis).
+
+    It lives in the class whose cost operator has the largest top
+    eigenvalue, the first such class on a tie.
+    """
+    tops = [(np.linalg.eigh(A), c) for c, A in zip(problem.classes, _cost_operator(problem))]
+    (_, V), c = tops[int(np.argmax([lam[-1] for (lam, _), _ in tops]))]
+    w = np.zeros(problem.op.n)
+    w[c] = V[:, -1]
+    return problem.op.from_eigenbasis(w)
 
 
 def gramian_condition(problem):
@@ -238,23 +288,30 @@ class Trajectory:
         return float(np.linalg.norm(self.states[-1]))
 
 
-def _step_through_phase(mu, mtil, state, phase, times):
+def _step_through_phase(mu, mtil, classes, state, phase, times):
     """States at the ascending ``times`` inside ``phase``, from ``state`` at t_start.
 
     The exact step from ``t`` to ``t + h`` subtracts
     ``(mtil o Phi_h) exp(-(t_end - t - h) A) v`` from the decayed state; its
     kernel depends on ``h`` alone, so the steps of one length share one
-    kernel (restricted to the phase's modes) and one GEMM.
+    kernel per class (rows: the class, columns: its modes that the phase
+    steers) and one GEMM.
     """
-    m = slice(None) if phase.mode_mask is None else phase.mode_mask
-    mu_m, mtil_m = mu[m], mtil[:, m]
     h = np.diff(times, prepend=phase.t_start)
     steps, group = np.unique(h, return_inverse=True)
-    rhs = np.exp(-(phase.t_end - times)[None, :] * mu_m[:, None]) * phase.v[m][:, None]
-    forced = np.empty((mu.size, times.size))
-    for g, step in enumerate(steps):
-        cols = group == g
-        forced[:, cols] = _kernel(mtil_m, mu, mu_m, step) @ rhs[:, cols]
+    forced = np.zeros((mu.size, times.size))
+    for c in classes:
+        m = _in_mask(c, phase.mode_mask)
+        mu_m = mu[m]
+        if not mu_m.size:
+            continue
+        mtil_m = _block(mtil, c, m)
+        rhs = np.exp(-(phase.t_end - times)[None, :] * mu_m[:, None]) * phase.v[m][:, None]
+        part = np.empty((mtil_m.shape[0], times.size))
+        for g, step in enumerate(steps):
+            cols = group == g
+            part[:, cols] = _kernel(mtil_m, mu[c], mu_m, step) @ rhs[:, cols]
+        forced[c] = part
     decay = np.exp(-steps[:, None] * mu[None, :])
     states = np.empty((times.size, mu.size))
     w = np.zeros_like(mu)
@@ -269,12 +326,11 @@ def duhamel_solve(problem, signal, t_grid):
 
     States at 0 and at every phase boundary come from each phase's closed
     form; inside a phase the grid is walked by exact steps, with one kernel
-    per distinct step length.
+    per distinct step length and class.
     """
     if problem.u0 is None:
         raise ParameterError("problem has no initial state")
     mu = problem.op.eigvals
-    mtil = problem.mtil()
     for ph in signal.phases:
         if ph.t_start < -1e-12 or ph.t_end > problem.T + 1e-12:
             raise ParameterError("signal phases must lie within [0, T]")
@@ -291,8 +347,7 @@ def duhamel_solve(problem, signal, t_grid):
         t_prev, u_prev = anchors[-1]
         u_start = np.exp(-(ph.t_start - t_prev) * mu) * u_prev
         anchors.append((ph.t_start, u_start))
-        anchors.append((ph.t_end, _forced_end(mtil, mu, mu, u_start, ph.v,
-                                              ph.t_end - ph.t_start)))
+        anchors.append((ph.t_end, _phase_end(problem, u_start, ph.v, ph.t_end - ph.t_start)))
 
     # each time continues from the last anchor at or before it; phases may
     # overlap by up to 1e-12, so the anchor times need not be sorted, but the
@@ -307,8 +362,8 @@ def duhamel_solve(problem, signal, t_grid):
         states[i] = np.exp(-(t_grid[i] - ta) * mu) * ua
     for k in np.unique(last[inside]):
         rows = inside & (last == k)
-        states[rows] = _step_through_phase(mu, mtil, anchors[k][1], signal.phases[k // 2],
-                                           t_grid[rows])
+        states[rows] = _step_through_phase(mu, problem.mtil(), problem.classes, anchors[k][1],
+                                           signal.phases[k // 2], t_grid[rows])
     return Trajectory(times=t_grid, states=states)
 
 
@@ -319,7 +374,8 @@ def control_norm_at(problem, signal, s):
     for ph in signal.phases:
         if ph.t_start - 1e-15 <= s <= ph.t_end + 1e-15:
             w = np.exp(-(ph.t_end - s) * mu) * ph.v
-            return math.sqrt(max(float(w @ (mtil @ w)), 0.0))
+            norm_sq = sum(float(w[c] @ (_block(mtil, c, c) @ w[c])) for c in problem.classes)
+            return math.sqrt(max(norm_sq, 0.0))
     return 0.0
 
 
@@ -394,7 +450,10 @@ def active_passive_synthesize(problem, fit):
     total_sq = 0.0
     worst_cond = 0.0
     for j, (E_j, T_j) in enumerate(zip(sched.E_j, sched.T_j)):
-        a_j = sched.a[j]
+        a_j, t_end = sched.a[j], sched.a[j] + T_j
+        # the active and passive stretches last t_end - a_j and a_{j+1} - t_end,
+        # as in the trajectory of the signal; either may miss T_j by an ulp
+        h = t_end - a_j
         mask = mu <= E_j
         norm_in = float(np.linalg.norm(state))
         v = np.zeros_like(state)
@@ -402,19 +461,20 @@ def active_passive_synthesize(problem, fit):
         # a cutoff below the lowest eigenvalue has no modes to steer: the
         # phase carries the zero control and only the free decay acts
         if mask.any():
-            y = (np.exp(-T_j * mu) * state)[mask]
-            factor = _floored_inverse(_kernel(mtil[np.ix_(mask, mask)], mu[mask], mu[mask], T_j))
-            v[mask], norm_sq = _steer(factor, y)
+            blocks = [m for m in (_in_mask(c, mask) for c in problem.classes) if mu[m].size]
+            factor = _inverse_blocks([_kernel(_block(mtil, m, m), mu[m], mu[m], h)
+                                      for m in blocks])
+            v, norm_sq = _steer(_checked_inverse(factor), blocks, np.exp(-h * mu) * state)
             worst_cond = max(worst_cond, factor[1])
-        phase = Phase(a_j, a_j + T_j, v, mask.copy(), norm_sq)
+        phase = Phase(a_j, t_end, v, mask.copy(), norm_sq)
         phases.append(phase)
         total_sq += norm_sq
         # end of active phase
-        state = _forced_end(mtil, mu, mu, state, v, phase.t_end - phase.t_start)
+        state = _phase_end(problem, state, v, h)
         low_residual = float(np.linalg.norm(state[mask]))
         norm_mid = float(np.linalg.norm(state))
         # passive phase [a_j + T_j, a_{j+1}]
-        state = np.exp(-T_j * mu) * state
+        state = np.exp(-(sched.a[j + 1] - t_end) * mu) * state
         norm_out = float(np.linalg.norm(state))
         bound = float(fit.c_ur(E_j)) / T_j * norm_in ** 2
         # a numerically null state has no meaningful decay ratio

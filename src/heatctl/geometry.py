@@ -18,6 +18,8 @@ from .errors import ParameterError
 from .spectral import box_integrals
 
 _EPS = 1e-12
+# the mode classes of a set that couples every mode with every other
+ONE_CLASS = (slice(None),)
 
 
 def check_gamma(gamma):
@@ -279,12 +281,50 @@ def gram_matrix(basis, S):
     if S.dimension != dom.dimension:
         raise ParameterError("set dimension does not match the domain")
     if S.kind == "periodic_boxes" and dom.boundary == "periodic":
-        for side, c in zip(dom.sides, S.cell):
-            ratio = side / c
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ParameterError("set period does not tile the torus")
+        _cells_per_side(dom, S)
     M = box_integrals(basis, basis, S.boxes_in_region(dom.box()))
     return 0.5 * (M + M.T)
+
+
+def _cells_per_side(dom, S):
+    """Per axis the whole number ``q = side / cell`` of a periodic set's cells
+    along a torus; refused unless the cells tile it."""
+    q = []
+    for side, c in zip(dom.sides, S.cell):
+        ratio = side / c
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ParameterError("set period does not tile the torus")
+        q.append(round(ratio))
+    return q
+
+
+def mode_classes(basis, S, diagonal=True):
+    """Bloch-Floquet classes of the modes of a torus tiled by ``S``.
+
+    On a torus of ``q`` cells per axis the set's indicator has harmonics in
+    ``q Z`` only, so the modes ``k`` and ``k'`` meet in its Gram matrix only
+    when ``|k| = +-|k'| (mod q)`` on every axis, that is when their residues
+    ``r = min(|k| mod q, q - |k| mod q)`` agree per axis (Egidi & Veselic,
+    Arch. Math. 2018; Kuchment, Floquet Theory for PDEs, 1993).  The Gram
+    matrix, and every Gramian of a ``diagonal`` handle, is then block
+    diagonal over the classes of equal residue tuple, returned as ascending
+    index arrays in the lexicographic order of the tuples.  A set that is not
+    ``periodic_boxes``, a domain that is not a torus, a non-diagonal handle or
+    a single cell per axis give the one class ``(slice(None),)``.
+    """
+    dom = basis.domain
+    if not diagonal or S is None or S.kind != "periodic_boxes" or dom.boundary != "periodic":
+        return ONE_CLASS
+    if S.dimension != dom.dimension:
+        raise ParameterError("set dimension does not match the domain")
+    q = _cells_per_side(dom, S)
+    if all(qi == 1 for qi in q):
+        return ONE_CLASS
+    r = np.abs(basis.mode_indices) % q
+    key = np.ravel_multi_index(np.minimum(r, q - r).T, [qi // 2 + 1 for qi in q])
+    order = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(key[order])) + 1
+    return tuple(np.split(order, bounds))
 
 
 def _axis_offsets(S, a_len, axis, grid):

@@ -3,7 +3,8 @@
 Every config object reaches the library through :func:`call`, which binds
 its keys to the parameters, and their defaults, of the function reading it;
 the scalar keys of the runners are read by :func:`number`, which takes JSON
-numbers only.
+numbers only, and the parameter objects of bounds, bands and thick sets by
+:func:`numeric`.
 """
 
 import csv
@@ -64,6 +65,20 @@ def floats(values, where, size=None):
         count = "numbers" if size is None else f"{size} numbers"
         raise ParameterError(f"{where} must be a list of {count}, not {json.dumps(values)}")
     return [float(x) for x in values]
+
+
+def numeric(section, where):
+    """``section`` as it is, once it is a JSON object whose values are numbers,
+    lists of numbers or ``null`` (a missing value); refused naming ``where``
+    and the key otherwise."""
+    if not isinstance(section, dict):
+        raise ParameterError(f"{where} must be a JSON object, not {json.dumps(section)}")
+    for key, value in section.items():
+        if isinstance(value, (list, tuple)):
+            floats(value, f"{where}: {key}")
+        elif value is not None:
+            number(value, f"{where}: {key}")
+    return section
 
 
 def canonical_json(data):
@@ -153,7 +168,7 @@ def parse_domain(data):
 
 
 def _band(band):
-    return call(periodic_band, band, "set band")
+    return call(periodic_band, numeric(band, "set band"), "set band")
 
 
 def _equidistributed(equidistributed, extent, *, seed):

@@ -139,6 +139,11 @@ class SpectralBasis:
         return len(self.modes)
 
     @cached_property
+    def mode_indices(self):
+        """The mode indices as an ``(n, d)`` integer array, built once per basis."""
+        return np.array(self.modes, dtype=int).reshape(self.n, self.domain.dimension)
+
+    @cached_property
     def axis_atoms(self):
         """Per axis ``((amps, freqs, phases), index)``, built once per basis.
 
@@ -146,7 +151,7 @@ class SpectralBasis:
         position of mode ``i``'s factor among them.
         """
         dom = self.domain
-        ks = np.array(self.modes, dtype=int).reshape(self.n, dom.dimension)
+        ks = self.mode_indices
         axes = []
         for ax in range(dom.dimension):
             distinct, index = np.unique(ks[:, ax], return_inverse=True)

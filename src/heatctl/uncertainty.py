@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _trig
 from .errors import DegenerateSetError, ParameterError
-from .geometry import ObservabilitySet, check_gamma, check_ratio, gram_matrix
+from .geometry import ObservabilitySet, check_gamma, check_ratio, gram_matrix, mode_classes
 from .spectral import PotentialSpec, galerkin_schrodinger
 
 
@@ -126,16 +126,18 @@ def spectral_ineq_constant(op, S, E, gram=None):
 
     Smallest eigenvalue of the set Gram projected onto the span of
     eigenvectors with eigenvalue <= E.  Lies in [0, 1] and is
-    non-increasing in E by subspace nesting.
+    non-increasing in E by subspace nesting.  For a diagonal handle it is
+    the smallest over the mode classes of ``S`` (see
+    :func:`heatctl.geometry.mode_classes`), which the Gram never couples.
     """
     idx = subspace_indices(op, E)
     M = gram_matrix(op.basis, S) if gram is None else gram
-    if op.is_diagonal:
-        sub = M[np.ix_(idx, idx)]
-    else:
+    if not op.is_diagonal:
         V = op.eigvecs[:, idx]
-        sub = V.T @ M @ V
-    return float(np.linalg.eigvalsh(sub)[0])
+        return float(np.linalg.eigvalsh(V.T @ M @ V)[0])
+    low = op.eigvals <= E
+    subspaces = (idx if isinstance(c, slice) else c[low[c]] for c in mode_classes(op.basis, S))
+    return min(float(np.linalg.eigvalsh(M[np.ix_(k, k)])[0]) for k in subspaces if k.size)
 
 
 def spectral_ineq_sweep(op, S, e_grid):

@@ -418,6 +418,34 @@ MALFORMED = {
     "exhaust_t_a_list": ("exhaust", {**EXHAUST, "t": [0.1]}, None, "t", "a number"),
     "halvings_a_string": ("homogenize", {**HOMOGENIZE, "halvings": "3"}, None, "halvings",
                           "an integer"),
+    "thick1_gamma_a_string": (
+        "bounds", {"evaluations": [{**THICK1, "params": {**THICK1["params"], "T": 1.0,
+                                                         "gamma": "x"}}]},
+        None, "evaluations[0]", "gamma"),
+    "thick1_gamma_a_numeric_string": (
+        "bounds", {"evaluations": [{**THICK1, "params": {**THICK1["params"], "T": 1.0,
+                                                         "gamma": "0.5"}}]},
+        None, "evaluations[0]", "gamma"),
+    "band_gamma_a_string": ("spectral-ineq",
+                            {**SI, "set": {"band": {"period": 1.0, "gamma": "x"}}},
+                            None, "set band", "gamma"),
+    "band_gamma_a_numeric_string": ("spectral-ineq",
+                                    {**SI, "set": {"band": {"period": 1.0, "gamma": "0.5"}}},
+                                    None, "set band", "gamma"),
+    "thick_gamma_a_string": ("calibrate", {**CUBE, "thick": {"gamma": "x", "a": [1.0]}},
+                             None, "thick", "gamma"),
+    "thick_gamma_a_numeric_string": ("calibrate",
+                                     {**CUBE, "thick": {"gamma": "0.5", "a": [1.0]}},
+                                     None, "thick", "gamma"),
+    "regime_params_gamma_a_string": ("bounds", {"regime": {"names": ["thick1"],
+                                                           "params": {**THICK1["params"],
+                                                                      "gamma": "x"},
+                                                           "t_grid": [1.0]}},
+                                     None, "regime: params", "gamma"),
+    "calibrate_params_a_of_strings": (
+        "calibrate", {**CUBE, "target": "thick1", "t_grid": [1.0],
+                      "params": {**THICK1["params"], "a": ["1"]}},
+        None, "params", "a"),
 }
 
 
@@ -451,14 +479,15 @@ def _si(domain, set_, **kw):
 
 # each valid form of a config object, with the SHA-256 of every artifact that
 # the code before the section binding wrote for it (recorded with numpy 2 on
-# x86-64 Linux)
+# x86-64 Linux); ``example`` (4 cells on its torus) carries the bits of the
+# constants taken per mode class
 VALID_FORMS = {
     "equidistributed_config_seed": (
         _si({"interval": [0.0, 4.0]},
             {"equidistributed": {"G": 1.0, "delta": 0.2}, "extent": [[0.0, 4.0]]}, seed=11),
         None, "6232515e65981d7a64f5adbb31a658a4ecf53d0481284f3e63897b3d253614ad"),
     "example": (_si({"torus": [4.0]}, {"example": "centered_bands", "eps": 0.4}),
-                None, "33e8aabce8b7a6477b929fa9b8d14df3f3513cf0b07163dcb88ed8e1fc746919"),
+                None, "e98dc8b62da2c42e971d640ff7cdbb1f2ae913df43bdf50a8b39143f0652afb6"),
     "band": (_si({"interval": [0.0, math.pi], "boundary": "neumann"},
                  {"band": {"period": 1.0, "gamma": 0.5}}),
              None, "36899c1033758c82bbfc744a4e7fd630feb1527970907c53c8deb8fb21b00a45"),
@@ -498,7 +527,9 @@ def test_valid_form_writes_the_recorded_bytes(tmp_path, form):
 
 # the SHA-256 of every artifact of every shipped config (recorded with numpy
 # 2.4.6 on x86-64 Linux); the synthesize reports, phases.csv and the scalar
-# trajectory.csv keep the bytes that the per-time closed form wrote
+# trajectory.csv keep the bytes that the per-time closed form wrote, except
+# that active/passive phases evolve over their rounded lengths; homogenize
+# (2, 4 and 8 cells on its torus) carries the bits of the per-class costs
 ARTIFACT_DIGESTS = {
     "bounds_catalog": {
         "bounds.csv": "13d899f94a79166786722e32180185f64338e6a9b5f1709e5ad03da8922a38ce",
@@ -517,19 +548,19 @@ ARTIFACT_DIGESTS = {
         "run_meta.json": "1c4d2a5030787ab5564d44b590efb462059a08b8cbe61d2f9a90c05f4a684e80",
     },
     "homogenize": {
-        "homogenize.csv": "5a78bc746a99f837a7f4e9716e27588fc16c52553108f275e8c0a5d11a7bcff8",
-        "homogenize_sweep.csv": "a9b2899bc8b265d7b83aedb60b638c67ba08a7619cd94aafc7bad22bd992bc2b",
-        "run_meta.json": "623ccd53468f7dd3599886f436242881acf1afcf6ed9f186cfac7dfe02593b4c",
+        "homogenize.csv": "14ba906d5aa72ca5692c7cbf01c05bcf18058e1896015db899430f994013f2e2",
+        "homogenize_sweep.csv": "d2d7dcde4eba6acff7242f643f49f8cbb6edf1e3671a24193c62e8710f3591e9",
+        "run_meta.json": "5e0ecb3b6398bd433a7c3e5d7eae9c86ce85b4a62a1f8d18158c0ef768cd44c1",
     },
     "spectral_ineq_half_interval": {
         "run_meta.json": "ef248ef23d8d1f68163e07654c0da8ab9ac7db550fefce4e4e814a6ee65f85b2",
         "spectral_ineq.csv": "d4b82b6499eb2cd3c806d174bb49f7e64995623a479d8d91157d270159c87770",
     },
     "synthesize_active_passive": {
-        "phases.csv": "d599d01ac82c0102862bbabcad8f412ddc71ddd12ef0866d2220d2a474f4bd88",
-        "report.json": "5268a1c1ec359b019ec66a6ec2283d993469135a85fb7e79caa99df6bda44037",
-        "run_meta.json": "15f85031b2481224c96b74ecb2c7dec71a707abd06713092f716e4fd4c5eb8e3",
-        "trajectory.csv": "56f8aac6b2d110c6db5d4ba198ab80b82cbbcc244359e2dcd62553e948aef5ad",
+        "phases.csv": "3c427c5856afacc4b9630501be163cbd88cd2fbb36fadc9d99f5e230748e336c",
+        "report.json": "a7841a927f6a847c8f58c5efb16c862670e4b896e42158ac2d72639b83bec0b9",
+        "run_meta.json": "102ba1ddc56bd44fc3ee5b5eb59d7b7695233c37f0f50212d346bbbe3e46c6b9",
+        "trajectory.csv": "726f40fb8ad815f3f16cab09ee6b684ccf78c6bfa8b29a0b1c6e765eaed57c87",
     },
     "synthesize_gramian": {
         "report.json": "9506a8ea607c0a1f8226e6cfc7640fc335b995278dd593f4bf0e09765ec75d83",

@@ -145,11 +145,23 @@ def test_stepping_stays_within_the_closed_form_floor(handle, e_max):
     assert np.max(err[~edges]) <= max(np.max(err[edges]), 1e-13)
 
 
-def _bench_like_problem():
-    """2D torus, n=113, four boxes: the shape of a ``control-mix`` synthesis."""
+def _bench_like_problem(tiled=False):
+    """2D torus, n=113, four boxes: the shape of a ``control-mix`` synthesis.
+
+    ``tiled`` gives the boxes as one box per (pi, pi) cell, whose four mode
+    classes run apart; otherwise they are the four boxes of the one
+    (2 pi, 2 pi) cell, which couples every mode with every other.
+    """
     op = galerkin_schrodinger(build_basis(DomainSpec.torus(TWO_PI, TWO_PI), 36.0))
-    S = ObservabilitySet.periodic((math.pi, math.pi), [((0.4, 2.1), (0.2, 1.8))])
+    box = ((0.4, 2.1), (0.2, 1.8))
+    if tiled:
+        S = ObservabilitySet.periodic((math.pi, math.pi), [box])
+    else:
+        S = ObservabilitySet.periodic((TWO_PI, TWO_PI), [
+            tuple((a + i * math.pi, b + i * math.pi) for (a, b), i in zip(box, shift))
+            for shift in ((0, 0), (0, 1), (1, 0), (1, 1))])
     problem = ControlProblem.from_set(op, S, 0.8)
+    assert len(problem.classes) == (4 if tiled else 1)
     problem.u0 = worst_initial_state(problem)
     return problem
 
@@ -189,6 +201,64 @@ def test_one_kernel_per_distinct_step_length(monkeypatch, kind):
     assert len(calls) <= len(phases) + len(expected) < len(phases) + per_time
     if kind == "active-passive":
         assert any(shape[1] < n for _, shape in stepped)
+
+
+@pytest.mark.parametrize("kind", ["min-norm", "active-passive"])
+def test_one_kernel_per_class_and_distinct_step_length(monkeypatch, kind):
+    problem = _bench_like_problem(tiled=True)
+    signal = _signal(problem, kind)
+    times = _with_edges(problem, signal, 65)
+    calls = []
+    phi = control._phi
+
+    def counting(alpha, s):
+        calls.append((alpha, np.shape(s)))
+        return phi(alpha, s)
+
+    monkeypatch.setattr(control, "_phi", counting)
+    traj = duhamel_solve(problem, signal, times)
+    sizes = [len(c) for c in problem.classes]
+    phases = signal.phases
+    # every phase end: one kernel per class, rows and columns the class
+    anchors, stepped = calls[:len(phases) * len(sizes)], calls[len(phases) * len(sizes):]
+    assert anchors == [(ph.t_end - ph.t_start, (k, k)) for ph in phases for k in sizes]
+    expected = []
+    for ph, inside in zip(phases, _phase_rows(traj, signal)):
+        steps = np.unique(np.diff(inside, prepend=ph.t_start))
+        for c in problem.classes:
+            cols = len(c) if ph.mode_mask is None else int(ph.mode_mask[c].sum())
+            expected += [(float(h), (len(c), cols)) for h in steps if cols]
+    # one kernel per class and exact step length, on the class's masked columns
+    assert sorted((float(a), shape) for a, shape in stepped) == sorted(expected)
+    assert max(shape[0] for _, shape in calls) < problem.op.n
+    if kind == "active-passive":
+        assert any(shape[1] < shape[0] for _, shape in stepped)
+
+
+@pytest.mark.parametrize("kind", ["min-norm", "active-passive"])
+def test_rows_at_phase_edges_keep_the_closed_form_bits_per_class(kind):
+    problem = _bench_like_problem(tiled=True)
+    signal = _signal(problem, kind)
+    traj = duhamel_solve(problem, signal, _with_edges(problem, signal, 65))
+    mu, mtil = problem.op.eigvals, problem.mtil()
+    u = problem.op.to_eigenbasis(problem.u0)
+    expected = {0.0: u}
+    t_prev = 0.0
+    for ph in signal.phases:
+        u = np.exp(-(ph.t_start - t_prev) * mu) * u
+        expected[ph.t_start] = u
+        beta = ph.t_end - ph.t_start
+        u = u.copy()
+        for c in problem.classes:
+            kernel = mtil[np.ix_(c, c)] * control._phi(beta, mu[c][:, None] + mu[c][None, :])
+            u[c] = np.exp(-beta * mu[c]) * u[c] - kernel @ ph.v[c]
+        expected[ph.t_end] = u
+        t_prev = ph.t_end
+    if problem.T not in expected:
+        expected[problem.T] = np.exp(-(problem.T - t_prev) * mu) * u
+    rows = {float(t): s for t, s in zip(traj.times, traj.states)}
+    for t, state in expected.items():
+        assert np.array_equal(rows[t], state), t
 
 
 @pytest.mark.parametrize("kind", ["min-norm", "active-passive"])
