@@ -144,28 +144,18 @@ def miller_root_map(s, beta):
 def miller_cstar(beta, b, a=0.0, m=0.0):
     """Root of ``s (s + beta + 1)^beta = rhs`` and the implied cost constant.
 
-    The left side is strictly increasing in ``s``, so the root is found by
-    doubling a bracket and bisecting to 1e-12 relative accuracy.  Returns
-    ``(s_root, c_star)``.
+    The left side is strictly increasing in ``s`` and vanishes at 0, so the
+    root is bracketed between powers of two and bisected to the smallest
+    double where the left side reaches the right.  Returns ``(s_root, c_star)``.
     """
     if beta <= 0 or b <= 0:
         raise ParameterError("beta and b must be positive")
     if a < 0 or m < 0 or a + m <= 0:
         raise ParameterError("a and m must be non-negative with a + m > 0")
     rhs = (beta + 1.0) * beta ** (beta ** 2 / (beta + 1.0)) * b ** (1.0 / (beta + 1.0)) / (a + m)
-    hi = 1.0
-    while miller_root_map(hi, beta) < rhs:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ParameterError("root bracket diverged")
-    lo = 0.0
-    while hi - lo > 1e-12 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if miller_root_map(mid, beta) < rhs:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
+    if not rhs > 0:
+        raise ParameterError("the right side of the root equation underflows")
+    s = _smallest_passing(lambda s: miller_root_map(s, beta) >= rhs, 0.0, 1e300)
     c_star = ((beta + 1.0) * b / (a + m)) ** ((beta + 1.0) / beta) \
         * beta ** beta / s ** ((beta + 1.0) ** 2 / beta)
     return s, c_star
@@ -228,7 +218,7 @@ def calibrate_thick1(pairs, params, constants=None):
         return all(cost_bound("thick1", params, cc, T=T) >= ce * (1 - 1e-12)
                    for T, ce in pairs)
 
-    return c.updated(K=_smallest_passing(ok, 2.0 ** 20))
+    return c.updated(K=_smallest_passing(ok, 1.0, 2.0 ** 20))
 
 
 def calibrate_prefactor(name, pairs, params, constants=None):

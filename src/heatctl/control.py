@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConditioningError, ParameterError
-from .geometry import ONE_CLASS, gram_matrix, mode_classes
+from .geometry import ONE_CLASS, _block, _in_mask, gram_matrix, mode_classes
 
 COND_CAP = 1e12
 
@@ -45,20 +45,6 @@ def _forced_end(M, mu_rows, mu_cols, u, v, h):
     """``exp(-h mu_rows) u - (M o Phi_h) v``: the end of a phase of length ``h``
     that starts at ``u`` and carries ``f(s) = -B* exp(-(h - s) A) v``."""
     return np.exp(-h * mu_rows) * u - _kernel(M, mu_rows, mu_cols, h) @ v
-
-
-def _block(M, rows, cols):
-    """``M`` restricted to ``rows`` x ``cols``; a view when both are slices."""
-    if isinstance(rows, slice) or isinstance(cols, slice):
-        return M[rows, cols]
-    return M[np.ix_(rows, cols)]
-
-
-def _in_mask(c, mask):
-    """The modes of class ``c`` inside ``mask`` (all of them when it is ``None``)."""
-    if mask is None:
-        return c
-    return mask if isinstance(c, slice) else c[mask[c]]
 
 
 @dataclass

@@ -110,17 +110,17 @@ class DiffReport:
     intercept: float
 
 
-def _heat_state(L, run, t_or_none=None, tol=None):
+def _heat_state(L, run, tol):
+    """Basis, handle, bump coefficients and bump fidelity on the box of side ``L``;
+    refused when the bump loses more than ``tol`` of its norm."""
     basis = box_basis(L, run.omega_cut, run.d)
     op = galerkin_schrodinger(basis, run.potential)
     c = bump_state(basis, run.R)
     fid = float(np.linalg.norm(c))
-    if 1.0 - fid > (run.fidelity_tol if tol is None else tol):
+    if 1.0 - fid > tol:
         raise FidelityError(
             f"bump loses {1.0 - fid:.2e} of its norm in the L={L} basis")
-    if t_or_none is None:
-        return basis, op, c, fid
-    return basis, op, c, fid, semigroup_apply(op, t_or_none, c)
+    return basis, op, c, fid
 
 
 def semigroup_difference(run):
@@ -131,11 +131,13 @@ def semigroup_difference(run):
     the reference basis, so the reported values carry only the (checked)
     basis-truncation error.
     """
-    basis_R, op_R, c_R, fid_R, v_R = _heat_state(run.L_ref, run, run.t)
+    basis_R, op_R, c_R, _ = _heat_state(run.L_ref, run, run.fidelity_tol)
+    v_R = semigroup_apply(op_R, run.t, c_R)
     diffs, fids = [], []
     for L in run.L_list:
-        basis_L, op_L, c_L, fid_L, v_L = _heat_state(L, run, run.t)
-        O = cross_gram(basis_R, basis_L, [basis_L.domain.box()])
+        basis_L, op_L, c_L, fid_L = _heat_state(L, run, run.fidelity_tol)
+        v_L = semigroup_apply(op_L, run.t, c_L)
+        O = overlap_matrix(basis_R, basis_L)
         d2 = float(v_R @ v_R + v_L @ v_L - 2.0 * v_R @ (O @ v_L))
         diffs.append(math.sqrt(max(d2, 0.0)))
         fids.append(fid_L)

@@ -327,6 +327,21 @@ def mode_classes(basis, S, diagonal=True):
     return tuple(np.split(order, bounds))
 
 
+def _block(M, rows, cols):
+    """``M`` restricted to the modes ``rows`` x ``cols``, each a class of
+    :func:`mode_classes` or part of one; a view when both are slices."""
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return M[rows, cols]
+    return M[np.ix_(rows, cols)]
+
+
+def _in_mask(c, mask):
+    """The modes of class ``c`` inside ``mask`` (all of them when it is ``None``)."""
+    if mask is None:
+        return c
+    return mask if isinstance(c, slice) else c[mask[c]]
+
+
 def _axis_offsets(S, a_len, axis, grid):
     """Candidate window offsets along one axis: uniform grid + kink points."""
     c = S.cell[axis]

@@ -71,15 +71,6 @@ class DomainSpec:
     def torus(cls, *sides):
         return cls("periodic", tuple(sides))
 
-    def to_json(self):
-        return {"boundary": self.boundary, "sides": list(self.sides),
-                "origin": list(self.origin)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["boundary"], tuple(data["sides"]),
-                   tuple(data.get("origin") or (0.0,) * len(data["sides"])))
-
 
 def _axis_modes(boundary, side, e_max):
     """1D mode indices with eigenvalue <= e_max on one axis.
@@ -171,23 +162,6 @@ class SpectralBasis:
             vals *= (amps[:, None] * np.cos(freqs[:, None] * pts[:, ax][None, :]
                                             + phases[:, None]))[index]
         return vals
-
-    def to_json(self):
-        return {
-            "domain": self.domain.to_json(),
-            "modes": [list(m) for m in self.modes],
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "e_max": self.e_max,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            DomainSpec.from_json(data["domain"]),
-            tuple(tuple(m) for m in data["modes"]),
-            np.array(data["eigenvalues"], dtype=float),
-            float(data["e_max"]),
-        )
 
 
 def build_basis(domain, e_max, n_max=DEFAULT_N_MAX):

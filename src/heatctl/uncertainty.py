@@ -14,7 +14,8 @@ import numpy as np
 
 from . import _trig
 from .errors import DegenerateSetError, ParameterError
-from .geometry import ObservabilitySet, check_gamma, check_ratio, gram_matrix, mode_classes
+from .geometry import (ObservabilitySet, _block, _in_mask, check_gamma, check_ratio, gram_matrix,
+                       mode_classes)
 from .spectral import PotentialSpec, galerkin_schrodinger
 
 
@@ -83,19 +84,30 @@ def _line_fit(x, y):
     return coef, A
 
 
-def _smallest_passing(ok, k_max):
-    """Smallest ``k >= 1`` with ``ok(k)``, for ``ok`` monotone in ``k``.
+def _smallest_passing(ok, k_min, k_max):
+    """Smallest ``k`` in ``[k_min, k_max]`` with ``ok(k)``, for ``ok`` false
+    below a threshold and true above it, and ``k_min`` 0 or a power of two
+    at most 1.
 
-    Returns 1 when it passes; otherwise doubles up to ``k_max``, halves the
-    last bracket 80 times and returns its passing end.
+    Brackets the threshold between neighbouring powers of two from ``k = 1``,
+    doubling while ``ok`` fails and halving while it passes, and returns
+    ``k_min`` when the halving reaches it; then halves the bracket 80 times
+    and returns its passing end.  Raises :class:`ParameterError` when the
+    doubling passes ``k_max``.
     """
     hi = 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > k_max:
-            raise ParameterError("calibration did not converge")
-    if hi == 1.0:
-        return hi
+    if ok(hi):
+        while hi > k_min and ok(hi / 2.0):
+            hi /= 2.0
+        if hi <= k_min:
+            return hi
+    else:
+        while True:
+            hi *= 2.0
+            if hi > k_max:
+                raise ParameterError("monotone search did not converge")
+            if ok(hi):
+                break
     lo = hi / 2.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -136,8 +148,9 @@ def spectral_ineq_constant(op, S, E, gram=None):
         V = op.eigvecs[:, idx]
         return float(np.linalg.eigvalsh(V.T @ M @ V)[0])
     low = op.eigvals <= E
-    subspaces = (idx if isinstance(c, slice) else c[low[c]] for c in mode_classes(op.basis, S))
-    return min(float(np.linalg.eigvalsh(M[np.ix_(k, k)])[0]) for k in subspaces if k.size)
+    subspaces = (_in_mask(c, low) for c in mode_classes(op.basis, S))
+    return min(float(np.linalg.eigvalsh(_block(M, k, k))[0])
+               for k in subspaces if op.eigvals[k].size)
 
 
 def spectral_ineq_sweep(op, S, e_grid):
@@ -454,4 +467,4 @@ def calibrate_spectral_cube(pairs, gamma, a, d, constants=None):
         return all(ucp_bound("spectral_cube", cc, gamma=gamma, a=a, d=d, E=E) <= ce
                    for E, ce in pairs)
 
-    return c.updated(K5=_smallest_passing(ok, 2.0 ** 40))
+    return c.updated(K5=_smallest_passing(ok, 1.0, 2.0 ** 40))

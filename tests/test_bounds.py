@@ -125,6 +125,43 @@ def test_miller_residual_on_random_grid():
         assert abs(miller_root_map(s, beta) - rhs) <= 1e-10 * rhs
 
 
+def _miller_oracle(beta, b, a, m):
+    """Root and cost constant of ``miller_cstar`` at 50 digits."""
+    import mpmath
+    with mpmath.workdps(50):
+        beta, b, am = mpmath.mpf(beta), mpmath.mpf(b), mpmath.mpf(a) + mpmath.mpf(m)
+        rhs = (beta + 1) * beta ** (beta ** 2 / (beta + 1)) * b ** (1 / (beta + 1)) / am
+        s = mpmath.findroot(lambda x: x * (x + beta + 1) ** beta - rhs, (0, 2 + rhs),
+                            solver="anderson")
+        c_star = ((beta + 1) * b / am) ** ((beta + 1) / beta) * beta ** beta \
+            / s ** ((beta + 1) ** 2 / beta)
+        return float(s), float(c_star)
+
+
+@pytest.mark.parametrize("beta, b, a, m", [(1.0, 1e-12, 0.0, 1.0), (0.5, 1e-4, 0.0, 1e3),
+                                           (2.0, 1e-8, 0.0, 10.0)])
+def test_miller_small_roots_match_mpmath(beta, b, a, m):
+    # roots far below 1: the bisection must stop at a relative width
+    s, c_star = miller_cstar(beta, b, a, m)
+    s_ref, c_ref = _miller_oracle(beta, b, a, m)
+    assert s_ref < 1e-2
+    assert abs(s - s_ref) <= 1e-14 * s_ref
+    assert abs(c_star - c_ref) <= 1e-14 * c_ref
+
+
+def test_miller_shipped_case_matches_closed_forms():
+    # beta = b = a + m = 1: s (s + 2) = 2, so s = sqrt(3) - 1 and c* = 4 / s^4 = 7 + 4 sqrt(3)
+    s, c_star = miller_cstar(1.0, 1.0, 0.0, 1.0)
+    assert abs(s - (math.sqrt(3.0) - 1.0)) <= 1e-14 * s
+    assert abs(c_star - (7.0 + 4.0 * math.sqrt(3.0))) <= 1e-14 * c_star
+
+
+def test_miller_underflowing_rhs_refused():
+    # rhs = 2 sqrt(b) / (a + m) = 2e-450 is 0 in double: no root to bracket
+    with pytest.raises(ParameterError, match="underflows"):
+        miller_cstar(1.0, 1e-300, 0.0, 1e300)
+
+
 def test_miller_monotone_in_am():
     vals = [miller_cstar(1.0, 1.0, 0.0, am) for am in (0.5, 1.0, 2.0, 4.0)]
     roots = [v[0] for v in vals]

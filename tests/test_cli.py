@@ -532,10 +532,10 @@ def test_valid_form_writes_the_recorded_bytes(tmp_path, form):
 # (2, 4 and 8 cells on its torus) carries the bits of the per-class costs
 ARTIFACT_DIGESTS = {
     "bounds_catalog": {
-        "bounds.csv": "13d899f94a79166786722e32180185f64338e6a9b5f1709e5ad03da8922a38ce",
-        "bounds_report.json": "24f6db30c98c3d3d545736ade0ca159225ddec2326072bbc474da63dfdd8a51a",
+        "bounds.csv": "2c003ef509c2c3f41c9e795737702da9227fda86560de22d4aaf7d8edced2904",
+        "bounds_report.json": "54b78565eeb57457046844c3a8b2acd375558c38f3a99f9f5e80496762aafd1f",
         "regime.csv": "c637b69513f34cb8c782c4f1ec3ce1854ced613684f106bc32f2379161378d10",
-        "run_meta.json": "c755ee9d0d6f730bce310f7084732732406a65fdc8ad0de0f90aa8fd8b7f8cab",
+        "run_meta.json": "013a95507f63c84e0eaf5c98697788d8b8c1f279516667ddff00a0a79e932e97",
     },
     "calibrate_spectral_cube": {
         "calibrate.csv": "828ea5233fb029beff32c515e75edc5485e65d1682ed1c14afaab0f8df9d9ebe",

@@ -388,6 +388,33 @@ def test_douglas_random_inclusions_and_violations():
         assert res.residual > 0.5
 
 
+# Douglas's lemma with X = exp(-TA) and Y = Q_T^{1/2}: Ran X lies in Ran Y, and
+# c_min = ||Y^+ X|| is the best c in ||exp(-TA) z|| <= c ||Q_T^{1/2} z||, the
+# final-state observability constant C_T.  Y comes from the dense Gramian, so
+# on the torus the class-by-class cost is checked against a dense route.
+DOUGLAS_CASES = {
+    # name: (domain, e_max, (cell, boxes), horizons, number of classes)
+    "interval": (DomainSpec.interval(0.0, math.pi, "dirichlet"), 49.0,
+                 ((math.pi,), [((0.0, math.pi / 2),)]), (0.3,), 1),
+    "torus_2x2": (DomainSpec.torus(2 * math.pi, 2 * math.pi), 20.0,
+                  ((math.pi, math.pi), [((0.3, 2.0), (0.5, 2.4))]), (0.5, 1.0, 2.0), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOUGLAS_CASES))
+def test_douglas_factor_gives_the_control_cost(case):
+    domain, e_max, (cell, boxes), horizons, n_classes = DOUGLAS_CASES[case]
+    op = galerkin_schrodinger(build_basis(domain, e_max))
+    prob = ControlProblem.from_set(op, ObservabilitySet.periodic(cell, boxes), 1.0)
+    assert len(prob.classes) == n_classes
+    for T in horizons:
+        p = prob.with_time(T)
+        w, V = np.linalg.eigh(gramian(p))
+        res = douglas_factorize(np.diag(np.exp(-T * op.eigvals)), (V * np.sqrt(w)) @ V.T)
+        assert res.range_inclusion
+        assert abs(res.c_min - empirical_cost(p)) <= 1e-13 * res.c_min
+
+
 def test_signal_phase_validation():
     with pytest.raises(ParameterError):
         ControlSignal(phases=(Phase(0.5, 0.2, np.array([1.0]), None, 0.0),))

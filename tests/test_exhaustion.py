@@ -82,9 +82,11 @@ def test_run_validation():
 
 def test_difference_self_comparison_vanishes():
     # comparing the reference box with itself through the cross-Gram route
+    from heatctl import semigroup_apply
     from heatctl.exhaustion import _heat_state, cross_gram
     run = ExhaustionRun(L_list=(4.0,), L_ref=8.0, t=0.1, omega_cut=161.0)
-    basis, op, c, fid, v = _heat_state(8.0, run, 0.1)
+    basis, op, c, fid = _heat_state(8.0, run, run.fidelity_tol)
+    v = semigroup_apply(op, 0.1, c)
     O = cross_gram(basis, basis, [basis.domain.box()])
     d2 = float(v @ v + v @ v - 2 * v @ (O @ v))
     assert abs(d2) < 1e-10

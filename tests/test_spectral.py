@@ -248,12 +248,3 @@ def test_fractional_rejects_negative_spectrum():
     op = galerkin_schrodinger(basis, PotentialSpec.const(-5.0))
     with pytest.raises(ParameterError):
         fractional_transform(op, 2.0)
-
-
-def test_basis_json_roundtrip():
-    from heatctl import SpectralBasis
-    basis = build_basis(DomainSpec.torus(4.0), 30.0)
-    again = SpectralBasis.from_json(basis.to_json())
-    assert again.modes == basis.modes
-    assert np.allclose(again.eigenvalues, basis.eigenvalues)
-    assert again.domain == basis.domain
