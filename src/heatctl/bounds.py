@@ -146,7 +146,10 @@ def miller_cstar(beta, b, a=0.0, m=0.0):
 
     The left side is strictly increasing in ``s`` and vanishes at 0, so the
     root is bracketed between powers of two and bisected to the smallest
-    double where the left side reaches the right.  Returns ``(s_root, c_star)``.
+    double where the left side reaches the right.  With ``b`` taken from the
+    root equation, ``c* = [(a+m)(s+beta+1)^(beta+1)/(beta+1)]^(beta+1) /
+    beta^(beta^2)`` holds no power of ``s`` that could underflow.  Returns
+    ``(s_root, c_star)``; a ``c*`` beyond double range is refused.
     """
     if beta <= 0 or b <= 0:
         raise ParameterError("beta and b must be positive")
@@ -156,8 +159,13 @@ def miller_cstar(beta, b, a=0.0, m=0.0):
     if not rhs > 0:
         raise ParameterError("the right side of the root equation underflows")
     s = _smallest_passing(lambda s: miller_root_map(s, beta) >= rhs, 0.0, 1e300)
-    c_star = ((beta + 1.0) * b / (a + m)) ** ((beta + 1.0) / beta) \
-        * beta ** beta / s ** ((beta + 1.0) ** 2 / beta)
+    try:
+        c_star = ((a + m) * (s + beta + 1.0) ** (beta + 1.0) / (beta + 1.0)) ** (beta + 1.0) \
+            / beta ** (beta ** 2)
+    except OverflowError:
+        c_star = math.inf
+    if not 0 < c_star < math.inf:
+        raise ParameterError(f"the cost constant c* is beyond double range (beta={beta})")
     return s, c_star
 
 

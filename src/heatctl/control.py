@@ -14,17 +14,18 @@ control Gram never couples.  Every Gramian, cost operator, phase end, step
 kernel and control norm is then block diagonal, and each is formed,
 decomposed and applied one class at a time: ``C_T`` is the largest of the
 classes' costs and the condition number that of the whole.  Any other
-problem has the one class ``slice(None)``, whose blocks are views of the
-dense arrays.
+problem has the one class of all modes.  Each class's block of the control
+Gram is formed once per problem (:meth:`ControlProblem.class_blocks`): the
+one class takes the dense matrix itself, several classes one copy each.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import CapacityError, ConditioningError, ParameterError
-from .geometry import ONE_CLASS, _block, _in_mask, gram_matrix, mode_classes
+from .geometry import gram_matrix, mode_classes
 
 COND_CAP = 1e12
 
@@ -54,8 +55,9 @@ class ControlProblem:
     ``control_gram`` is the matrix of ``B B*`` in the handle's function
     basis; for interior control on a set it is the set's Gram matrix, for a
     scalar system ``B = c`` it is ``[[c**2]]``.  ``classes`` are the mode
-    classes that ``control_gram`` never couples (one class unless the
-    problem comes from a set that tiles a torus).
+    classes that ``control_gram`` never couples, ascending index arrays (the
+    one class of all modes unless the problem comes from a set that tiles a
+    torus).
     """
 
     op: object
@@ -63,9 +65,9 @@ class ControlProblem:
     T: float
     u0: np.ndarray = None
     set_hash: str = None
-    classes: tuple = field(default=ONE_CLASS, repr=False)
-    _mtil: np.ndarray = field(default=None, repr=False)
-    _factor: tuple = field(default=None, repr=False)
+    classes: tuple = field(default=None, repr=False)
+    _blocks: tuple = field(default=None, init=False, repr=False)
+    _factor: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.T <= 0:
@@ -77,6 +79,8 @@ class ControlProblem:
             self.u0 = np.asarray(self.u0, dtype=float)
             if self.u0.shape != (self.op.n,):
                 raise ParameterError("u0 has wrong length")
+        if self.classes is None:
+            self.classes = (np.arange(self.op.n),)
 
     @classmethod
     def from_set(cls, op, S, T, u0=None):
@@ -90,27 +94,34 @@ class ControlProblem:
 
     def mtil(self):
         """Control Gram conjugated into the eigenbasis of the handle."""
-        if self._mtil is None:
-            if self.op.is_diagonal:
-                self._mtil = self.control_gram
-            else:
-                V = self.op.eigvecs
-                self._mtil = V.T @ self.control_gram @ V
-        return self._mtil
+        if self.op.is_diagonal:
+            return self.control_gram
+        V = self.op.eigvecs
+        return V.T @ self.control_gram @ V
+
+    def class_blocks(self):
+        """Per class ``(modes, eigenvalues, block of mtil)``, formed once per
+        problem and shared by :meth:`with_time`; the one class of all modes
+        takes ``mtil`` itself, several classes one copy each."""
+        if self._blocks is None:
+            mu, mtil = self.op.eigvals, self.mtil()
+            one = len(self.classes) == 1
+            self._blocks = tuple((c, mu[c], mtil if one else mtil[np.ix_(c, c)])
+                                 for c in self.classes)
+        return self._blocks
 
     def gramian_factor(self):
         """``(per-class inverses, condition number)`` of ``Q_T``, decomposed
         once per class (see :func:`_inverse_blocks`)."""
         if self._factor is None:
-            mu, mtil = self.op.eigvals, self.mtil()
-            self._factor = _inverse_blocks([_kernel(_block(mtil, c, c), mu[c], mu[c], self.T)
-                                            for c in self.classes])
+            self._factor = _inverse_blocks([_kernel(M, mu, mu, self.T)
+                                            for _, mu, M in self.class_blocks()])
         return self._factor
 
     def with_time(self, T):
-        return ControlProblem(op=self.op, control_gram=self.control_gram, T=T,
-                              u0=self.u0, set_hash=self.set_hash, classes=self.classes,
-                              _mtil=self._mtil)
+        later = replace(self, T=T)
+        later._blocks = self.class_blocks()
+        return later
 
 
 @dataclass(frozen=True)
@@ -196,10 +207,9 @@ def _steer(inverses, blocks, y):
 
 def _phase_end(problem, u, v, h):
     """``_forced_end`` of a phase of length ``h`` in ``problem``, class by class."""
-    mu, mtil = problem.op.eigvals, problem.mtil()
     end = np.empty_like(u)
-    for c in problem.classes:
-        end[c] = _forced_end(_block(mtil, c, c), mu[c], mu[c], u[c], v[c], h)
+    for c, mu, M in problem.class_blocks():
+        end[c] = _forced_end(M, mu, mu, u[c], v[c], h)
     return end
 
 
@@ -274,7 +284,7 @@ class Trajectory:
         return float(np.linalg.norm(self.states[-1]))
 
 
-def _step_through_phase(mu, mtil, classes, state, phase, times):
+def _step_through_phase(problem, state, phase, times):
     """States at the ascending ``times`` inside ``phase``, from ``state`` at t_start.
 
     The exact step from ``t`` to ``t + h`` subtracts
@@ -283,20 +293,20 @@ def _step_through_phase(mu, mtil, classes, state, phase, times):
     kernel per class (rows: the class, columns: its modes that the phase
     steers) and one GEMM.
     """
+    mu = problem.op.eigvals
     h = np.diff(times, prepend=phase.t_start)
     steps, group = np.unique(h, return_inverse=True)
     forced = np.zeros((mu.size, times.size))
-    for c in classes:
-        m = _in_mask(c, phase.mode_mask)
-        mu_m = mu[m]
-        if not mu_m.size:
+    for c, mu_c, M in problem.class_blocks():
+        k = slice(None) if phase.mode_mask is None else phase.mode_mask[c]
+        mu_k, M_k = mu_c[k], M[:, k]
+        if not mu_k.size:
             continue
-        mtil_m = _block(mtil, c, m)
-        rhs = np.exp(-(phase.t_end - times)[None, :] * mu_m[:, None]) * phase.v[m][:, None]
-        part = np.empty((mtil_m.shape[0], times.size))
+        rhs = np.exp(-(phase.t_end - times)[None, :] * mu_k[:, None]) * phase.v[c][k][:, None]
+        part = np.empty((c.size, times.size))
         for g, step in enumerate(steps):
             cols = group == g
-            part[:, cols] = _kernel(mtil_m, mu[c], mu_m, step) @ rhs[:, cols]
+            part[:, cols] = _kernel(M_k, mu_c, mu_k, step) @ rhs[:, cols]
         forced[c] = part
     decay = np.exp(-steps[:, None] * mu[None, :])
     states = np.empty((times.size, mu.size))
@@ -348,19 +358,17 @@ def duhamel_solve(problem, signal, t_grid):
         states[i] = np.exp(-(t_grid[i] - ta) * mu) * ua
     for k in np.unique(last[inside]):
         rows = inside & (last == k)
-        states[rows] = _step_through_phase(mu, problem.mtil(), problem.classes, anchors[k][1],
-                                           signal.phases[k // 2], t_grid[rows])
+        states[rows] = _step_through_phase(problem, anchors[k][1], signal.phases[k // 2],
+                                           t_grid[rows])
     return Trajectory(times=t_grid, states=states)
 
 
 def control_norm_at(problem, signal, s):
     """Pointwise control norm ``||f(s)||_U`` (zero on passive stretches)."""
-    mu = problem.op.eigvals
-    mtil = problem.mtil()
     for ph in signal.phases:
         if ph.t_start - 1e-15 <= s <= ph.t_end + 1e-15:
-            w = np.exp(-(ph.t_end - s) * mu) * ph.v
-            norm_sq = sum(float(w[c] @ (_block(mtil, c, c) @ w[c])) for c in problem.classes)
+            w = np.exp(-(ph.t_end - s) * problem.op.eigvals) * ph.v
+            norm_sq = sum(float(w[c] @ (M @ w[c])) for c, _, M in problem.class_blocks())
             return math.sqrt(max(norm_sq, 0.0))
     return 0.0
 
@@ -428,7 +436,6 @@ def active_passive_synthesize(problem, fit):
         raise ParameterError("problem has no initial state")
     mu = problem.op.eigvals
     sched = active_passive_schedule(problem.T, max(float(mu[-1]), 1.0))
-    mtil = problem.mtil()
     state = problem.op.to_eigenbasis(problem.u0).copy()
     u0_norm = float(np.linalg.norm(state))
     phases = []
@@ -447,10 +454,14 @@ def active_passive_synthesize(problem, fit):
         # a cutoff below the lowest eigenvalue has no modes to steer: the
         # phase carries the zero control and only the free decay acts
         if mask.any():
-            blocks = [m for m in (_in_mask(c, mask) for c in problem.classes) if mu[m].size]
-            factor = _inverse_blocks([_kernel(_block(mtil, m, m), mu[m], mu[m], h)
-                                      for m in blocks])
-            v, norm_sq = _steer(_checked_inverse(factor), blocks, np.exp(-h * mu) * state)
+            steered = []
+            for c, mu_c, M in problem.class_blocks():
+                k = mu_c <= E_j
+                if k.any():
+                    steered.append((c[k], _kernel(M[np.ix_(k, k)], mu_c[k], mu_c[k], h)))
+            modes, kernels = zip(*steered)
+            factor = _inverse_blocks(kernels)
+            v, norm_sq = _steer(_checked_inverse(factor), modes, np.exp(-h * mu) * state)
             worst_cond = max(worst_cond, factor[1])
         phase = Phase(a_j, t_end, v, mask.copy(), norm_sq)
         phases.append(phase)

@@ -18,8 +18,6 @@ from .errors import ParameterError
 from .spectral import box_integrals
 
 _EPS = 1e-12
-# the mode classes of a set that couples every mode with every other
-ONE_CLASS = (slice(None),)
 
 
 def check_gamma(gamma):
@@ -307,39 +305,26 @@ def mode_classes(basis, S, diagonal=True):
     ``r = min(|k| mod q, q - |k| mod q)`` agree per axis (Egidi & Veselic,
     Arch. Math. 2018; Kuchment, Floquet Theory for PDEs, 1993).  The Gram
     matrix, and every Gramian of a ``diagonal`` handle, is then block
-    diagonal over the classes of equal residue tuple, returned as ascending
-    index arrays in the lexicographic order of the tuples.  A set that is not
-    ``periodic_boxes``, a domain that is not a torus, a non-diagonal handle or
-    a single cell per axis give the one class ``(slice(None),)``.
+    diagonal over the classes of equal residue tuple.  Every class is an
+    ascending index array, and the classes come in the lexicographic order of
+    their tuples.  A set that is not ``periodic_boxes``, a domain that is not
+    a torus, a non-diagonal handle or a single cell per axis give the one
+    class of all modes, ``(np.arange(n),)``, sized without reading the modes.
     """
     dom = basis.domain
+    one_class = (np.arange(basis.eigenvalues.size),)
     if not diagonal or S is None or S.kind != "periodic_boxes" or dom.boundary != "periodic":
-        return ONE_CLASS
+        return one_class
     if S.dimension != dom.dimension:
         raise ParameterError("set dimension does not match the domain")
     q = _cells_per_side(dom, S)
     if all(qi == 1 for qi in q):
-        return ONE_CLASS
+        return one_class
     r = np.abs(basis.mode_indices) % q
     key = np.ravel_multi_index(np.minimum(r, q - r).T, [qi // 2 + 1 for qi in q])
     order = np.argsort(key, kind="stable")
     bounds = np.flatnonzero(np.diff(key[order])) + 1
     return tuple(np.split(order, bounds))
-
-
-def _block(M, rows, cols):
-    """``M`` restricted to the modes ``rows`` x ``cols``, each a class of
-    :func:`mode_classes` or part of one; a view when both are slices."""
-    if isinstance(rows, slice) or isinstance(cols, slice):
-        return M[rows, cols]
-    return M[np.ix_(rows, cols)]
-
-
-def _in_mask(c, mask):
-    """The modes of class ``c`` inside ``mask`` (all of them when it is ``None``)."""
-    if mask is None:
-        return c
-    return mask if isinstance(c, slice) else c[mask[c]]
 
 
 def _axis_offsets(S, a_len, axis, grid):

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import _trig
 from .errors import DegenerateSetError, ParameterError
-from .geometry import (ObservabilitySet, _block, _in_mask, check_gamma, check_ratio, gram_matrix,
-                       mode_classes)
+from .geometry import ObservabilitySet, check_gamma, check_ratio, gram_matrix, mode_classes
 from .spectral import PotentialSpec, galerkin_schrodinger
 
 
@@ -42,9 +41,6 @@ class UniversalConstants:
     C2: float = 1.0
     C3: float = 1.0
     C4: float = 1.0
-    N1: float = 1.0
-    N2: float = 1.0
-    N3: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -147,10 +143,8 @@ def spectral_ineq_constant(op, S, E, gram=None):
     if not op.is_diagonal:
         V = op.eigvecs[:, idx]
         return float(np.linalg.eigvalsh(V.T @ M @ V)[0])
-    low = op.eigvals <= E
-    subspaces = (_in_mask(c, low) for c in mode_classes(op.basis, S))
-    return min(float(np.linalg.eigvalsh(_block(M, k, k))[0])
-               for k in subspaces if op.eigvals[k].size)
+    subspaces = (c[op.eigvals[c] <= E] for c in mode_classes(op.basis, S))
+    return min(float(np.linalg.eigvalsh(M[np.ix_(k, k)])[0]) for k in subspaces if k.size)
 
 
 def spectral_ineq_sweep(op, S, e_grid):

@@ -139,9 +139,11 @@ def _miller_oracle(beta, b, a, m):
 
 
 @pytest.mark.parametrize("beta, b, a, m", [(1.0, 1e-12, 0.0, 1.0), (0.5, 1e-4, 0.0, 1e3),
-                                           (2.0, 1e-8, 0.0, 10.0)])
+                                           (2.0, 1e-8, 0.0, 10.0), (0.01, 1e-12, 0.0, 1.0),
+                                           (1e-3, 1e-12, 0.0, 1.0)])
 def test_miller_small_roots_match_mpmath(beta, b, a, m):
-    # roots far below 1: the bisection must stop at a relative width
+    # roots far below 1: the bisection must stop at a relative width; for
+    # small beta, s^((beta+1)^2/beta) underflows, so c* must not contain it
     s, c_star = miller_cstar(beta, b, a, m)
     s_ref, c_ref = _miller_oracle(beta, b, a, m)
     assert s_ref < 1e-2
@@ -160,6 +162,12 @@ def test_miller_underflowing_rhs_refused():
     # rhs = 2 sqrt(b) / (a + m) = 2e-450 is 0 in double: no root to bracket
     with pytest.raises(ParameterError, match="underflows"):
         miller_cstar(1.0, 1e-300, 0.0, 1e300)
+
+
+def test_miller_cstar_beyond_double_range_refused():
+    # c* = (1e100 * 4^4 / 4)^4 / 3^9 ~ 1e407
+    with pytest.raises(ParameterError, match="c\\* is beyond double range"):
+        miller_cstar(3.0, 1.0, 0.0, 1e100)
 
 
 def test_miller_monotone_in_am():

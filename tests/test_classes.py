@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from heatctl import (ControlProblem, DomainSpec, ObservabilitySet, PotentialSpec,
-                     active_passive_synthesize, build_basis, empirical_cost,
+                     active_passive_synthesize, build_basis, duhamel_solve, empirical_cost,
                      fit_uncertainty_form, galerkin_schrodinger, gram_matrix, gramian,
                      gramian_condition, make_equidistributed, EquidistributedSpec,
                      min_norm_control, spectral_ineq_constant, spectral_ineq_sweep,
                      worst_initial_state)
-from heatctl.geometry import ONE_CLASS, mode_classes
+from heatctl.control import control_norm_at
+from heatctl.geometry import mode_classes
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,12 +42,29 @@ def _problems(name, T=1.0):
     """The problem of a tiling, run on its classes and on one dense class."""
     op, S = _tiled(name)
     blocks = ControlProblem.from_set(op, S, T)
-    dense = dataclasses.replace(blocks, classes=ONE_CLASS)
+    dense = dataclasses.replace(blocks, classes=(np.arange(op.n),))
     return blocks, dense
+
+
+def _fit(name):
+    """The uncertainty fit that drives a tiling's active/passive synthesis."""
+    op, S = _tiled(name)
+    pairs = spectral_ineq_sweep(op, S, [1.0, 4.0, 16.0, 64.0])
+    return fit_uncertainty_form([p for p in pairs if p[0] >= op.eigvals[0]], 0.5)
+
+
+def _random_state(n):
+    u0 = np.random.default_rng(7).standard_normal(n)
+    return u0 / np.linalg.norm(u0)
 
 
 def _rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def _is_one_class(classes, n):
+    """Exactly one class, holding every mode in ascending order."""
+    return len(classes) == 1 and np.array_equal(classes[0], np.arange(n))
 
 
 @pytest.mark.parametrize("name", sorted(TILINGS))
@@ -108,11 +126,8 @@ def test_costs_match_the_dense_path(name):
 @pytest.mark.parametrize("name", sorted(TILINGS))
 def test_active_passive_norms_match_the_dense_path(name):
     blocks, dense = _problems(name)
-    op, S = _tiled(name)
-    pairs = spectral_ineq_sweep(op, S, [1.0, 4.0, 16.0, 64.0])
-    fit = fit_uncertainty_form([p for p in pairs if p[0] >= op.eigvals[0]], 0.5)
-    u0 = np.random.default_rng(7).standard_normal(op.n)
-    blocks.u0 = dense.u0 = u0 / np.linalg.norm(u0)
+    fit = _fit(name)
+    blocks.u0 = dense.u0 = _random_state(blocks.op.n)
     signal, report = active_passive_synthesize(blocks, fit)
     dense_signal, dense_report = active_passive_synthesize(dense, fit)
     assert _rel(signal.norm, dense_signal.norm) <= 1e-12
@@ -121,31 +136,76 @@ def test_active_passive_norms_match_the_dense_path(name):
     assert report.diagnostics["final_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("name", sorted(TILINGS))
+def test_control_norm_is_the_dense_quadratic_form(name):
+    problem, _ = _problems(name)
+    problem.u0 = _random_state(problem.op.n)
+    mu, mtil = problem.op.eigvals, problem.mtil()
+    signals = (min_norm_control(problem)[0], active_passive_synthesize(problem, _fit(name))[0])
+    passive = []
+    for signal in signals:
+        for ph in signal.phases:
+            for s in np.linspace(ph.t_start, ph.t_end, 5):
+                w = np.exp(-(ph.t_end - s) * mu) * ph.v
+                exact = math.sqrt(max(float(w @ mtil @ w), 0.0))
+                assert abs(control_norm_at(problem, signal, s) - exact) <= 1e-12 * exact
+        ends = [ph.t_end for ph in signal.phases]
+        starts = [ph.t_start for ph in signal.phases[1:]] + [problem.T]
+        gaps = [0.5 * (a + b) for a, b in zip(ends, starts) if a < b]
+        assert all(control_norm_at(problem, signal, s) == 0.0 for s in gaps)
+        passive += gaps
+    assert passive
+
+
+def test_class_blocks_are_formed_once_per_problem_family(monkeypatch):
+    problem, _ = _problems("2d_q2x2")
+    formed = problem.class_blocks()
+    assert len(formed) == len(problem.classes) > 1
+    later = problem.with_time(0.5)
+    assert later.class_blocks() is formed
+    # a copy with other classes forms its own; the one class is the dense Gram
+    dense = dataclasses.replace(later, classes=(np.arange(later.op.n),))
+    (_, _, M), = dense.class_blocks()
+    assert M is dense.control_gram
+    later.u0 = _random_state(later.op.n)
+    signals = (min_norm_control(later)[0], active_passive_synthesize(later, _fit("2d_q2x2"))[0])
+    calls = []
+    ix_, mtil = np.ix_, ControlProblem.mtil
+    monkeypatch.setattr(np, "ix_", lambda *a: calls.append(a) or ix_(*a))
+    monkeypatch.setattr(ControlProblem, "mtil", lambda self: calls.append(self) or mtil(self))
+    empirical_cost(later)
+    for signal in signals:
+        for t in duhamel_solve(later, signal, np.linspace(0.0, later.T, 33)).times:
+            control_norm_at(later, signal, t)
+    assert calls == []
+
+
 def test_sets_that_do_not_tile_give_one_class():
     op, S = _tiled("2d_q2x2")
     basis = op.basis
     extent = [(0.0, TWO_PI), (0.0, TWO_PI)]
     balls = make_equidistributed(EquidistributedSpec(G=math.pi, delta=0.5, seed=3), extent)
     whole_cell = ObservabilitySet.periodic((TWO_PI, TWO_PI), [((0.4, 2.3), (0.2, 2.0))])
-    assert mode_classes(basis, balls) == ONE_CLASS
-    assert mode_classes(basis, whole_cell) == ONE_CLASS
-    assert mode_classes(basis, ObservabilitySet.full()) == ONE_CLASS
-    assert mode_classes(basis, S, diagonal=False) == ONE_CLASS
+    assert _is_one_class(mode_classes(basis, balls), op.n)
+    assert _is_one_class(mode_classes(basis, whole_cell), op.n)
+    assert _is_one_class(mode_classes(basis, ObservabilitySet.full()), op.n)
+    assert _is_one_class(mode_classes(basis, S, diagonal=False), op.n)
     # the one-class cases are decided before the modes are read
     no_modes = dataclasses.replace(basis, modes=None)
     for T, kw in ((balls, {}), (whole_cell, {}), (S, {"diagonal": False})):
-        assert mode_classes(no_modes, T, **kw) == ONE_CLASS
+        assert _is_one_class(mode_classes(no_modes, T, **kw), op.n)
     dirichlet = build_basis(DomainSpec("dirichlet", (TWO_PI, TWO_PI)), 20.0)
-    assert mode_classes(dataclasses.replace(dirichlet, modes=None), S) == ONE_CLASS
+    assert _is_one_class(mode_classes(dataclasses.replace(dirichlet, modes=None), S),
+                         dirichlet.n)
 
 
 def test_potentials_and_direct_construction_give_one_class():
     op, S = _tiled("2d_q2x2")
     schrodinger = galerkin_schrodinger(op.basis, PotentialSpec.indicator(
         [(0.0, 1.0), (0.0, 1.0)], height=2.0))
-    assert ControlProblem.from_set(schrodinger, S, 1.0).classes == ONE_CLASS
-    assert ControlProblem.scalar(op, 1.0, 1.0).classes == ONE_CLASS
-    assert ControlProblem(op, gram_matrix(op.basis, S), 1.0).classes == ONE_CLASS
+    assert _is_one_class(ControlProblem.from_set(schrodinger, S, 1.0).classes, op.n)
+    assert _is_one_class(ControlProblem.scalar(op, 1.0, 1.0).classes, op.n)
+    assert _is_one_class(ControlProblem(op, gram_matrix(op.basis, S), 1.0).classes, op.n)
     tiled = ControlProblem.from_set(op, S, 1.0)
     assert tiled.with_time(2.0).classes is tiled.classes
 

@@ -381,6 +381,7 @@ MALFORMED = {
     "missing_constants_file": ("spectral-ineq", SI, "MISSING", "constants file",
                                "no_such_constants.json"),
     "non_numeric_constant": ("spectral-ineq", SI, {"K5": "2"}, "constant", "K5"),
+    "retired_constant_N1": ("spectral-ineq", SI, {"N1": 2.0}, "constants", "'N1'"),
     "e_grid_not_a_list": ("spectral-ineq", {**SI, "e_grid": 5}, None, "e_grid",
                           "list of numbers"),
     "interval_of_one_end": ("spectral-ineq", {**SI, "domain": {"interval": [1.0]}}, None,
@@ -535,41 +536,41 @@ ARTIFACT_DIGESTS = {
         "bounds.csv": "2c003ef509c2c3f41c9e795737702da9227fda86560de22d4aaf7d8edced2904",
         "bounds_report.json": "54b78565eeb57457046844c3a8b2acd375558c38f3a99f9f5e80496762aafd1f",
         "regime.csv": "c637b69513f34cb8c782c4f1ec3ce1854ced613684f106bc32f2379161378d10",
-        "run_meta.json": "013a95507f63c84e0eaf5c98697788d8b8c1f279516667ddff00a0a79e932e97",
+        "run_meta.json": "4bcbfac88650f286dba54f86bfa6c0a54ed9beb8a7f345ed9a43b42d2be6f133",
     },
     "calibrate_spectral_cube": {
         "calibrate.csv": "828ea5233fb029beff32c515e75edc5485e65d1682ed1c14afaab0f8df9d9ebe",
-        "constants_out.json": "9396c5157e8e4f209f8bd6d0455dd345a12adb4c8ff2e39484105b5f8493121e",
-        "run_meta.json": "549b084b257033d21b51abbd5afcd71497bd4fc920aaa97d3e0bd8d9d5509217",
+        "constants_out.json": "306067b8827fe89414866d4f87611260e640586aef454326b3d3bd0e0827cc8e",
+        "run_meta.json": "273e399ed5af212254f684e169501eb913a6a99bac96e82c53221b09a35c58ab",
     },
     "exhaust": {
         "exhaust.csv": "cb6cad978e2a74d2751475cdc7d4a38c90f71e0c0bf89375336a5a8d17fd8f20",
         "exhaust_report.json": "8f8abf289b61728993b0bcb1510f97c3cee31e8c077028c71d9a5ceaa641cb49",
-        "run_meta.json": "1c4d2a5030787ab5564d44b590efb462059a08b8cbe61d2f9a90c05f4a684e80",
+        "run_meta.json": "27f7561cec958f633cd379645e65ef16d925ad36bc5c5539dae577c9d8d7ab32",
     },
     "homogenize": {
         "homogenize.csv": "14ba906d5aa72ca5692c7cbf01c05bcf18058e1896015db899430f994013f2e2",
         "homogenize_sweep.csv": "d2d7dcde4eba6acff7242f643f49f8cbb6edf1e3671a24193c62e8710f3591e9",
-        "run_meta.json": "5e0ecb3b6398bd433a7c3e5d7eae9c86ce85b4a62a1f8d18158c0ef768cd44c1",
+        "run_meta.json": "520dc3f8b1523cd5a67206ab93ffc760c344b77fb97c647ea55916de627f321a",
     },
     "spectral_ineq_half_interval": {
-        "run_meta.json": "ef248ef23d8d1f68163e07654c0da8ab9ac7db550fefce4e4e814a6ee65f85b2",
+        "run_meta.json": "e3475738584d42f4f37aef71245a5aa13bb9acb829c93cd746fe68d9ddab136c",
         "spectral_ineq.csv": "d4b82b6499eb2cd3c806d174bb49f7e64995623a479d8d91157d270159c87770",
     },
     "synthesize_active_passive": {
         "phases.csv": "3c427c5856afacc4b9630501be163cbd88cd2fbb36fadc9d99f5e230748e336c",
-        "report.json": "a7841a927f6a847c8f58c5efb16c862670e4b896e42158ac2d72639b83bec0b9",
-        "run_meta.json": "102ba1ddc56bd44fc3ee5b5eb59d7b7695233c37f0f50212d346bbbe3e46c6b9",
+        "report.json": "ce46c94f2359e6d94237bb27c163b8a5bfe58342dcb66366da2543d1ea92e54e",
+        "run_meta.json": "97ba9f06c5b08a591f86235e420a958e2a9b442387fcff6ed7257478a3630e8b",
         "trajectory.csv": "726f40fb8ad815f3f16cab09ee6b684ccf78c6bfa8b29a0b1c6e765eaed57c87",
     },
     "synthesize_gramian": {
-        "report.json": "9506a8ea607c0a1f8226e6cfc7640fc335b995278dd593f4bf0e09765ec75d83",
-        "run_meta.json": "5d0b958d1c2cba435ed937d4a423f6b6b776d39688ab735727f4c8aacfcf0a3d",
+        "report.json": "981d6deaf2722e83761edf8e7a6a70988af23fb5a4b0b7e41ba79138e704761f",
+        "run_meta.json": "0b9e2a5df644e08d91c67ae85602f3b50b06895e25ebf6eac3082eb4ca5ceb7b",
         "trajectory.csv": "1964ae3a914927ab2484a4f6733935a878ba24c4161210b4b9edf707f9d0106d",
     },
     "synthesize_scalar": {
-        "report.json": "83057a02d9cf3753124a87bdf6e508019806177e20fdb7c73c19807e2d521c54",
-        "run_meta.json": "157c4b0bcb4d23c84824ee94209828e87950bf898be4da11a2c73e0064b11ed9",
+        "report.json": "7046e3ec5101f3b0ee1fc4dd0686c783b55bb9a3b866039b54ee62f16ead80c7",
+        "run_meta.json": "579ea327cd4269ab266e244c9ce63635dbd4b7ff9f8a195b3037c050082341bc",
         "trajectory.csv": "b2405e08bfab11305b9c3c1c65ea1c5c7daa710a0cbbaf3a80d09d48e3c6dd14",
     },
 }
