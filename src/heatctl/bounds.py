@@ -8,6 +8,7 @@ cutoff.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -141,7 +142,7 @@ def miller_root_map(s, beta):
     return s * (s + beta + 1.0) ** beta
 
 
-def miller_cstar(beta, b, a=0.0, m=0.0):
+def miller_cstar(beta: float, b: float, a: float = 0.0, m: float = 0.0):
     """Root of ``s (s + beta + 1)^beta = rhs`` and the implied cost constant.
 
     The left side is strictly increasing in ``s`` and vanishes at 0, so the
@@ -169,7 +170,7 @@ def miller_cstar(beta, b, a=0.0, m=0.0):
     return s, c_star
 
 
-def tenenbaum_threshold(s, d1):
+def tenenbaum_threshold(s: float, d1: float):
     """Admissible-coefficient threshold ``h^{gh} g^{-g^2} d1^h``."""
     s = _check_s(s)
     if d1 < 0:
@@ -222,11 +223,11 @@ def calibrate_thick1(pairs, params, constants=None):
     c = constants or UniversalConstants()
 
     def ok(K):
-        cc = c.updated(K=K)
+        cc = replace(c, K=K)
         return all(cost_bound("thick1", params, cc, T=T) >= ce * (1 - 1e-12)
                    for T, ce in pairs)
 
-    return c.updated(K=_smallest_passing(ok, 1.0, 2.0 ** 20))
+    return replace(c, K=_smallest_passing(ok, 1.0, 2.0 ** 20))
 
 
 def calibrate_prefactor(name, pairs, params, constants=None):
@@ -235,6 +236,6 @@ def calibrate_prefactor(name, pairs, params, constants=None):
     if key not in ("thick2", "equidistributed", "fractional"):
         raise ParameterError(f"{name} has no prefactor calibration")
     c = constants or UniversalConstants()
-    base = c.updated(D1=1.0)
+    base = replace(c, D1=1.0)
     ratios = [ce / cost_bound(key, params, base, T=T) for T, ce in pairs]
-    return c.updated(D1=max(max(ratios), 1e-300))
+    return replace(c, D1=max(max(ratios), 1e-300))

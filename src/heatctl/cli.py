@@ -1,7 +1,8 @@
 """Command-line front end: reproducible experiments to CSV/JSON tables.
 
 A runner's parameters are its config keys, plus keyword-only ``constants``
-and ``seed``; it binds each nested object before its first computation.
+and ``seed``, each read by its annotation (see :func:`heatctl.runio.call`);
+it binds each nested object, read the same way, before its first computation.
 """
 
 import argparse
@@ -24,13 +25,12 @@ from .spectral import DEFAULT_N_MAX, build_basis, galerkin_schrodinger
 
 def _operator(domain, e_max, n_max, potential=None):
     domain = runio.parse_domain(domain)
-    e_max, n_max = runio.number(e_max, "e_max"), runio.number(n_max, "n_max", int)
     if potential is not None:
         potential = runio.call(runio.potential_spec, potential, "potential")
     return galerkin_schrodinger(build_basis(domain, e_max, n_max=n_max), potential)
 
 
-def _entry(name, params=None):
+def _entry(name, params: dict[str, float] = None):
     return name, {} if params is None else params
 
 
@@ -38,14 +38,10 @@ def _named(entries, where):
     """The ``bounds`` or ``evaluations`` entries as ``(bound name, parameters)`` pairs."""
     if not isinstance(entries, (list, type(None))):
         raise ParameterError(f"{where} must be a list, not {json.dumps(entries)}")
-    named = []
-    for i, entry in enumerate(entries or ()):
-        name, params = runio.call(_entry, entry, f"{where}[{i}]")
-        named.append((name, dict(runio.numeric(params, f"{where}[{i}]: params"))))
-    return named
+    return [runio.call(_entry, entry, f"{where}[{i}]") for i, entry in enumerate(entries or ())]
 
 
-def _initial_state(mode=None, coeffs=None):
+def _initial_state(mode: int = None, coeffs: list[float] = None):
     """The ``u0`` object of ``synthesize`` as a function of the mode count ``n``."""
     if (mode is None) == (coeffs is None):
         raise ParameterError("u0 must be 'worst', {'mode': k} or {'coeffs': [...]}")
@@ -53,18 +49,18 @@ def _initial_state(mode=None, coeffs=None):
     def state(n):
         if mode is not None and mode not in range(n):
             raise ParameterError(f"u0: mode must be an integer in [0, {n})")
-        u0 = np.asarray(coeffs, dtype=float) if mode is None else np.eye(1, n, int(mode))[0]
+        u0 = np.asarray(coeffs, dtype=float) if mode is None else np.eye(1, n, mode)[0]
         if u0.shape != (n,):
             raise ParameterError("u0 coefficient vector has wrong length")
         return u0
     return state
 
 
-def run_spectral_ineq(domain, set, e_max, e_grid, potential=None, bounds=None,
-                      n_max=DEFAULT_N_MAX, *, constants, seed=None):
+def run_spectral_ineq(domain, set, e_max: float, e_grid: list[float], potential=None,
+                      bounds=None, n_max: int = DEFAULT_N_MAX, *, constants,
+                      seed: int = None):
     S = runio.parse_set(set, seed)
     specs = _named(bounds, "bounds")
-    e_grid = runio.floats(e_grid, "e_grid")
     op = _operator(domain, e_max, n_max, potential)
     pairs = uc.spectral_ineq_sweep(op, S, e_grid)
     set_hash = S.descriptor_hash()
@@ -96,19 +92,18 @@ def _trajectory_rows(problem, signal, t_points):
     return rows, traj
 
 
-def run_synthesize(domain, e_max, T, set=None, control_scale=None, u0="worst",
-                   mode="gramian", s=0.5, t_points=33, potential=None,
-                   n_max=DEFAULT_N_MAX, *, constants, seed=None):
+def run_synthesize(domain, e_max: float, T: float, set=None, control_scale: float = None,
+                   u0="worst", mode="gramian", s: float = 0.5, t_points: int = 33,
+                   potential=None, n_max: int = DEFAULT_N_MAX, *, constants,
+                   seed: int = None):
     if (set is None) == (control_scale is None):
         raise ParameterError("synthesize needs exactly one of 'set' and 'control_scale'")
     if mode not in ("gramian", "active-passive"):
         raise ParameterError(f"unknown synthesize mode {mode!r}")
-    T, s = runio.number(T, "T"), runio.number(s, "s")
-    t_points = runio.number(t_points, "t_points", int)
+    if t_points < 0:
+        raise ParameterError(f"t_points must be non-negative, not {t_points}")
     S = None if set is None else runio.parse_set(set, seed)
     u0 = u0 if u0 == "worst" else runio.call(_initial_state, u0, "u0")
-    if S is None:
-        control_scale = runio.number(control_scale, "control_scale")
     op = _operator(domain, e_max, n_max, potential)
     problem = (ct.ControlProblem.scalar(op, control_scale, T) if S is None
                else ct.ControlProblem.from_set(op, S, T))
@@ -139,23 +134,22 @@ def run_synthesize(domain, e_max, T, set=None, control_scale=None, u0="worst",
             columns, [[repr(r[c]) for c in columns] for r in report.diagnostics["phases"]])
     rows, traj = _trajectory_rows(problem, signal, t_points)
     report.diagnostics["final_residual"] = traj.final_norm()
-    report.constants = constants.to_dict()
+    report.constants = asdict(constants)
     files["report.json"] = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
     files["trajectory.csv"] = runio.csv_text(["x", "y", "series"], rows)
     return files
 
 
-def _regime(names, params, t_grid, *, constants):
+def _regime(names, params: dict[str, float], t_grid: list[float], *, constants):
     """The ``regime`` object of ``bounds``: the named bounds tabulated over ``t_grid``."""
     if not (names and isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ParameterError("regime: names must be a non-empty list of bound names, "
                              f"not {json.dumps(names)}")
-    return bd.regime_table(names, runio.numeric(params, "regime: params"),
-                           runio.floats(t_grid, "regime: t_grid"), constants)
+    return bd.regime_table(names, params, t_grid, constants)
 
 
 def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
-               constants, seed=None):
+               constants, seed: int = None):
     specs = _named(evaluations, "evaluations")
     rows = []
     report = {}
@@ -165,13 +159,13 @@ def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
         rows.append([name, params["T"], runio.config_hash(params), repr(value),
                      bd.bound_validity(name)])
     if miller is not None:
-        s_root, c_star = runio.call(bd.miller_cstar, miller, "miller", numbers=True)
+        s_root, c_star = runio.call(bd.miller_cstar, miller, "miller")
         h = runio.config_hash(miller)
         rows.append(["miller_s_root", None, h, repr(s_root), "small_T_only"])
         rows.append(["miller_cstar", None, h, repr(c_star), "small_T_only"])
         report["miller"] = {"s_root": s_root, "c_star": c_star}
     if tenenbaum is not None:
-        val = runio.call(bd.tenenbaum_threshold, tenenbaum, "tenenbaum", numbers=True)
+        val = runio.call(bd.tenenbaum_threshold, tenenbaum, "tenenbaum")
         rows.append(["tenenbaum_threshold", None, runio.config_hash(tenenbaum),
                      repr(val), "all_T"])
         report["tenenbaum_threshold"] = val
@@ -189,11 +183,14 @@ def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
     return files
 
 
-def run_homogenize(domain, gamma, period0, e_max, t_grid, halvings=3, n_max=DEFAULT_N_MAX,
-                   *, constants, seed=None):
-    t_grid = runio.floats(t_grid, "t_grid")
-    gamma, period0 = runio.number(gamma, "gamma"), runio.number(period0, "period0")
-    halvings = runio.number(halvings, "halvings", int)
+def run_homogenize(domain, gamma: float, period0: float, e_max: float, t_grid: list[float],
+                   halvings: int = 3, n_max: int = DEFAULT_N_MAX, *, constants,
+                   seed: int = None):
+    if halvings < 0:
+        raise ParameterError(f"halvings must be non-negative, not {halvings}")
+    if len(set(t_grid)) < 2:
+        raise ParameterError("t_grid must hold at least two distinct times, "
+                             f"not {json.dumps(t_grid)}")
     op = _operator(domain, e_max, n_max)
     d = op.basis.domain.dimension
     sweep_rows, fit_rows = [], []
@@ -218,10 +215,9 @@ def run_homogenize(domain, gamma, period0, e_max, t_grid, halvings=3, n_max=DEFA
     }
 
 
-def _nested_controls(T, omega_cut=40.0, set={"band": {"period": 1.0, "gamma": 0.5}}, *,
-                     run, seed, constants):
+def _nested_controls(T: float, omega_cut: float = 40.0,
+                     set={"band": {"period": 1.0, "gamma": 0.5}}, *, run, seed, constants):
     """The ``control`` object of ``exhaust``: controls on the nested boxes of ``run``."""
-    T, omega_cut = runio.number(T, "control: T"), runio.number(omega_cut, "control: omega_cut")
     S = runio.parse_set(set, seed)
     fam = ex.nested_control_family(S, T, replace(run, omega_cut=omega_cut))
     norms = fam.control_norms
@@ -240,10 +236,9 @@ def _nested_controls(T, omega_cut=40.0, set={"band": {"period": 1.0, "gamma": 0.
     }
 
 
-def run_exhaust(t, L, L_ref, R=1.0, omega_cut=161.0, control=None, *, constants, seed=None):
-    run = ex.ExhaustionRun(L_list=runio.floats(L, "L"), L_ref=runio.number(L_ref, "L_ref"),
-                           t=runio.number(t, "t"), R=runio.number(R, "R"),
-                           omega_cut=runio.number(omega_cut, "omega_cut"))
+def run_exhaust(t: float, L: list[float], L_ref: float, R: float = 1.0,
+                omega_cut: float = 161.0, control=None, *, constants, seed: int = None):
+    run = ex.ExhaustionRun(L_list=L, L_ref=L_ref, t=t, R=R, omega_cut=omega_cut)
     fam, report = (None, {}) if control is None else runio.call(
         _nested_controls, control, "control", run=run, seed=seed, constants=constants)
     diff = ex.semigroup_difference(run)
@@ -259,18 +254,17 @@ def run_exhaust(t, L, L_ref, R=1.0, omega_cut=161.0, control=None, *, constants,
     }
 
 
-def run_calibrate(target, domain, set, e_max, e_grid=None, t_grid=None, thick=None,
-                  params=None, n_max=DEFAULT_N_MAX, *, constants, seed=None):
+def run_calibrate(target, domain, set, e_max: float, e_grid: list[float] = None,
+                  t_grid: list[float] = None, thick=None, params: dict[str, float] = None,
+                  n_max: int = DEFAULT_N_MAX, *, constants, seed: int = None):
     cube = target == "spectral_cube"
     if not cube and target not in ("thick1", "thick2", "equidistributed"):
         raise ParameterError(f"unknown calibration target {target!r}")
     needs = {"e_grid": e_grid, "thick": thick} if cube else {"t_grid": t_grid}
     if None in needs.values():
         raise ParameterError(f"config: calibration target {target!r} needs {sorted(needs)}")
-    thick = cube and runio.call(ThickParams, runio.numeric(thick, "thick"), "thick")
-    grid = runio.floats(e_grid, "e_grid") if cube else runio.floats(t_grid, "t_grid")
-    if params is not None:
-        runio.numeric(params, "params")
+    thick = cube and runio.call(ThickParams, thick, "thick")
+    grid = e_grid if cube else t_grid
     S = runio.parse_set(set, seed)
     op = _operator(domain, e_max, n_max)
     if cube:
@@ -287,7 +281,7 @@ def run_calibrate(target, domain, set, e_max, e_grid=None, t_grid=None, thick=No
         else:
             cal = bd.calibrate_prefactor(target, pairs, params, constants)
             fitted = {"D1": cal.D1}
-    files = {"constants_out.json": json.dumps(cal.to_dict(), sort_keys=True,
+    files = {"constants_out.json": json.dumps(asdict(cal), sort_keys=True,
                                               indent=2) + "\n"}
     files["calibrate.csv"] = runio.csv_text(
         ["target", "constant", "value"],
@@ -337,7 +331,7 @@ def main(argv=None):
             "schema": runio.CONFIG_SCHEMA,
             "experiment": args.command,
             "config_hash": runio.config_hash(config),
-            "constants": constants.to_dict(),
+            "constants": asdict(constants),
         }
         runio.write_outputs(args.out or out or "heatctl_out", files, meta)
     except HeatctlError as exc:

@@ -90,6 +90,8 @@ class ExhaustionRun:
 
     def __post_init__(self):
         L = tuple(float(x) for x in self.L_list)
+        if not L:
+            raise ParameterError("L list must not be empty")
         if any(b <= a for a, b in zip(L[:-1], L[1:])):
             raise ParameterError("L list must be strictly increasing")
         if min(L) < 2 * self.R:

@@ -41,7 +41,7 @@ class ThickParams:
     """Density ``gamma`` over windows of edge lengths ``a``."""
 
     gamma: float
-    a: tuple
+    a: tuple[float, ...]
 
     def __post_init__(self):
         check_gamma(self.gamma)
@@ -500,7 +500,7 @@ def make_equidistributed(spec, extent):
     return ObservabilitySet(kind="equidistributed_balls", boxes=boxes, meta=meta)
 
 
-def periodic_band(period, gamma, d=1):
+def periodic_band(period: float, gamma: float, d: int = 1):
     """Periodic product set of density ``gamma``: one centered band per cell.
 
     Per axis the band has width ``gamma**(1/d) * period``, so the set is
@@ -515,21 +515,21 @@ def periodic_band(period, gamma, d=1):
     return ObservabilitySet.periodic((period,) * d, [tuple(band for _ in range(d))])
 
 
-def _centered_bands(eps, d=1):
+def _centered_bands(eps: float, d: int = 1):
     """Product of bands of width ``eps`` centered in each unit cell (density ``eps**d``)."""
     if not (0 < eps < 1):
         raise ParameterError("eps must be in (0, 1)")
     return periodic_band(1.0, eps ** int(d), int(d))
 
 
-def _corner_interval(gamma):
+def _corner_interval(gamma: float):
     """The set with cell trace ``[0, gamma]``."""
     if not (0 < gamma < 1):
         raise ParameterError("gamma must be in (0, 1)")
     return ObservabilitySet.periodic((1.0,), [((0.0, gamma),)])
 
 
-def _edge_bands(gamma, d=1):
+def _edge_bands(gamma: float, d: int = 1):
     """Edge bands of width ``gamma/2`` of the centered unit cell, times full axes."""
     if not (0 < gamma < 1):
         raise ParameterError("gamma must be in (0, 1)")

@@ -1,13 +1,15 @@
 """Config reading, deterministic serialization and atomic file output.
 
 Every config object reaches the library through :func:`call`, which binds
-its keys to the parameters, and their defaults, of the function reading it;
-the scalar keys of the runners are read by :func:`number`, which takes JSON
-numbers only, and the parameter objects of bounds, bands and thick sets by
-:func:`numeric`.
+its keys to the parameters, and their defaults, of the function reading it,
+and reads each value by the annotation of the parameter that takes it:
+``float`` and ``int`` by :func:`number`, which takes JSON numbers only,
+``list[float]`` and ``tuple[float, ...]`` by :func:`floats` and
+``dict[str, float]`` (the parameter objects of bounds) by :func:`numeric`.
 """
 
 import csv
+import functools
 import hashlib
 import inspect
 import io
@@ -23,23 +25,28 @@ from .spectral import DomainSpec, PotentialSpec
 CONFIG_SCHEMA = "heatctl-run/1"
 
 
-def call(fn, section, where, numbers=False, **given):
+def call(fn, section, where, **given):
     """``fn(**section, **given)`` once the keys of ``section`` bind to ``fn``.
 
     A ``section`` that is not a JSON object, or that misses a required key
-    or holds an unknown one, is refused naming ``where`` and the key; with
-    ``numbers``, every value is read by :func:`number`.  A ``TypeError``
-    raised inside ``fn`` propagates unchanged.
+    or holds an unknown one, is refused naming ``where`` and the key.  Each
+    value of ``section`` other than ``null`` is then read by the reader of
+    ``_READERS`` for the annotation of its parameter, or taken as it is when
+    there is none.  A ``TypeError`` raised inside ``fn`` propagates unchanged.
     """
     if not isinstance(section, dict):
         raise ParameterError(f"{where} must be a JSON object, not {json.dumps(section)}")
+    signature = inspect.signature(fn)
     try:
-        inspect.signature(fn).bind(**section, **given)
+        signature.bind(**section, **given)
     except TypeError as exc:
         reason = str(exc).replace("keyword argument", "key").replace("argument", "key")
         raise ParameterError(f"{where}: {reason}") from exc
-    if numbers:
-        section = {key: number(value, f"{where}: {key}") for key, value in section.items()}
+    section = dict(section)
+    for key, value in section.items():
+        read = _READERS.get(signature.parameters[key].annotation)
+        if read is not None and value is not None:
+            section[key] = read(value, f"{where}: {key}")
     return fn(**section, **given)
 
 
@@ -79,6 +86,10 @@ def numeric(section, where):
         elif value is not None:
             number(value, f"{where}: {key}")
     return section
+
+
+_READERS = {float: number, int: functools.partial(number, kind=int), list[float]: floats,
+            tuple[float, ...]: floats, dict[str, float]: numeric}
 
 
 def canonical_json(data):
@@ -156,8 +167,8 @@ def _interval(interval, boundary="dirichlet"):
                                boundary=boundary)
 
 
-def _torus(torus):
-    return DomainSpec.torus(*floats(torus, "domain torus"))
+def _torus(torus: list[float]):
+    return DomainSpec.torus(*torus)
 
 
 def parse_domain(data):
@@ -168,10 +179,13 @@ def parse_domain(data):
 
 
 def _band(band):
-    return call(periodic_band, numeric(band, "set band"), "set band")
+    return call(periodic_band, band, "set band")
 
 
 def _equidistributed(equidistributed, extent, *, seed):
+    if not _is_box(extent):
+        raise ParameterError("set: extent must be a list of [lo, hi] edges, "
+                             f"not {json.dumps(extent)}")
     if isinstance(equidistributed, dict):
         equidistributed = {"seed": seed, **equidistributed}
     return make_equidistributed(
@@ -184,7 +198,7 @@ def _is_box(box):
         for edge in box)
 
 
-def _set_record(kind, cell=None, boxes=(), meta=None, schema=None):
+def _set_record(kind, cell: list[float] = None, boxes=(), meta=None, schema=None):
     """A set-schema record as ``ObservabilitySet.to_json`` writes it, ``schema`` tag included."""
     if not isinstance(boxes, (list, tuple)) or not all(map(_is_box, boxes)):
         raise ParameterError("set: boxes must be a list of boxes, each a list of "

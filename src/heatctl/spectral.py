@@ -31,8 +31,8 @@ class DomainSpec:
     """
 
     boundary: str
-    sides: tuple
-    origin: tuple = None
+    sides: tuple[float, ...]
+    origin: tuple[float, ...] = None
 
     def __post_init__(self):
         if self.boundary not in BOUNDARIES:

@@ -8,7 +8,7 @@ unspecified universal constants live in :class:`UniversalConstants`.
 
 import math
 import numbers
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -47,12 +47,6 @@ class UniversalConstants:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
                 raise ParameterError(f"constant {f.name} must be a positive number")
-
-    def to_dict(self):
-        return asdict(self)
-
-    def updated(self, **kw):
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -457,8 +451,8 @@ def calibrate_spectral_cube(pairs, gamma, a, d, constants=None):
     c = constants or UniversalConstants()
 
     def ok(k5):
-        cc = c.updated(K5=k5)
+        cc = replace(c, K5=k5)
         return all(ucp_bound("spectral_cube", cc, gamma=gamma, a=a, d=d, E=E) <= ce
                    for E, ce in pairs)
 
-    return c.updated(K5=_smallest_passing(ok, 1.0, 2.0 ** 40))
+    return replace(c, K5=_smallest_passing(ok, 1.0, 2.0 ** 40))

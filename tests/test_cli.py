@@ -340,6 +340,7 @@ CUBE = {"target": "spectral_cube", "domain": {"interval": [0.0, math.pi]},
 THICK1 = {"name": "thick1", "params": {"gamma": 0.5, "a": [1.0], "d": 1}}
 HOMOGENIZE = {"domain": {"interval": [0.0, math.pi]}, "gamma": 0.5, "period0": 1.0,
               "e_max": 4.0, "t_grid": [0.5, 1.0]}
+EQUIDISTRIBUTED = {"equidistributed": {"G": 1.0, "delta": 0.2}, "extent": [[0.0, 3.0]]}
 
 # (experiment, config keys, --constants file content or None, section, key)
 MALFORMED = {
@@ -447,6 +448,46 @@ MALFORMED = {
         "calibrate", {**CUBE, "target": "thick1", "t_grid": [1.0],
                       "params": {**THICK1["params"], "a": ["1"]}},
         None, "params", "a"),
+    "u0_mode_true": ("synthesize", {**SYNTH, "u0": {"mode": True}}, None, "u0", "mode"),
+    "u0_coeffs_of_booleans": ("synthesize", {**SYNTH, "u0": {"coeffs": [True, 0]}}, None,
+                              "u0", "coeffs"),
+    "u0_coeffs_of_strings": ("synthesize", {**SYNTH, "u0": {"coeffs": ["a", 0]}}, None,
+                             "u0", "coeffs"),
+    "example_eps_a_string": ("spectral-ineq",
+                             {**SI, "set": {"example": "centered_bands", "eps": "x"}},
+                             None, "set example", "eps"),
+    "band_d_fractional": ("spectral-ineq",
+                          {**SI, "set": {"band": {"period": 1.0, "gamma": 0.5, "d": 1.5}}},
+                          None, "set band", "d must be an integer"),
+    "equidistributed_G_a_numeric_string": (
+        "spectral-ineq", {**SI, "set": {**EQUIDISTRIBUTED,
+                                        "equidistributed": {"G": "1", "delta": 0.2}}},
+        None, "set equidistributed", "G"),
+    "seed_a_string_with_equidistributed_set": (
+        "spectral-ineq", {**SI, "set": EQUIDISTRIBUTED, "seed": "x"}, None, "config", "seed"),
+    "domain_sides_of_strings": ("spectral-ineq",
+                                {**SI, "domain": {"boundary": "dirichlet", "sides": ["a"]}},
+                                None, "domain", "sides"),
+    "domain_origin_of_strings": (
+        "spectral-ineq",
+        {**SI, "domain": {"boundary": "dirichlet", "sides": [1.0], "origin": ["a"]}},
+        None, "domain", "origin"),
+    "equidistributed_extent_of_strings": (
+        "spectral-ineq", {**SI, "set": {**EQUIDISTRIBUTED, "extent": [["a", 4.0]]}},
+        None, "set", "extent"),
+    "set_record_cell_of_strings": ("spectral-ineq",
+                                   {**SI, "set": {"kind": "periodic_boxes", "cell": ["3.0"],
+                                                  "boxes": [[[0.0, 1.0]]]}},
+                                   None, "set", "cell"),
+    "thick_a_of_strings": ("calibrate", {**CUBE, "thick": {"gamma": 0.5, "a": ["1"]}},
+                           None, "thick", "a must be"),
+    "t_points_negative": ("synthesize", {**SYNTH, "t_points": -1}, None, "t_points",
+                          "non-negative"),
+    "exhaust_L_empty": ("exhaust", {**EXHAUST, "L": []}, None, "L list", "empty"),
+    "halvings_negative": ("homogenize", {**HOMOGENIZE, "halvings": -1}, None, "halvings",
+                          "non-negative"),
+    "homogenize_one_time": ("homogenize", {**HOMOGENIZE, "t_grid": [0.5]}, None, "t_grid",
+                            "two distinct times"),
 }
 
 
@@ -468,6 +509,24 @@ def test_malformed_section_exits_2_naming_section_and_key(tmp_path, capsys, case
     lines = capsys.readouterr().err.splitlines()
     assert any(line.startswith("heatctl: error:") and section in line and key in line
                for line in lines), lines
+
+
+# a minimal valid config of each experiment, and every runner parameter read
+# by its annotation; a string there must be refused before anything runs
+RUNNER_BASES = {"spectral-ineq": SI, "synthesize": SYNTH, "bounds": {},
+                "homogenize": HOMOGENIZE, "exhaust": EXHAUST, "calibrate": CUBE}
+ANNOTATED = [(experiment, key) for experiment, fn in sorted(RUNNERS.items())
+             for key, param in inspect.signature(fn).parameters.items()
+             if param.annotation in (float, int, list[float], dict[str, float])]
+
+
+@pytest.mark.parametrize("experiment,key", ANNOTATED, ids=lambda v: v)
+def test_annotated_runner_parameter_refuses_a_string(tmp_path, capsys, experiment, key):
+    assert run_case(tmp_path, experiment, {**RUNNER_BASES[experiment], key: "x"}, None) == 2
+    assert not (tmp_path / "out").exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith(f"heatctl: error: config: {key} must be ") for line in lines), \
+        lines
 
 
 SET_RECORD = {"schema": "heatctl-set/1", "kind": "periodic_boxes", "cell": [math.pi],
@@ -666,3 +725,19 @@ def test_call_refuses_keys_that_do_not_bind_and_passes_errors_inside_through():
         runio.call(f, [1], "sec")
     with pytest.raises(TypeError):
         runio.call(f, {"a": "x"}, "sec")
+
+
+def test_call_reads_each_value_by_its_annotation_without_touching_the_section():
+    def f(x: float, n: int, grid: list[float], params: dict[str, float] = None, tag=None):
+        return x, n, grid, params, tag
+
+    section = {"x": 2, "n": 3.0, "grid": [1], "params": None, "tag": "2"}
+    x, n, grid, params, tag = runio.call(f, section, "sec")
+    assert (type(x), x, type(n), n, grid, params, tag) == (float, 2.0, int, 3, [1.0], None, "2")
+    assert section == {"x": 2, "n": 3.0, "grid": [1], "params": None, "tag": "2"}
+    assert type(section["x"]) is int
+    for key, value, noun in (("x", "2", "a number"), ("n", 2.5, "an integer"),
+                             ("grid", [True], "a list of numbers"),
+                             ("params", {"a": "1"}, "a number")):
+        with pytest.raises(ParameterError, match=f"^sec: {key}.* must be {noun}"):
+            runio.call(f, {**section, key: value}, "sec")

@@ -80,6 +80,11 @@ def test_run_validation():
         ExhaustionRun(L_list=(1.5, 3.0), L_ref=8.0, t=0.1, R=1.0)
 
 
+def test_run_refuses_an_empty_L_list():
+    with pytest.raises(ParameterError, match="L list must not be empty"):
+        ExhaustionRun(L_list=(), L_ref=8.0, t=0.1)
+
+
 def test_difference_self_comparison_vanishes():
     # comparing the reference box with itself through the cross-Gram route
     from heatctl import semigroup_apply
