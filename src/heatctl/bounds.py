@@ -13,9 +13,9 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ParameterError
-from .uncertainty import (UniversalConstants, _a_norm1, _check_gamma, _check_nonneg,
-                          _check_ratio, _check_s, _evaluate, _get, _line_fit, _lookup,
-                          _smallest_passing, _ucp_exponent)
+from .geometry import check_gamma, check_ratio
+from .uncertainty import (UniversalConstants, _check_s, _evaluate, _line_fit, _lookup,
+                          _nonnegative, _smallest_passing, _ucp_exponent)
 
 
 def _exp(x):
@@ -26,79 +26,84 @@ def _exp(x):
         return math.inf
 
 
-def _check_T(params):
-    T = float(_get(params, "T"))
+def _positive_time(T):
+    """``T``; refused unless it is positive."""
     if T <= 0:
         raise ParameterError("T must be positive")
     return T
 
 
-def _thick1(params, c):
-    T, gamma, d = _check_T(params), _check_gamma(params), int(_get(params, "d"))
-    c1 = (c.K ** d / gamma) ** (c.K * (d + _a_norm1(params)))
+def _thick1(c, T: float, gamma: float, d: int, a):
+    T, gamma = _positive_time(T), check_gamma(gamma)
+    c1 = (c.K ** d / gamma) ** (c.K * (d + float(np.sum(np.abs(a)))))
     return math.sqrt(c1) * _exp(c1 / (2.0 * T))
+
+
+def _thick2_exponent(c, gamma: float, a):
+    return c.D3 * float(np.sum(np.abs(a))) ** 2 * math.log(c.D4 * check_gamma(gamma)) ** 2
 
 
 def thick2_exponent(params, c):
     """1/T coefficient of the thick-set bound; scales as ``||a||_1**2``."""
-    return c.D3 * _a_norm1(params) ** 2 * math.log(c.D4 * _check_gamma(params)) ** 2
+    return _evaluate(_thick2_exponent, "thick2", params, c)
 
 
-def _thick2(params, c):
-    T, gamma = _check_T(params), _check_gamma(params)
-    return c.D1 / (gamma ** c.D2 * math.sqrt(T)) * _exp(thick2_exponent(params, c) / T)
+def _thick2(c, T: float, gamma: float, a):
+    T, gamma = _positive_time(T), check_gamma(gamma)
+    return c.D1 / (gamma ** c.D2 * math.sqrt(T)) * _exp(_thick2_exponent(c, gamma, a) / T)
 
 
-def _equidistributed_small_time(params, c):
-    T, (G, delta), v = _check_T(params), _check_ratio(params), _check_nonneg(params, "v_norm")
+def _equidistributed_small_time(c, T: float, G: float, delta: float, v_norm: float):
+    T, (G, delta), v = _positive_time(T), check_ratio(G, delta), _nonnegative("v_norm", v_norm)
     lead = 2.0 * (G / delta) ** (c.K * _ucp_exponent(G, v))
     expo = v + math.log(delta / G) ** 2 * (c.K * G + 4.0 / math.log(2.0)) ** 2 / T
     return lead * _exp(expo)
 
 
-def equidistributed_exponent(params, c):
-    """1/T coefficient of the equidistributed bound; scales as ``G**2``."""
-    G, delta = _check_ratio(params)
+def _equidistributed_exponent(c, G: float, delta: float):
+    G, delta = check_ratio(G, delta)
     return c.D3 * G ** 2 * math.log(delta / G) ** 2
 
 
-def _equidistributed(params, c):
-    T, (G, delta), v = _check_T(params), _check_ratio(params), _check_nonneg(params, "v_norm", 0.0)
+def equidistributed_exponent(params, c):
+    """1/T coefficient of the equidistributed bound; scales as ``G**2``."""
+    return _evaluate(_equidistributed_exponent, "equidistributed", params, c)
+
+
+def _equidistributed(c, T: float, G: float, delta: float, v_norm: float = 0.0):
+    T, (G, delta), v = _positive_time(T), check_ratio(G, delta), _nonnegative("v_norm", v_norm)
     lead = c.D1 / math.sqrt(T) * (G / delta) ** (c.D2 * _ucp_exponent(G, v))
-    return lead * _exp(equidistributed_exponent(params, c) / T)
+    return lead * _exp(_equidistributed_exponent(c, G, delta) / T)
 
 
-def _abstract_observability(params, c):
+def _abstract_observability(c, T: float, s: float, d0: float, d1: float, B_norm: float,
+                            beta: float = 0.0):
     """Squared observability constant of the abstract cost estimate."""
-    T, s = _check_T(params), _check_s(_get(params, "s"))
-    d0, d1 = float(_get(params, "d0")), float(_get(params, "d1"))
-    beta = float(_get(params, "beta", 0.0))
+    T, s = _positive_time(T), _check_s(s)
     if beta > 0:
         raise ParameterError("beta must be <= 0")
-    b_norm = float(_get(params, "B_norm"))
-    if d0 <= 0 or d1 < 0 or b_norm < 0:
+    if d0 <= 0 or d1 < 0 or B_norm < 0:
         raise ParameterError("d0 must be positive, d1 and B_norm non-negative")
-    K = 2.0 * d0 * math.exp(-beta) * b_norm + 1.0
+    K = 2.0 * d0 * math.exp(-beta) * B_norm + 1.0
     inner = (d1 + (-beta) ** c.C4) / T ** s
     return (c.C1 * d0 / T) * K ** c.C2 * _exp(c.C3 * inner ** (1.0 / (1.0 - s)))
 
 
-def _tenenbaum_form(params, c):
-    T, s = _check_T(params), _check_s(_get(params, "s"))
+def _tenenbaum_form(c, T: float, s: float):
+    T, s = _positive_time(T), _check_s(s)
     return c.C1 / math.sqrt(T) * _exp(c.C2 / T ** (s / (1.0 - s)))
 
 
-def _beauchard_form(params, c):
-    T = _check_T(params)
+def _beauchard_form(c, T: float):
+    T = _positive_time(T)
     return c.C1 * _exp(c.C1 / T)
 
 
-def _fractional(params, c):
-    T, gamma = _check_T(params), _check_gamma(params)
-    theta = float(_get(params, "theta"))
+def _fractional(c, T: float, gamma: float, theta: float, a):
+    T, gamma = _positive_time(T), check_gamma(gamma)
     if theta <= 0.5:
         raise ParameterError("theta must exceed 1/2")
-    a1 = _a_norm1(params)
+    a1 = float(np.sum(np.abs(a)))
     log_term = math.log(c.D4 / gamma)
     if log_term <= 0:
         raise ParameterError("fractional bound needs D4 > gamma")
@@ -128,9 +133,13 @@ def bound_validity(name):
 def cost_bound(name, params=None, constants=None, **kw):
     """Evaluate one cost bound by name.
 
-    ``params`` may be a dict; extra keyword arguments override it.  Missing
-    (or ``None``) and out-of-range fields, negative norms included, raise
-    :class:`ParameterError` naming the field.
+    ``params`` may be a dict; extra keyword arguments override it.  The
+    bound's formula takes the entries of the same name as its keyword
+    parameters (``a`` a number or a list of numbers, ``d`` an integer, every
+    other one a number) and ignores the rest.  Missing (or ``None``) fields,
+    fields of the wrong type (a string or ``True`` for a number, a fraction
+    for an integer) and out-of-range fields, negative norms included, raise
+    :class:`ParameterError` naming the bound and the field.
     Note ``abstract_observability`` returns the squared observability constant,
     the quantity the underlying estimate controls.
     """
@@ -220,6 +229,8 @@ def regime_table(names, params, t_grid, constants=None):
 
 def calibrate_thick1(pairs, params, constants=None):
     """Smallest ``K >= 1`` making the bound an upper envelope of the data."""
+    if not pairs:
+        raise ParameterError("need at least one (T, C_emp) pair")
     c = constants or UniversalConstants()
 
     def ok(K):
@@ -235,6 +246,8 @@ def calibrate_prefactor(name, pairs, params, constants=None):
     key = name.replace("-", "_")
     if key not in ("thick2", "equidistributed", "fractional"):
         raise ParameterError(f"{name} has no prefactor calibration")
+    if not pairs:
+        raise ParameterError("need at least one (T, C_emp) pair")
     c = constants or UniversalConstants()
     base = replace(c, D1=1.0)
     ratios = [ce / cost_bound(key, params, base, T=T) for T, ce in pairs]

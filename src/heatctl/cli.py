@@ -59,6 +59,8 @@ def _initial_state(mode: int = None, coeffs: list[float] = None):
 def run_spectral_ineq(domain, set, e_max: float, e_grid: list[float], potential=None,
                       bounds=None, n_max: int = DEFAULT_N_MAX, *, constants,
                       seed: int = None):
+    if not e_grid:
+        raise ParameterError("e_grid must hold at least one value, not []")
     S = runio.parse_set(set, seed)
     specs = _named(bounds, "bounds")
     op = _operator(domain, e_max, n_max, potential)
@@ -224,7 +226,7 @@ def _nested_controls(T: float, omega_cut: float = 40.0,
     # scale-free check: the thick-set bound calibrated on the smallest box
     # is L-independent; later boxes must stay within the same uniformity
     # margin used for the norms themselves (factor 2)
-    params = {"gamma": S.density(), "a": [S.cell[0]], "d": 1}
+    params = {"gamma": S.density(), "a": [S.cell[0]]}
     cal = bd.calibrate_prefactor("thick2", [(T, norms[0])], params, constants)
     bound = bd.cost_bound("thick2", params, cal, T=T)
     return fam, {
@@ -264,7 +266,9 @@ def run_calibrate(target, domain, set, e_max: float, e_grid: list[float] = None,
     if None in needs.values():
         raise ParameterError(f"config: calibration target {target!r} needs {sorted(needs)}")
     thick = cube and runio.call(ThickParams, thick, "thick")
-    grid = e_grid if cube else t_grid
+    grid, key = (e_grid, "e_grid") if cube else (t_grid, "t_grid")
+    if not grid:
+        raise ParameterError(f"{key} must hold at least one value, not []")
     S = runio.parse_set(set, seed)
     op = _operator(domain, e_max, n_max)
     if cube:

@@ -14,6 +14,7 @@ import hashlib
 import inspect
 import io
 import json
+import numbers
 import os
 import tempfile
 
@@ -36,7 +37,7 @@ def call(fn, section, where, **given):
     """
     if not isinstance(section, dict):
         raise ParameterError(f"{where} must be a JSON object, not {json.dumps(section)}")
-    signature = inspect.signature(fn)
+    signature = signature_of(fn)
     try:
         signature.bind(**section, **given)
     except TypeError as exc:
@@ -50,14 +51,18 @@ def call(fn, section, where, **given):
     return fn(**section, **given)
 
 
+# formed once per function: a bound formula is read at every point of a sweep
+signature_of = functools.lru_cache(maxsize=None)(inspect.signature)
+
+
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def number(value, where, kind=float):
-    """``value`` as a ``kind`` (``float`` or ``int``); refused naming ``where``
-    unless it is a JSON number, a whole one for ``int``."""
-    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    """``value`` as a ``kind`` (``float`` or ``int``); refused naming ``where`` unless
+    it is a number (a numpy scalar too, but not a bool), a whole one for ``int``."""
+    whole = isinstance(value, numbers.Integral) or _is_number(value) and float(value).is_integer()
     if not _is_number(value) or kind is int and not whole:
         noun = "an integer" if kind is int else "a number"
         raise ParameterError(f"{where} must be {noun}, not {json.dumps(value)}")
@@ -188,6 +193,11 @@ def _equidistributed(equidistributed, extent, *, seed):
                              f"not {json.dumps(extent)}")
     if isinstance(equidistributed, dict):
         equidistributed = {"seed": seed, **equidistributed}
+        centers = equidistributed.get("centers")
+        if centers is not None and not (isinstance(centers, (list, tuple)) and all(
+                isinstance(z, (list, tuple)) and all(map(_is_number, z)) for z in centers)):
+            raise ParameterError("set equidistributed: centers must be a list of lists of "
+                                 f"numbers, not {json.dumps(centers)}")
     return make_equidistributed(
         call(EquidistributedSpec, equidistributed, "set equidistributed"), extent)
 
@@ -232,15 +242,31 @@ def parse_set(data, seed=None):
     return call(_set_record, data, "set")
 
 
-def potential_spec(constant=None, boxes=None, cosines=None):
-    """A ``potential``: a ``constant`` plus ``[coeff, box]`` and ``[coeff, kvec]`` terms."""
+def potential_spec(constant: float = None, boxes=None, cosines=None):
+    """A ``potential``: a ``constant`` plus ``[coeff, box]`` and ``[coeff, kvec]`` terms.
+
+    Each coefficient is read by :func:`number`, each box must be a list of
+    ``[lo, hi]`` edges and each ``kvec`` a list of integer frequencies.
+    """
     if constant is None and boxes is None and cosines is None:
         raise ParameterError("potential spec is empty")
-    try:
-        return PotentialSpec(
-            0.0 if constant is None else float(constant),
-            tuple((float(c), tuple(tuple(map(float, e)) for e in b)) for c, b in boxes or ()),
-            tuple((float(c), tuple(int(k) for k in kv)) for c, kv in cosines or ()))
-    except (TypeError, ValueError) as exc:
-        raise ParameterError("potential: constant must be a number, each term of boxes "
-                             "[coeff, box] and each term of cosines [coeff, kvec]") from exc
+    boxes = _terms(boxes, "boxes", "box", _is_box)
+    cosines = _terms(cosines, "cosines", "kvec", lambda kv: isinstance(kv, (list, tuple)))
+    return PotentialSpec(
+        0.0 if constant is None else constant,
+        tuple((c, tuple(tuple(map(float, e)) for e in b)) for c, b in boxes),
+        tuple((c, tuple(number(k, "potential: cosines: each frequency", kind=int) for k in kv))
+              for c, kv in cosines))
+
+
+def _terms(terms, key, what, is_x):
+    """The ``[coeff, x]`` terms of ``potential: key`` (none for ``None``) as pairs
+    with a float ``coeff``; refused naming the key unless each ``x`` passes ``is_x``."""
+    if terms is None:
+        return []
+    where = f"potential: {key}"
+    if not isinstance(terms, (list, tuple)) or not all(
+            isinstance(t, (list, tuple)) and len(t) == 2 and is_x(t[1]) for t in terms):
+        raise ParameterError(f"{where} must be a list of [coeff, {what}] terms, "
+                             f"not {json.dumps(terms)}")
+    return [(number(c, f"{where}: coeff"), x) for c, x in terms]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import _trig
+from . import _trig, runio
 from .errors import DegenerateSetError, ParameterError
 from .geometry import ObservabilitySet, check_gamma, check_ratio, gram_matrix, mode_classes
 from .spectral import PotentialSpec, galerkin_schrodinger
@@ -180,43 +180,22 @@ def _lookup(registry, name):
 
 
 def _evaluate(form, name, params, constants):
-    """``form(params, constants)``; a refusal names the bound."""
+    """``form(constants, **params)`` on the entries of ``params`` that ``form`` takes,
+    a ``None`` one counting as missing, each read by the annotation of its parameter
+    (see :func:`heatctl.runio.call`); a refusal names the bound and the key."""
+    taken = list(runio.signature_of(form).parameters)[1:]
+    given = {key: params[key] for key in taken if params.get(key) is not None}
     try:
-        return form(params, constants or UniversalConstants())
+        return runio.call(form, given, "params", c=constants or UniversalConstants())
     except ParameterError as exc:
         raise ParameterError(f"{name}: {exc}") from exc
 
 
-def _get(params, key, default=None):
-    """``params[key]``; a missing or ``None`` entry takes ``default`` or is refused."""
-    value = params.get(key)
-    value = default if value is None else value
-    if value is None:
-        raise ParameterError(f"missing parameter {key!r}")
-    return value
-
-
-def _check_nonneg(params, key, default=None):
-    value = float(_get(params, key, default))
+def _nonnegative(key, value):
+    """``value``; refused naming ``key`` unless it is non-negative."""
     if value < 0:
         raise ParameterError(f"{key} must be non-negative")
     return value
-
-
-def _check_gamma(params):
-    return check_gamma(_get(params, "gamma"))
-
-
-def _check_ratio(params):
-    return check_ratio(_get(params, "G"), _get(params, "delta"))
-
-
-def _ab(p):
-    return float(np.dot(_get(p, "a"), _get(p, "b")))
-
-
-def _a_norm1(p):
-    return float(np.sum(np.abs(np.atleast_1d(_get(p, "a")))))
 
 
 def _ucp_exponent(G, v, e=0.0):
@@ -224,48 +203,58 @@ def _ucp_exponent(G, v, e=0.0):
     return 1.0 + G ** (4.0 / 3.0) * v ** (2.0 / 3.0) + G * math.sqrt(e)
 
 
-def _kovrijkine(p, c):
-    gamma, d = _check_gamma(p), int(_get(p, "d"))
-    return (gamma / c.K1 ** d) ** (c.K1 * (_ab(p) + d))
+def _kovrijkine(c, gamma: float, d: int, a, b):
+    gamma = check_gamma(gamma)
+    return (gamma / c.K1 ** d) ** (c.K1 * (float(np.dot(a, b)) + d))
 
 
-def _parallelepiped(p, K):
+def _parallelepiped(K, gamma, d, n, p, a, b):
     """n-parallelepiped form ``(gamma/K^d)^((K^d/gamma)^n a.b + n - (p-1)/p)``."""
-    gamma, d, n, pp = _check_gamma(p), int(_get(p, "d")), int(_get(p, "n")), float(_get(p, "p"))
-    return (gamma / K ** d) ** ((K ** d / gamma) ** n * _ab(p) + n - (pp - 1.0) / pp)
+    gamma = check_gamma(gamma)
+    return (gamma / K ** d) ** ((K ** d / gamma) ** n * float(np.dot(a, b)) + n - (p - 1.0) / p)
 
 
-def _ls_torus(p, c):
-    gamma, d, pp = _check_gamma(p), int(_get(p, "d")), float(_get(p, "p"))
-    return (gamma / c.K3 ** d) ** (c.K3 * _ab(p) + (6.0 * d + 1.0) / pp)
+def _kovrijkine_multi(c, gamma: float, d: int, n: int, p: float, a, b):
+    return _parallelepiped(c.K2, gamma, d, n, p, a, b)
 
 
-def _spectral_cube(p, c):
-    gamma, d, E = _check_gamma(p), int(_get(p, "d")), _check_nonneg(p, "E")
-    return (gamma / c.K5 ** d) ** (c.K5 * math.sqrt(E) * _a_norm1(p) + (6.0 * d + 1.0) / 2.0)
+def _ls_torus(c, gamma: float, d: int, p: float, a, b):
+    gamma = check_gamma(gamma)
+    return (gamma / c.K3 ** d) ** (c.K3 * float(np.dot(a, b)) + (6.0 * d + 1.0) / p)
 
 
-def _spectral_fullspace(p, c):
-    gamma, d, E = _check_gamma(p), int(_get(p, "d")), _check_nonneg(p, "E")
-    return (gamma / c.K1 ** d) ** (c.K1 * (2.0 * math.sqrt(E) * _a_norm1(p) + d))
+def _ls_torus_multi(c, gamma: float, d: int, n: int, p: float, a, b):
+    return _parallelepiped(c.K4, gamma, d, n, p, a, b)
 
 
-def _eigenfunction(p, c):
-    G, delta = _check_ratio(p)
-    return (delta / G) ** (c.K * _ucp_exponent(G, _check_nonneg(p, "v_minus_e_norm")))
+def _spectral_cube(c, gamma: float, d: int, E: float, a):
+    gamma, E = check_gamma(gamma), _nonnegative("E", E)
+    return (gamma / c.K5 ** d) ** (c.K5 * math.sqrt(E) * float(np.sum(np.abs(a)))
+                                   + (6.0 * d + 1.0) / 2.0)
 
 
-def _klein_gamma(p, c):
-    G, delta = _check_ratio(p)
-    v, E = _check_nonneg(p, "v_norm"), float(_get(p, "E"))
+def _spectral_fullspace(c, gamma: float, d: int, E: float, a):
+    gamma, E = check_gamma(gamma), _nonnegative("E", E)
+    return (gamma / c.K1 ** d) ** (c.K1 * (2.0 * math.sqrt(E) * float(np.sum(np.abs(a))) + d))
+
+
+def _eigenfunction(c, G: float, delta: float, v_minus_e_norm: float):
+    G, delta = check_ratio(G, delta)
+    v = _nonnegative("v_minus_e_norm", v_minus_e_norm)
+    return (delta / G) ** (c.K * _ucp_exponent(G, v))
+
+
+def _klein_gamma(c, G: float, delta: float, v_norm: float, E: float):
+    G, delta = check_ratio(G, delta)
+    v = _nonnegative("v_norm", v_norm)
     if 2.0 * v + E < 0:
         raise ParameterError("2 v_norm + E must be non-negative")
     return 0.5 * (delta / G) ** (c.K * _ucp_exponent(G, 2.0 * v + E))
 
 
-def _spectral_projector(p, c):
-    G, delta = _check_ratio(p)
-    v, E = _check_nonneg(p, "v_norm"), _check_nonneg(p, "E")
+def _spectral_projector(c, G: float, delta: float, v_norm: float, E: float):
+    G, delta = check_ratio(G, delta)
+    v, E = _nonnegative("v_norm", v_norm), _nonnegative("E", E)
     return (delta / G) ** (c.K * _ucp_exponent(G, v, E))
 
 
@@ -273,7 +262,8 @@ def _shifted_ucp_exponent(lam, G, E, v_lo, v_hi):
     return _ucp_exponent(G, max(v_hi - lam, lam - v_lo), max(E - lam, 0.0))
 
 
-def _spectral_projector_shifted(p, c):
+def _spectral_projector_shifted(c, G: float, delta: float, E: float, v_lo: float,
+                                v_hi: float):
     """``spectral_projector`` at the best shift ``lambda`` of ``V`` and ``E``.
 
     The exponent is non-increasing up to the midpoint ``m`` of
@@ -281,8 +271,7 @@ def _spectral_projector_shifted(p, c):
     increasing beyond ``max(E, m)``, so its minimum is at ``m`` or at
     ``max(E, m)``.
     """
-    G, delta = _check_ratio(p)
-    E, v_lo, v_hi = (float(_get(p, k)) for k in ("E", "v_lo", "v_hi"))
+    G, delta = check_ratio(G, delta)
     if v_hi < v_lo:
         raise ParameterError("v_hi must be >= v_lo")
     m = 0.5 * (v_lo + v_hi)
@@ -292,9 +281,9 @@ def _spectral_projector_shifted(p, c):
 
 _UCP_FORMS = {
     "kovrijkine": _kovrijkine,
-    "kovrijkine_multi": lambda p, c: _parallelepiped(p, c.K2),
+    "kovrijkine_multi": _kovrijkine_multi,
     "ls_torus": _ls_torus,
-    "ls_torus_multi": lambda p, c: _parallelepiped(p, c.K4),
+    "ls_torus_multi": _ls_torus_multi,
     "spectral_cube": _spectral_cube,
     "spectral_fullspace": _spectral_fullspace,
     "eigenfunction": _eigenfunction,
@@ -307,7 +296,8 @@ _UCP_FORMS = {
 def ucp_bound(name, constants=None, **p):
     """Closed-form spectral-inequality constants, by bound name.
 
-    Names and required parameters:
+    Names and parameters, each the keyword parameter of the same name of the
+    bound's formula:
 
     ``kovrijkine``: gamma, a, b, d -- ``(gamma/K1^d)^(K1 (a.b + d))``
     ``kovrijkine_multi``: gamma, a, b, d, n, p -- the n-parallelepiped variant
@@ -321,11 +311,14 @@ def ucp_bound(name, constants=None, **p):
     ``spectral_projector_shifted``: G, delta, E, v_lo, v_hi -- the
     ``spectral_projector`` exponent minimized over shifts, in closed form.
 
-    A parameter that is missing or ``None``, or that lies outside its
-    formula's domain (``gamma`` in (0, 1], ``delta`` in (0, G/2), norms and
-    ``E`` under a square root non-negative, ``2 v_norm + E >= 0``), raises
-    :class:`ParameterError` that names the bound, as
-    :func:`heatctl.bounds.cost_bound` does.
+    ``a`` and ``b`` are a number or a list of numbers, ``d`` and ``n``
+    integers and every other parameter a number; a parameter the bound does
+    not take is ignored.  A parameter that is missing or ``None``, of the
+    wrong type (a string or ``True`` for a number, a fraction such as 1.5
+    for an integer), or outside its formula's domain (``gamma`` in (0, 1],
+    ``delta`` in (0, G/2), norms and ``E`` under a square root non-negative,
+    ``2 v_norm + E >= 0``) raises :class:`ParameterError` that names the
+    bound and the parameter, as :func:`heatctl.bounds.cost_bound` does.
     """
     return _evaluate(_lookup(_UCP_FORMS, name), name, p, constants)
 
@@ -448,6 +441,8 @@ def calibrate_spectral_cube(pairs, gamma, a, d, constants=None):
     The ``spectral_cube`` value is strictly decreasing in ``K5`` for
     ``gamma <= 1``, so the envelope constant is found by bisection.
     """
+    if not pairs:
+        raise ParameterError("need at least one (E, C_emp) pair")
     c = constants or UniversalConstants()
 
     def ok(k5):

@@ -1,13 +1,15 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from heatctl import (ParameterError, UniversalConstants, bound_validity,
-                     calibrate_thick1, calibrate_prefactor, cost_bound,
-                     miller_cstar, regime_table, tenenbaum_threshold,
-                     thick2_exponent)
-from heatctl.bounds import equidistributed_exponent, miller_root_map
+                     calibrate_spectral_cube, calibrate_thick1, calibrate_prefactor,
+                     cost_bound, miller_cstar, regime_table, tenenbaum_threshold,
+                     thick2_exponent, ucp_bound)
+from heatctl.bounds import _REGISTRY, equidistributed_exponent, miller_root_map
+from heatctl.uncertainty import _UCP_FORMS
 
 
 def test_thick1_spot_value():
@@ -216,3 +218,37 @@ def test_calibrations_are_envelopes():
     cal2 = calibrate_prefactor("thick2", pairs, params)
     for T, ce in pairs:
         assert cost_bound("thick2", params, cal2, T=T) >= ce * (1 - 1e-9)
+
+
+# every closed-form bound, by its evaluator, and each wrong-typed value of each
+# parameter its formula reads by annotation: a fraction for an integer, True
+# or a string for a number
+FORMS = {**{name: (ucp_bound, form) for name, form in _UCP_FORMS.items()},
+         **{name: (lambda n, **p: cost_bound(n, p), form)
+            for name, (form, _) in _REGISTRY.items()}}
+WRONG_TYPED = [(name, key, bad) for name, (_, form) in sorted(FORMS.items())
+               for key, param in list(inspect.signature(form).parameters.items())[1:]
+               for bad in {int: (1.5,), float: (True, "x")}.get(param.annotation, ())]
+
+
+@pytest.mark.parametrize("name,key,bad", WRONG_TYPED, ids=str)
+def test_wrong_typed_bound_parameter_refused_naming_bound_and_key(name, key, bad):
+    evaluate, form = FORMS[name]
+    params = {k: 1.0 for k in list(inspect.signature(form).parameters)[1:]}
+    with pytest.raises(ParameterError) as err:
+        evaluate(name, **{**params, key: bad})
+    assert str(err.value).startswith(f"{name}: ") and f"{key} must be" in str(err.value)
+
+
+def test_numpy_scalar_bound_parameters_read_as_numbers():
+    v = cost_bound("thick1", gamma=np.float32(0.5), a=[1.0], d=np.int64(1), T=np.float64(1.0))
+    assert v == cost_bound("thick1", gamma=0.5, a=[1.0], d=1, T=1.0)
+
+
+def test_calibrations_refuse_empty_pairs():
+    params = {"gamma": 0.5, "a": [1.0], "d": 1}
+    for calibrate in (lambda: calibrate_thick1([], params),
+                      lambda: calibrate_prefactor("thick2", [], params),
+                      lambda: calibrate_spectral_cube([], 0.5, [1.0], 1)):
+        with pytest.raises(ParameterError, match="at least one"):
+            calibrate()

@@ -488,6 +488,42 @@ MALFORMED = {
                           "non-negative"),
     "homogenize_one_time": ("homogenize", {**HOMOGENIZE, "t_grid": [0.5]}, None, "t_grid",
                             "two distinct times"),
+    "thick1_d_fractional": (
+        "bounds", {"evaluations": [{**THICK1, "params": {**THICK1["params"], "T": 1.0,
+                                                         "d": 1.5}}]},
+        None, "thick1", "d must be an integer"),
+    "regime_thick1_d_fractional": ("bounds", {"regime": {"names": ["thick1"],
+                                                         "params": {**THICK1["params"],
+                                                                    "d": 1.5},
+                                                         "t_grid": [1.0]}},
+                                   None, "thick1", "d must be an integer"),
+    "potential_constant_true": ("spectral-ineq",
+                                {**SI, "e_grid": [4.0], "potential": {"constant": True}},
+                                None, "potential", "constant"),
+    "potential_constant_a_numeric_string": (
+        "spectral-ineq", {**SI, "e_grid": [4.0], "potential": {"constant": "2.5"}}, None,
+        "potential", "constant"),
+    "potential_cosine_frequency_fractional": (
+        "spectral-ineq", {**SI, "potential": {"cosines": [[1.0, [1.5]]]}}, None,
+        "potential: cosines", "an integer"),
+    "equidistributed_centers_of_numeric_strings": (
+        "spectral-ineq", {**SI, "set": {**EQUIDISTRIBUTED,
+                                        "equidistributed": {"G": 1.0, "delta": 0.2,
+                                                            "centers": [["0.5"], [1.5], [2.5]]}}},
+        None, "set equidistributed", "centers"),
+    "equidistributed_centers_of_strings": (
+        "spectral-ineq", {**SI, "set": {**EQUIDISTRIBUTED,
+                                        "equidistributed": {"G": 1.0, "delta": 0.2,
+                                                            "centers": [["a"], [1.5], [2.5]]}}},
+        None, "set equidistributed", "centers"),
+    "calibrate_cube_e_grid_empty": ("calibrate", {**CUBE, "thick": {"gamma": 0.5, "a": [1.0]},
+                                                  "e_grid": []},
+                                    None, "e_grid", "at least one"),
+    "calibrate_thick2_t_grid_empty": ("calibrate", {**CUBE, "target": "thick2", "t_grid": [],
+                                                    "params": {"gamma": 0.5, "a": [1.0]}},
+                                      None, "t_grid", "at least one"),
+    "spectral_ineq_e_grid_empty": ("spectral-ineq", {**SI, "e_grid": []}, None, "e_grid",
+                                   "at least one"),
 }
 
 
