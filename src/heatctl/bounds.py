@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import check_gamma, check_ratio
-from .uncertainty import (UniversalConstants, _check_s, _evaluate, _line_fit, _lookup,
+from .uncertainty import (DEFAULT_CONSTANTS, _check_s, _evaluate, _line_fit, _lookup,
                           _nonnegative, _smallest_passing, _ucp_exponent)
 
 
@@ -201,7 +201,7 @@ def regime_table(names, params, t_grid, constants=None):
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid:
         raise ParameterError("T grid is empty")
-    c = constants or UniversalConstants()
+    c = constants or DEFAULT_CONSTANTS
     rows = []
     values = {}
     for name in names:
@@ -231,7 +231,7 @@ def calibrate_thick1(pairs, params, constants=None):
     """Smallest ``K >= 1`` making the bound an upper envelope of the data."""
     if not pairs:
         raise ParameterError("need at least one (T, C_emp) pair")
-    c = constants or UniversalConstants()
+    c = constants or DEFAULT_CONSTANTS
 
     def ok(K):
         cc = replace(c, K=K)
@@ -248,7 +248,7 @@ def calibrate_prefactor(name, pairs, params, constants=None):
         raise ParameterError(f"{name} has no prefactor calibration")
     if not pairs:
         raise ParameterError("need at least one (T, C_emp) pair")
-    c = constants or UniversalConstants()
+    c = constants or DEFAULT_CONSTANTS
     base = replace(c, D1=1.0)
     ratios = [ce / cost_bound(key, params, base, T=T) for T, ce in pairs]
     return replace(c, D1=max(max(ratios), 1e-300))

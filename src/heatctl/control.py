@@ -21,6 +21,7 @@ one class takes the dense matrix itself, several classes one copy each.
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +32,23 @@ COND_CAP = 1e12
 
 
 def _phi(alpha, s):
-    """``int_0^alpha exp(-s t) dt`` elementwise, continuous at s = 0."""
+    """``int_0^alpha exp(-s t) dt`` elementwise for an array ``s``, continuous
+    at s = 0; formed in place in one new array."""
     s = np.asarray(s, dtype=float)
-    safe = np.where(s == 0.0, 1.0, s)
-    return np.where(s == 0.0, alpha, -np.expm1(-safe * alpha) / safe)
+    out = np.multiply(s, -alpha)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    zero = s == 0.0
+    np.divide(out, s, out=out, where=~zero)
+    out[zero] = alpha
+    return out
 
 
 def _kernel(M, mu_rows, mu_cols, h):
     """``M o Phi_h``: ``M_ij int_0^h exp(-(mu_rows_i + mu_cols_j) t) dt``."""
-    return M * _phi(h, mu_rows[:, None] + mu_cols[None, :])
+    K = _phi(h, np.add.outer(mu_rows, mu_cols))
+    K *= M
+    return K
 
 
 def _forced_end(M, mu_rows, mu_cols, u, v, h):
@@ -111,8 +120,8 @@ class ControlProblem:
         return self._blocks
 
     def gramian_factor(self):
-        """``(per-class inverses, condition number)`` of ``Q_T``, decomposed
-        once per class (see :func:`_inverse_blocks`)."""
+        """The :class:`_Factor` of ``Q_T``, decomposed once per class (see
+        :func:`_inverse_blocks`)."""
         if self._factor is None:
             self._factor = _inverse_blocks([_kernel(M, mu, mu, self.T)
                                             for _, mu, M in self.class_blocks()])
@@ -169,9 +178,18 @@ def gramian(problem):
     return _kernel(problem.mtil(), mu, mu, problem.T)
 
 
+class _Factor(NamedTuple):
+    """A Gramian decomposed block by block: the inverses of its blocks (``None``
+    past ``COND_CAP``), its condition number and its smallest eigenvalue."""
+
+    inverses: tuple
+    cond: float
+    w_min: float
+
+
 def _inverse_blocks(blocks):
-    """Inverses of the symmetrized diagonal blocks of a Gramian, and its
-    condition number ``lambda_max / lambda_min`` over all blocks.
+    """The :class:`_Factor` of the Gramian with these symmetrized diagonal
+    blocks; ``cond = lambda_max / lambda_min`` over all blocks.
 
     The condition number is ``inf`` unless every eigenvalue is positive, and
     the inverses are ``None`` unless it is at most ``COND_CAP``.
@@ -181,17 +199,16 @@ def _inverse_blocks(blocks):
     w_max = max(float(w[-1]) for w, _ in eigs)
     cond = w_max / w_min if w_min > 0 else math.inf
     if cond > COND_CAP:
-        return None, cond
-    return tuple((V / w) @ V.T for w, V in eigs), cond
+        return _Factor(None, cond, w_min)
+    return _Factor(tuple((V / w) @ V.T for w, V in eigs), cond, w_min)
 
 
 def _checked_inverse(factor):
-    """The inverses of ``factor = (inverses, cond)``; refused past ``COND_CAP``."""
-    inverses, cond = factor
-    if inverses is None:
-        reason = "is not positive definite" if cond == math.inf else "inversion refused"
-        raise ConditioningError(f"Gramian {reason}", cond)
-    return inverses
+    """The inverses of ``factor``; refused past ``COND_CAP``."""
+    if factor.inverses is None:
+        reason = "is not positive definite" if factor.cond == math.inf else "inversion refused"
+        raise ConditioningError(f"Gramian {reason}", factor.cond)
+    return factor.inverses
 
 
 def _steer(inverses, blocks, y):
@@ -233,12 +250,36 @@ def min_norm_control(problem):
 
 
 def _cost_operator(problem):
-    """Per class, ``exp(-TA) Q_T^{-1} exp(-TA)``, symmetrized."""
+    """Per class, its leading modes ``K`` that carry ``C_T`` and the block of
+    ``A = exp(-TA) Q_T^{-1} exp(-TA)`` on them, symmetrized; classes that
+    keep no mode are left out.
+
+    With ``e = exp(-T mu)``, ``e_0 = max e``, ``lambda_min`` the smallest
+    eigenvalue of ``Q_T`` and ``lam_hat = max_i e_i**2 (Q_T^{-1})_ii <=
+    lambda_max(A)``, a class keeps its modes up to the last one with
+    ``e_k (2 e_0 + e_k) / lambda_min >= eps * lam_hat``.  The part of ``A``
+    outside the kept blocks has norm below ``e_d (2 e_0 + e_d) / lambda_min``,
+    ``e_d`` the largest dropped ``e``, so by Cauchy interlacing and Weyl's
+    inequality the kept blocks' largest eigenvalue is at most
+    ``eps * lambda_max(A)`` below that of ``A``: under the rounding of the
+    eigensolver.  The mode attaining ``lam_hat`` is always kept, and when
+    every ``e_i**2`` underflows (``lam_hat = 0``) every mode is.
+    """
+    factor = problem.gramian_factor()
+    inverses = _checked_inverse(factor)
     e = np.exp(-problem.T * problem.op.eigvals)
+    lam_hat = max(float(np.max(e[c] ** 2 * np.diagonal(Qinv)))
+                  for c, Qinv in zip(problem.classes, inverses))
+    e_0 = e.max()
     blocks = []
-    for c, Qinv in zip(problem.classes, _checked_inverse(problem.gramian_factor())):
-        A = (e[c][:, None] * Qinv) * e[c][None, :]
-        blocks.append(0.5 * (A + A.T))
+    for c, Qinv in zip(problem.classes, inverses):
+        e_c = e[c]
+        kept = np.flatnonzero(e_c * (2.0 * e_0 + e_c) / factor.w_min
+                              >= np.finfo(float).eps * lam_hat)
+        if kept.size:
+            k = kept[-1] + 1
+            A = (e_c[:k, None] * Qinv[:k, :k]) * e_c[None, :k]
+            blocks.append((c[:k], 0.5 * (A + A.T)))
     return blocks
 
 
@@ -247,28 +288,30 @@ def empirical_cost(problem):
 
     Equals ``sqrt(lambda_max(exp(-TA) Q_T^{-1} exp(-TA)))``, i.e. the optimal
     constant of the final-state observability inequality for the truncated
-    system; the largest eigenvalue is the largest over the classes.
+    system; the largest eigenvalue is the largest over the classes, each
+    taken on the modes that carry it (see :func:`_cost_operator`).
     """
-    lam = max(float(np.linalg.eigvalsh(A)[-1]) for A in _cost_operator(problem))
+    lam = max(float(np.linalg.eigvalsh(A)[-1]) for _, A in _cost_operator(problem))
     return math.sqrt(max(lam, 0.0))
 
 
 def worst_initial_state(problem):
     """Unit initial state attaining the control cost (in the function basis).
 
-    It lives in the class whose cost operator has the largest top
-    eigenvalue, the first such class on a tie.
+    It lives on the kept modes of the class whose cost operator has the
+    largest top eigenvalue, the first such class on a tie, and vanishes on
+    every other mode (see :func:`_cost_operator`).
     """
-    tops = [(np.linalg.eigh(A), c) for c, A in zip(problem.classes, _cost_operator(problem))]
-    (_, V), c = tops[int(np.argmax([lam[-1] for (lam, _), _ in tops]))]
+    tops = [(np.linalg.eigh(A), modes) for modes, A in _cost_operator(problem)]
+    (_, V), modes = tops[int(np.argmax([lam[-1] for (lam, _), _ in tops]))]
     w = np.zeros(problem.op.n)
-    w[c] = V[:, -1]
+    w[modes] = V[:, -1]
     return problem.op.from_eigenbasis(w)
 
 
 def gramian_condition(problem):
     """Condition number of ``Q_T``; ``inf`` when it is singular.  Never raises."""
-    return problem.gramian_factor()[1]
+    return problem.gramian_factor().cond
 
 
 @dataclass(frozen=True)
@@ -462,7 +505,7 @@ def active_passive_synthesize(problem, fit):
             modes, kernels = zip(*steered)
             factor = _inverse_blocks(kernels)
             v, norm_sq = _steer(_checked_inverse(factor), modes, np.exp(-h * mu) * state)
-            worst_cond = max(worst_cond, factor[1])
+            worst_cond = max(worst_cond, factor.cond)
         phase = Phase(a_j, t_end, v, mask.copy(), norm_sq)
         phases.append(phase)
         total_sq += norm_sq

@@ -3,7 +3,7 @@
 Every config object reaches the library through :func:`call`, which binds
 its keys to the parameters, and their defaults, of the function reading it,
 and reads each value by the annotation of the parameter that takes it:
-``float`` and ``int`` by :func:`number`, which takes JSON numbers only,
+``float`` and ``int`` by :func:`number`, which takes finite JSON numbers only,
 ``list[float]`` and ``tuple[float, ...]`` by :func:`floats` and
 ``dict[str, float]`` (the parameter objects of bounds) by :func:`numeric`.
 """
@@ -14,6 +14,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import numbers
 import os
 import tempfile
@@ -59,23 +60,32 @@ def _is_number(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value):
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
+
+
 def number(value, where, kind=float):
     """``value`` as a ``kind`` (``float`` or ``int``); refused naming ``where`` unless
-    it is a number (a numpy scalar too, but not a bool), a whole one for ``int``."""
+    it is a finite number (a numpy scalar too, but not a bool), a whole one for
+    ``int``."""
     whole = isinstance(value, numbers.Integral) or _is_number(value) and float(value).is_integer()
     if not _is_number(value) or kind is int and not whole:
         noun = "an integer" if kind is int else "a number"
         raise ParameterError(f"{where} must be {noun}, not {json.dumps(value)}")
+    if not _is_finite(value):
+        raise ParameterError(f"{where} must be finite, not {json.dumps(value)}")
     return kind(value)
 
 
 def floats(values, where, size=None):
     """``values`` as a list of floats; refused naming ``where`` unless it is a
-    JSON list of numbers (of length ``size`` when given)."""
+    JSON list of finite numbers (of length ``size`` when given)."""
     if (not isinstance(values, (list, tuple)) or not all(map(_is_number, values))
             or size not in (None, len(values))):
         count = "numbers" if size is None else f"{size} numbers"
         raise ParameterError(f"{where} must be a list of {count}, not {json.dumps(values)}")
+    if not all(map(_is_finite, values)):
+        raise ParameterError(f"{where} must hold finite numbers, not {json.dumps(values)}")
     return [float(x) for x in values]
 
 

@@ -49,6 +49,10 @@ class UniversalConstants:
                 raise ParameterError(f"constant {f.name} must be a positive number")
 
 
+# frozen, so one instance serves every evaluation that names no constants
+DEFAULT_CONSTANTS = UniversalConstants()
+
+
 @dataclass(frozen=True)
 class UncertaintyFit:
     """Envelope fit ``C_ur(E) = d0 * exp(d1 * E_+^s)`` of ``1/C_emp``."""
@@ -186,7 +190,7 @@ def _evaluate(form, name, params, constants):
     taken = list(runio.signature_of(form).parameters)[1:]
     given = {key: params[key] for key in taken if params.get(key) is not None}
     try:
-        return runio.call(form, given, "params", c=constants or UniversalConstants())
+        return runio.call(form, given, "params", c=constants or DEFAULT_CONSTANTS)
     except ParameterError as exc:
         raise ParameterError(f"{name}: {exc}") from exc
 
@@ -443,7 +447,7 @@ def calibrate_spectral_cube(pairs, gamma, a, d, constants=None):
     """
     if not pairs:
         raise ParameterError("need at least one (E, C_emp) pair")
-    c = constants or UniversalConstants()
+    c = constants or DEFAULT_CONSTANTS
 
     def ok(k5):
         cc = replace(c, K5=k5)

@@ -92,6 +92,35 @@ def test_negative_norm_bound_exits_2_without_files(tmp_path, capsys):
     assert "v_norm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params", [
+    {"T": math.nan},
+    {"T": math.inf},
+    {"T": 1.0, "gamma": -math.inf},
+    {"T": 1.0, "a": [1.0, math.nan]},
+], ids=["nan", "inf", "minus-inf", "nan-in-list"])
+def test_non_finite_number_exits_2_without_files(tmp_path, capsys, params):
+    # json writes and reads NaN and Infinity; a config may hold them
+    params = {"gamma": 0.5, "a": [1.0], "d": 1, **params}
+    cfg = base("bounds", evaluations=[{"name": "thick1", "params": params}])
+    out = tmp_path / "out"
+    rc = main(["bounds", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    key = next(k for k, v in params.items() if not np.all(np.isfinite(v)))
+    err = capsys.readouterr().err
+    assert f"{key} must" in err and "finite" in err
+
+
+def test_number_and_floats_refuse_non_finite_values():
+    for value in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(ParameterError, match="x must be finite"):
+            runio.number(value, "x")
+        with pytest.raises(ParameterError, match="xs must hold finite numbers"):
+            runio.floats([1.0, value], "xs")
+    assert runio.number(10 ** 30, "x") == 1e30
+    assert runio.floats([0, -1e308], "xs") == [0.0, -1e308]
+
+
 def test_potential_of_wrong_dimension_exits_2_without_files(tmp_path, capsys):
     cfg = base("spectral-ineq", domain={"torus": [2 * math.pi, 2 * math.pi]},
                set="full", e_max=8.0, e_grid=[4.0],
