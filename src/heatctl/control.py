@@ -250,7 +250,7 @@ def min_norm_control(problem):
 
 
 def _cost_operator(problem):
-    """Per class, its leading modes ``K`` that carry ``C_T`` and the block of
+    """Per class, its leading modes that carry ``C_T`` and the block of
     ``A = exp(-TA) Q_T^{-1} exp(-TA)`` on them, symmetrized; classes that
     keep no mode are left out.
 
