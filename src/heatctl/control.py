@@ -77,6 +77,7 @@ class ControlProblem:
     classes: tuple = field(default=None, repr=False)
     _blocks: tuple = field(default=None, init=False, repr=False)
     _factor: tuple = field(default=None, init=False, repr=False)
+    _cost: list = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.T <= 0:
@@ -120,12 +121,18 @@ class ControlProblem:
         return self._blocks
 
     def gramian_factor(self):
-        """The :class:`_Factor` of ``Q_T``, decomposed once per class (see
-        :func:`_inverse_blocks`)."""
+        """The :class:`_Factor` of ``Q_T``, measured once per problem (see
+        :func:`_factor_blocks`)."""
         if self._factor is None:
-            self._factor = _inverse_blocks([_kernel(M, mu, mu, self.T)
-                                            for _, mu, M in self.class_blocks()])
+            self._factor = _factor_blocks(_class_kernels(self, self.T))
         return self._factor
+
+    def cost_blocks(self):
+        """The kept blocks of the cost operator, factored once per problem
+        (see :func:`_cost_operator`)."""
+        if self._cost is None:
+            self._cost = _cost_operator(self)
+        return self._cost
 
     def with_time(self, T):
         later = replace(self, T=T)
@@ -179,54 +186,55 @@ def gramian(problem):
 
 
 class _Factor(NamedTuple):
-    """A Gramian decomposed block by block: the inverses of its blocks (``None``
-    past ``COND_CAP``), its condition number and its smallest eigenvalue."""
+    """A Gramian measured block by block: its symmetrized blocks, its
+    condition number and its smallest eigenvalue."""
 
-    inverses: tuple
+    blocks: tuple
     cond: float
     w_min: float
 
 
-def _inverse_blocks(blocks):
-    """The :class:`_Factor` of the Gramian with these symmetrized diagonal
-    blocks; ``cond = lambda_max / lambda_min`` over all blocks.
-
-    The condition number is ``inf`` unless every eigenvalue is positive, and
-    the inverses are ``None`` unless it is at most ``COND_CAP``.
-    """
-    eigs = [np.linalg.eigh(0.5 * (Q + Q.T)) for Q in blocks]
-    w_min = min(float(w[0]) for w, _ in eigs)
-    w_max = max(float(w[-1]) for w, _ in eigs)
-    cond = w_max / w_min if w_min > 0 else math.inf
-    if cond > COND_CAP:
-        return _Factor(None, cond, w_min)
-    return _Factor(tuple((V / w) @ V.T for w, V in eigs), cond, w_min)
+def _factor_blocks(blocks):
+    """The :class:`_Factor` of the Gramian with these diagonal blocks;
+    ``cond = lambda_max / lambda_min`` over all blocks from their
+    eigenvalues alone, ``inf`` unless every eigenvalue is positive."""
+    blocks = tuple(0.5 * (Q + Q.T) for Q in blocks)
+    eigs = [np.linalg.eigvalsh(Q) for Q in blocks]
+    w_min = min(float(w[0]) for w in eigs)
+    w_max = max(float(w[-1]) for w in eigs)
+    return _Factor(blocks, w_max / w_min if w_min > 0 else math.inf, w_min)
 
 
-def _checked_inverse(factor):
-    """The inverses of ``factor``; refused past ``COND_CAP``."""
-    if factor.inverses is None:
+def _checked(factor, what="Gramian"):
+    """The blocks of ``factor``; refused past ``COND_CAP``."""
+    if factor.cond > COND_CAP:
         reason = "is not positive definite" if factor.cond == math.inf else "inversion refused"
-        raise ConditioningError(f"Gramian {reason}", factor.cond)
-    return factor.inverses
+        raise ConditioningError(f"{what} {reason}", factor.cond)
+    return factor.blocks
 
 
-def _steer(inverses, blocks, y):
-    """Minimal-norm steering of ``y`` per block: ``v = Q^{-1} y`` (zero
-    outside the blocks) and ``max(<v, y>, 0)``."""
+def _steer(blocks, modes, y):
+    """Minimal-norm steering of ``y`` per block: ``v = Q^{-1} y`` by an LU
+    solve (zero outside the blocks) and ``max(<v, y>, 0)``."""
     v = np.zeros_like(y)
     cost_sq = 0.0
-    for m, Qinv in zip(blocks, inverses):
-        v[m] = Qinv @ y[m]
+    for m, Q in zip(modes, blocks):
+        v[m] = np.linalg.solve(Q, y[m])
         cost_sq += float(v[m] @ y[m])
     return v, max(cost_sq, 0.0)
 
 
-def _phase_end(problem, u, v, h):
-    """``_forced_end`` of a phase of length ``h`` in ``problem``, class by class."""
+def _class_kernels(problem, h):
+    """Per class, the kernel ``M o Phi_h`` of its block."""
+    return [_kernel(M, mu, mu, h) for _, mu, M in problem.class_blocks()]
+
+
+def _phase_end(problem, u, v, h, kernels):
+    """``_forced_end`` of a phase of length ``h`` in ``problem``, class by
+    class, given the classes' kernels of length ``h``."""
     end = np.empty_like(u)
-    for c, mu, M in problem.class_blocks():
-        end[c] = _forced_end(M, mu, mu, u[c], v[c], h)
+    for (c, mu, _), K in zip(problem.class_blocks(), kernels):
+        end[c] = np.exp(-h * mu) * u[c] - K @ v[c]
     return end
 
 
@@ -244,42 +252,56 @@ def min_norm_control(problem):
     if not np.any(u0e):
         return ControlSignal.zero(), 0.0
     y = np.exp(-problem.T * mu) * u0e
-    v, cost_sq = _steer(_checked_inverse(problem.gramian_factor()), problem.classes, y)
+    v, cost_sq = _steer(_checked(problem.gramian_factor()), problem.classes, y)
     phase = Phase(0.0, problem.T, v, None, cost_sq)
     return ControlSignal(phases=(phase,)), math.sqrt(cost_sq)
 
 
 def _cost_operator(problem):
-    """Per class, its leading modes that carry ``C_T`` and the block of
-    ``A = exp(-TA) Q_T^{-1} exp(-TA)`` on them, symmetrized; classes that
-    keep no mode are left out.
+    """Per class, its leading modes that carry ``C_T``, last first, and the
+    block of ``A = exp(-TA) Q_T^{-1} exp(-TA)`` on them in that order;
+    classes that keep no mode are left out.
+
+    One Cholesky factor per class, ``L L^T`` of the block with its modes
+    reversed, serves every cut: the trailing k x k block ``L_22`` factors
+    the Schur complement on the class's first k modes, so the block of
+    ``Q_T^{-1}`` on them is ``L_22^{-T} L_22^{-1}`` and that of ``A`` is
+    ``X^T X`` with ``X = L_22^{-1} E_k``.
 
     With ``e = exp(-T mu)``, ``e_0 = max e``, ``lambda_min`` the smallest
-    eigenvalue of ``Q_T`` and ``lam_hat = max_i e_i**2 (Q_T^{-1})_ii <=
-    lambda_max(A)``, a class keeps its modes up to the last one with
+    eigenvalue of ``Q_T`` and ``lam_hat`` the largest over the classes of
+    ``e_c0**2 (Q_T^{-1})_c0c0 = e_c0**2 / L[-1, -1]**2`` at each class's
+    first mode ``c0`` (a diagonal entry of ``A``, so ``lam_hat <=
+    lambda_max(A)``), a class keeps its modes up to the last one with
     ``e_k (2 e_0 + e_k) / lambda_min >= eps * lam_hat``.  The part of ``A``
     outside the kept blocks has norm below ``e_d (2 e_0 + e_d) / lambda_min``,
     ``e_d`` the largest dropped ``e``, so by Cauchy interlacing and Weyl's
     inequality the kept blocks' largest eigenvalue is at most
     ``eps * lambda_max(A)`` below that of ``A``: under the rounding of the
-    eigensolver.  The mode attaining ``lam_hat`` is always kept, and when
-    every ``e_i**2`` underflows (``lam_hat = 0``) every mode is.
+    factor.  The mode attaining ``lam_hat`` is always kept, and when every
+    ``e_c0**2`` underflows (``lam_hat = 0``) every mode is.
+
+    A Cholesky factor that breaks down is refused with the measured
+    condition number.
     """
     factor = problem.gramian_factor()
-    inverses = _checked_inverse(factor)
     e = np.exp(-problem.T * problem.op.eigvals)
-    lam_hat = max(float(np.max(e[c] ** 2 * np.diagonal(Qinv)))
-                  for c, Qinv in zip(problem.classes, inverses))
+    try:
+        chols = [np.linalg.cholesky(Q[::-1, ::-1]) for Q in _checked(factor)]
+    except np.linalg.LinAlgError:
+        raise ConditioningError("Gramian has no Cholesky factor", factor.cond) from None
+    lam_hat = max(float(e[c[0]] ** 2 / L[-1, -1] ** 2)
+                  for c, L in zip(problem.classes, chols))
     e_0 = e.max()
     blocks = []
-    for c, Qinv in zip(problem.classes, inverses):
+    for c, L in zip(problem.classes, chols):
         e_c = e[c]
         kept = np.flatnonzero(e_c * (2.0 * e_0 + e_c) / factor.w_min
                               >= np.finfo(float).eps * lam_hat)
         if kept.size:
             k = kept[-1] + 1
-            A = (e_c[:k, None] * Qinv[:k, :k]) * e_c[None, :k]
-            blocks.append((c[:k], 0.5 * (A + A.T)))
+            X = np.linalg.solve(L[-k:, -k:], np.diag(e_c[k - 1::-1]))
+            blocks.append((c[k - 1::-1], X.T @ X))
     return blocks
 
 
@@ -291,7 +313,7 @@ def empirical_cost(problem):
     system; the largest eigenvalue is the largest over the classes, each
     taken on the modes that carry it (see :func:`_cost_operator`).
     """
-    lam = max(float(np.linalg.eigvalsh(A)[-1]) for _, A in _cost_operator(problem))
+    lam = max(float(np.linalg.eigvalsh(A)[-1]) for _, A in problem.cost_blocks())
     return math.sqrt(max(lam, 0.0))
 
 
@@ -302,7 +324,7 @@ def worst_initial_state(problem):
     largest top eigenvalue, the first such class on a tie, and vanishes on
     every other mode (see :func:`_cost_operator`).
     """
-    tops = [(np.linalg.eigh(A), modes) for modes, A in _cost_operator(problem)]
+    tops = [(np.linalg.eigh(A), modes) for modes, A in problem.cost_blocks()]
     (_, V), modes = tops[int(np.argmax([lam[-1] for (lam, _), _ in tops]))]
     w = np.zeros(problem.op.n)
     w[modes] = V[:, -1]
@@ -386,7 +408,9 @@ def duhamel_solve(problem, signal, t_grid):
         t_prev, u_prev = anchors[-1]
         u_start = np.exp(-(ph.t_start - t_prev) * mu) * u_prev
         anchors.append((ph.t_start, u_start))
-        anchors.append((ph.t_end, _phase_end(problem, u_start, ph.v, ph.t_end - ph.t_start)))
+        h = ph.t_end - ph.t_start
+        u_end = _phase_end(problem, u_start, ph.v, h, _class_kernels(problem, h))
+        anchors.append((ph.t_end, u_end))
 
     # each time continues from the last anchor at or before it; phases may
     # overlap by up to 1e-12, so the anchor times need not be sorted, but the
@@ -494,23 +518,27 @@ def active_passive_synthesize(problem, fit):
         norm_in = float(np.linalg.norm(state))
         v = np.zeros_like(state)
         norm_sq = 0.0
+        # one kernel per class gives the phase Gramian (its steered block)
+        # and the phase end
+        kernels = _class_kernels(problem, h)
         # a cutoff below the lowest eigenvalue has no modes to steer: the
         # phase carries the zero control and only the free decay acts
         if mask.any():
             steered = []
-            for c, mu_c, M in problem.class_blocks():
+            for (c, mu_c, _), K in zip(problem.class_blocks(), kernels):
                 k = mu_c <= E_j
                 if k.any():
-                    steered.append((c[k], _kernel(M[np.ix_(k, k)], mu_c[k], mu_c[k], h)))
-            modes, kernels = zip(*steered)
-            factor = _inverse_blocks(kernels)
-            v, norm_sq = _steer(_checked_inverse(factor), modes, np.exp(-h * mu) * state)
+                    steered.append((c[k], K[np.ix_(k, k)]))
+            modes, blocks = zip(*steered)
+            factor = _factor_blocks(blocks)
+            what = f"Gramian of active phase j={j} (E_j={E_j}, {int(mask.sum())} modes)"
+            v, norm_sq = _steer(_checked(factor, what), modes, np.exp(-h * mu) * state)
             worst_cond = max(worst_cond, factor.cond)
         phase = Phase(a_j, t_end, v, mask.copy(), norm_sq)
         phases.append(phase)
         total_sq += norm_sq
         # end of active phase
-        state = _phase_end(problem, state, v, h)
+        state = _phase_end(problem, state, v, h, kernels)
         low_residual = float(np.linalg.norm(state[mask]))
         norm_mid = float(np.linalg.norm(state))
         # passive phase [a_j + T_j, a_{j+1}]

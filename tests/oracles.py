@@ -224,3 +224,35 @@ def duhamel_mp(mu, mtil, u0, phases, times, dps=50):
             else:
                 rows.append(decay(ua, mpmath.mpf(float(t)) - ta))
         return np.array([[float(x) for x in row] for row in rows])
+
+
+def control_cost_mp(N, T, a, dps=60):
+    """``C_T`` on the Dirichlet interval (0, pi) with the set (0, a) and the
+    first ``N`` modes, in ``dps``-digit arithmetic.
+
+    With the modes ``sqrt(2/pi) sin(k x)``, eigenvalues ``k**2`` and the
+    closed-form set Gram ``M_jk = (sin((j-k)a)/(j-k) - sin((j+k)a)/(j+k))/pi``
+    (``(a - sin(2ka)/(2k))/pi`` on the diagonal), the Gramian is
+    ``Q_jk = M_jk (1 - e^{-(j^2+k^2)T}) / (j^2+k^2)`` and
+    ``C_T = sqrt(lambda_max(E Q^{-1} E))`` with ``E = diag(e^{-k^2 T})``.
+    ``T`` and ``a`` are taken as the exact values of their doubles.
+    """
+    with mpmath.workdps(dps):
+        T, a = mpmath.mpf(T), mpmath.mpf(a)
+        ks = range(1, N + 1)
+
+        def gram(j, k):
+            if j == k:
+                return (a - mpmath.sin(2 * k * a) / (2 * k)) / mpmath.pi
+            return (mpmath.sin((j - k) * a) / (j - k)
+                    - mpmath.sin((j + k) * a) / (j + k)) / mpmath.pi
+
+        Q = mpmath.matrix(N, N)
+        for i, j in enumerate(ks):
+            for m, k in enumerate(ks):
+                s = j * j + k * k
+                Q[i, m] = gram(j, k) * (1 - mpmath.exp(-s * T)) / s
+        E = mpmath.diag([mpmath.exp(-k * k * T) for k in ks])
+        A = E * mpmath.inverse(Q) * E
+        A = (A + A.T) / 2
+        return mpmath.sqrt(max(mpmath.eigsy(A, eigvals_only=True)))

@@ -133,6 +133,44 @@ def test_potential_of_wrong_dimension_exits_2_without_files(tmp_path, capsys):
     assert "per axis" in capsys.readouterr().err
 
 
+def _interval_synthesis(mode, b, u0):
+    """A ``synthesize`` config on the Dirichlet interval (0, pi), set (0, b)."""
+    return base("synthesize", mode=mode,
+                domain={"interval": [0.0, math.pi], "boundary": "dirichlet"},
+                set={"kind": "periodic_boxes", "cell": [math.pi], "boxes": [[[0.0, b]]]},
+                e_max=100.0, T=1.0, u0=u0)
+
+
+def test_active_passive_phase_past_the_cap_exits_2_naming_the_phase(tmp_path, capsys):
+    # on the set (0, 1) the Gramian of the phase with E_4 = 256, which
+    # steers all 10 modes, has condition number 8.4e13
+    cfg = _interval_synthesis("active-passive", 1.0, {"mode": 0})
+    out = tmp_path / "out"
+    rc = main(["synthesize", "--config", write_config(tmp_path, "c.json", cfg),
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "active phase j=4 (E_j=256.0, 10 modes) inversion refused" in err
+    assert "condition number 8.39" in err
+
+
+def test_cholesky_breakdown_exits_2_with_the_condition_number(tmp_path, capsys,
+                                                                monkeypatch):
+    def breaks_down(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", breaks_down)
+    cfg = _interval_synthesis("gramian", math.pi / 2, "worst")
+    out = tmp_path / "out"
+    rc = main(["synthesize", "--config", write_config(tmp_path, "c.json", cfg),
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "heatctl: error: Gramian has no Cholesky factor (condition number 1.759e+05)" in err
+
+
 def _numbers(data):
     if isinstance(data, dict):
         return [x for v in data.values() for x in _numbers(v)]
@@ -668,29 +706,29 @@ ARTIFACT_DIGESTS = {
         "run_meta.json": "273e399ed5af212254f684e169501eb913a6a99bac96e82c53221b09a35c58ab",
     },
     "exhaust": {
-        "exhaust.csv": "cb6cad978e2a74d2751475cdc7d4a38c90f71e0c0bf89375336a5a8d17fd8f20",
-        "exhaust_report.json": "8f8abf289b61728993b0bcb1510f97c3cee31e8c077028c71d9a5ceaa641cb49",
-        "run_meta.json": "27f7561cec958f633cd379645e65ef16d925ad36bc5c5539dae577c9d8d7ab32",
+        "exhaust.csv": "74cf9bb7db28164e38a0653522226a44fe73e822b55355dc724dabe1bd711510",
+        "exhaust_report.json": "24e89571d4edb4e000bf70a06f826abe652906e0904b82df50891721809e16d1",
+        "run_meta.json": "6bdcbd52d0b5805d41a5a75794851b1edce67f04b55b2710c06cd8789ff129ca",
     },
     "homogenize": {
-        "homogenize.csv": "14ba906d5aa72ca5692c7cbf01c05bcf18058e1896015db899430f994013f2e2",
-        "homogenize_sweep.csv": "d2d7dcde4eba6acff7242f643f49f8cbb6edf1e3671a24193c62e8710f3591e9",
-        "run_meta.json": "520dc3f8b1523cd5a67206ab93ffc760c344b77fb97c647ea55916de627f321a",
+        "homogenize.csv": "00abff53155a9c0a715c5f2c493dff60e609720c452674c18c61558e25481b2f",
+        "homogenize_sweep.csv": "af943bcb52cc20688b319307f53912c3aa4dc55409d48dccdb397882ddafedc9",
+        "run_meta.json": "b2733acb39094c8222174561c61217443dcaf88f9dd7caf2af4f0a4430081342",
     },
     "spectral_ineq_half_interval": {
         "run_meta.json": "e3475738584d42f4f37aef71245a5aa13bb9acb829c93cd746fe68d9ddab136c",
         "spectral_ineq.csv": "d4b82b6499eb2cd3c806d174bb49f7e64995623a479d8d91157d270159c87770",
     },
     "synthesize_active_passive": {
-        "phases.csv": "3c427c5856afacc4b9630501be163cbd88cd2fbb36fadc9d99f5e230748e336c",
-        "report.json": "ce46c94f2359e6d94237bb27c163b8a5bfe58342dcb66366da2543d1ea92e54e",
-        "run_meta.json": "97ba9f06c5b08a591f86235e420a958e2a9b442387fcff6ed7257478a3630e8b",
-        "trajectory.csv": "726f40fb8ad815f3f16cab09ee6b684ccf78c6bfa8b29a0b1c6e765eaed57c87",
+        "phases.csv": "0ba8aafcb428e689d6a199d71fd01b7c9ac3be14d77f5a6b836e9c857abd152a",
+        "report.json": "4da8dc95b16b214ee8929fcc776e2f08cdfcdcdeb67db8e8acafdf23c9d4508e",
+        "run_meta.json": "3ac984e6f54778d3a396793d478cac30afee3903e37fe01d3e617f32234ef604",
+        "trajectory.csv": "c0123c5573c462ef9c83a22fc5f47983369b49680217f222dc258d0114ec0353",
     },
     "synthesize_gramian": {
-        "report.json": "981d6deaf2722e83761edf8e7a6a70988af23fb5a4b0b7e41ba79138e704761f",
-        "run_meta.json": "0b9e2a5df644e08d91c67ae85602f3b50b06895e25ebf6eac3082eb4ca5ceb7b",
-        "trajectory.csv": "1964ae3a914927ab2484a4f6733935a878ba24c4161210b4b9edf707f9d0106d",
+        "report.json": "7b98135da081490adee9d43cf1a03b185fc3dc86fc1418c2a2ef82717f540805",
+        "run_meta.json": "c92c1f7cde0bee0e52ad3a5d27cb12f72605759afad93fd9f5070e78a62ecc05",
+        "trajectory.csv": "e6b5246bacb74e7365ea684c6ac1871f09c95de94b78bfc8b6449dfeb6802211",
     },
     "synthesize_scalar": {
         "report.json": "7046e3ec5101f3b0ee1fc4dd0686c783b55bb9a3b866039b54ee62f16ead80c7",

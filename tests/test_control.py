@@ -12,7 +12,7 @@ from heatctl import (ConditioningError, ControlProblem, ControlSignal,
                      spectral_ineq_constant, spectral_ineq_sweep,
                      worst_initial_state)
 from heatctl.control import Phase
-from oracles import douglas_sup_ratio, quad_gram
+from oracles import control_cost_mp, douglas_sup_ratio, quad_gram
 
 
 def scalar_op(boundary="neumann", e_max=0.5):
@@ -274,10 +274,11 @@ def test_conditioning_error_reported():
     assert gramian_condition(prob) == cond
 
 
-def _record_decompositions(monkeypatch):
-    """Copies of every matrix handed to ``np.linalg.eigh``/``eigvalsh``."""
+def _record_decompositions(monkeypatch, names=("eigh", "eigvalsh")):
+    """Copies of every matrix handed to the ``np.linalg`` functions ``names``
+    (the first argument of ``solve``)."""
     seen = []
-    for name in ("eigh", "eigvalsh"):
+    for name in names:
         original = getattr(np.linalg, name)
 
         def recording(a, *args, _original=original, **kw):
@@ -288,10 +289,13 @@ def _record_decompositions(monkeypatch):
     return seen
 
 
+def _count(seen, M):
+    return sum(1 for A in seen if A.shape == M.shape and np.array_equal(A, M))
+
+
 def _decompositions_of_gramian(seen, prob):
     Q = gramian(prob)
-    Q = 0.5 * (Q + Q.T)
-    return sum(1 for M in seen if M.shape == Q.shape and np.array_equal(M, Q))
+    return _count(seen, 0.5 * (Q + Q.T))
 
 
 def test_gramian_decomposed_once_per_problem(dirichlet_op, half_interval_set,
@@ -315,6 +319,54 @@ def test_gramian_decomposed_once_per_problem(dirichlet_op, half_interval_set,
     min_norm_control(later)
     assert _decompositions_of_gramian(seen, later) == 1
     assert len(seen) == 2
+
+
+@pytest.mark.parametrize("classes", [1, 4])
+def test_gramian_blocks_are_factored_once_and_never_reach_eigh(
+        classes, dirichlet_op, half_interval_set, monkeypatch):
+    if classes == 1:
+        prob = ControlProblem.from_set(dirichlet_op, half_interval_set, 1.0)
+    else:
+        op = galerkin_schrodinger(build_basis(DomainSpec.torus(2 * math.pi, 2 * math.pi), 20.0))
+        S = ObservabilitySet.periodic((math.pi, math.pi), [((0.3, 2.0), (0.5, 2.4))])
+        prob = ControlProblem.from_set(op, S, 1.0)
+    eighs = _record_decompositions(monkeypatch, ("eigh",))
+    eigvalshs = _record_decompositions(monkeypatch, ("eigvalsh",))
+    choleskys = _record_decompositions(monkeypatch, ("cholesky",))
+    solves = _record_decompositions(monkeypatch, ("solve",))
+    prob.u0 = worst_initial_state(prob)
+    min_norm_control(prob)
+    empirical_cost(prob)
+    gramian_condition(prob)
+    blocks = prob.gramian_factor().blocks
+    assert len(blocks) == len(prob.classes) == classes
+    assert len(choleskys) == len(blocks)
+    for Q in blocks:
+        assert _count(eighs, Q) == 0
+        assert _count(eigvalshs, Q) == 1
+        assert _count(choleskys, np.ascontiguousarray(Q[::-1, ::-1])) == 1
+        assert _count(solves, Q) == 1  # the steering of min_norm_control
+    # a later horizon factors its own Gramian: nothing cached carries over
+    assert empirical_cost(prob.with_time(2.0 * prob.T)) < empirical_cost(prob)
+
+    # an active/passive synthesis steers every phase by LU solves alone
+    choleskys.clear()
+    fit = fit_uncertainty_form([(1.0, 0.1), (4.0, 0.05), (16.0, 0.02)], 0.5)
+    active_passive_synthesize(prob, fit)
+    assert choleskys == []
+
+
+@pytest.mark.parametrize("N,T,tol", [(10, 1.0, 1e-12), (10, 0.2, 1e-12), (10, 0.1, 2e-12),
+                                     (20, 1.0, 1e-9)])
+def test_control_cost_matches_mpmath_oracle(half_interval_set, N, T, tol):
+    # Dirichlet (0, pi) with the set (0, pi/2) on the first N modes; the
+    # Gramian's condition number grows from 1.8e5 (N=10, T=1) to 1.5e10
+    # (N=20, T=1)
+    basis = build_basis(DomainSpec.interval(0.0, math.pi, "dirichlet"), float(N * N))
+    prob = ControlProblem.from_set(galerkin_schrodinger(basis), half_interval_set, T)
+    assert prob.op.n == N
+    oracle = control_cost_mp(N, T, math.pi / 2, 60)
+    assert abs(empirical_cost(prob) - oracle) <= tol * oracle
 
 
 def test_synthesize_cutoff_below_lowest_eigenvalue():

@@ -4,8 +4,9 @@
 ``exp(-TA) Q_T^{-1} exp(-TA)`` only on each class's leading modes, dropping
 the modes whose ``exp(-T mu)`` cannot move its top eigenvalue by more than
 machine epsilon.  On every problem below both are checked against the uncut
-operator, decomposed whole, and ``C_T`` against the generalized eigensolver
-of ``(exp(-2TA), Q_T)``.
+operator, formed whole from the same reversed Cholesky factor and decomposed
+whole, and ``C_T`` against the generalized eigensolver of
+``(exp(-2TA), Q_T)``.
 """
 
 import math
@@ -17,7 +18,6 @@ import scipy.linalg
 from heatctl import (ControlProblem, DomainSpec, ObservabilitySet, PotentialSpec,
                      build_basis, empirical_cost, galerkin_schrodinger, gramian,
                      worst_initial_state)
-from heatctl import control
 
 TWO_PI = 2.0 * math.pi
 # four boxes, one per quarter of the 2pi-torus, as in the synthesis benchmark
@@ -38,23 +38,31 @@ def torus_421():
     return ControlProblem.from_set(op, QUARTER_BOXES, 1.0)
 
 
+def _whole(problem):
+    """Per class, its modes last first and its whole cost operator
+    ``A_full = (L^{-1} E)^T (L^{-1} E)`` in that order, from the Cholesky
+    factor ``L`` of its Gramian block with the modes reversed."""
+    e = np.exp(-problem.T * problem.op.eigvals)
+    whole = []
+    for c, Q in zip(problem.classes, problem.gramian_factor().blocks):
+        X = np.linalg.inv(np.linalg.cholesky(Q[::-1, ::-1])) * e[c][::-1]
+        whole.append((c[::-1], X.T @ X))
+    return whole
+
+
 def _uncut(problem):
     """``(C_T, worst state)`` from the whole cost operator of every class."""
-    e = np.exp(-problem.T * problem.op.eigvals)
-    tops = []
-    for c, Qinv in zip(problem.classes, problem.gramian_factor().inverses):
-        A = (e[c][:, None] * Qinv) * e[c][None, :]
-        tops.append((np.linalg.eigh(0.5 * (A + A.T)), c))
-    (lam, V), c = tops[int(np.argmax([lam[-1] for (lam, _), _ in tops]))]
+    tops = [(np.linalg.eigh(A), modes) for modes, A in _whole(problem)]
+    (lam, V), modes = tops[int(np.argmax([lam[-1] for (lam, _), _ in tops]))]
     w = np.zeros(problem.op.n)
-    w[c] = V[:, -1]
+    w[modes] = V[:, -1]
     return math.sqrt(max(float(lam[-1]), 0.0)), problem.op.from_eigenbasis(w)
 
 
 def _kept(problem):
     """Modes kept per class, as a boolean mask over all modes."""
     kept = np.zeros(problem.op.n, dtype=bool)
-    for modes, A in control._cost_operator(problem):
+    for modes, A in problem.cost_blocks():
         assert A.shape == (modes.size, modes.size)
         kept[modes] = True
     return kept
@@ -65,7 +73,7 @@ def _assert_matches_uncut(problem):
     returns the mask of kept modes."""
     c_T, state = empirical_cost(problem), worst_initial_state(problem)
     c_uncut, state_uncut = _uncut(problem)
-    assert abs(c_T - c_uncut) <= 1e-15 * c_uncut
+    assert abs(c_T - c_uncut) <= 1e-13 * c_uncut
     e2 = np.exp(-2.0 * problem.T * problem.op.eigvals)
     lam = scipy.linalg.eigh(np.diag(e2), gramian(problem), eigvals_only=True)[-1]
     assert abs(math.sqrt(lam) - c_T) <= 1e-9 * c_T
@@ -75,6 +83,15 @@ def _assert_matches_uncut(problem):
     # the change of basis of a non-diagonal handle)
     kept = _kept(problem)
     assert np.max(np.abs(problem.op.to_eigenbasis(state)[~kept]), initial=0.0) <= 1e-15
+    # the cut rule on one rounded operator: the kept blocks of A_full carry
+    # its largest eigenvalue (each class keeps the last rows of its order)
+    top = top_kept = 0.0
+    for modes, A in _whole(problem):
+        top = max(top, np.linalg.eigvalsh(A)[-1])
+        k = int(kept[modes].sum())
+        if k:
+            top_kept = max(top_kept, np.linalg.eigvalsh(A[-k:, -k:])[-1])
+    assert abs(top_kept - top) <= 1e-15 * top
     return kept
 
 
@@ -93,15 +110,20 @@ def test_torus_with_indicator_potential_keeps_fewer_modes(torus_421, T):
     assert kept.sum() < problem.op.n
 
 
-@pytest.mark.parametrize("T", [1.0, 3.0, 6.0, 10.0])
-def test_tiled_torus_may_drop_whole_classes(T):
+def _tiled(T):
+    """A 2D torus tiled by a 5 x 5 periodic set: nine mode classes."""
     op = galerkin_schrodinger(build_basis(DomainSpec.torus(TWO_PI, TWO_PI), 20.0))
     S = ObservabilitySet.periodic((TWO_PI / 5,) * 2, [((0.1, 0.95), (0.2, 1.0))])
-    problem = ControlProblem.from_set(op, S, T)
+    return ControlProblem.from_set(op, S, T)
+
+
+@pytest.mark.parametrize("T", [1.0, 3.0, 6.0, 10.0])
+def test_tiled_torus_may_drop_whole_classes(T):
+    problem = _tiled(T)
     assert len(problem.classes) == 9
     kept = _assert_matches_uncut(problem)
     classes_kept = sum(1 for c in problem.classes if kept[c].any())
-    assert len(control._cost_operator(problem)) == classes_kept
+    assert len(problem.cost_blocks()) == classes_kept
     if T == 10.0:
         assert classes_kept < len(problem.classes)
 
@@ -127,3 +149,34 @@ def test_underflowing_decay_keeps_every_mode(half_interval_set, height):
     assert empirical_cost(problem) == c_uncut == 0.0
     assert np.array_equal(worst_initial_state(problem), state_uncut)
 
+
+def _kept_by_diagonal_lam_hat(problem):
+    """The modes the cut would keep with ``lam_hat = max_i e_i**2 (Q_T^{-1})_ii``
+    over every mode, as a boolean mask over all modes."""
+    e = np.exp(-problem.T * problem.op.eigvals)
+    factor = problem.gramian_factor()
+    diag = np.empty(problem.op.n)
+    for c, Q in zip(problem.classes, factor.blocks):
+        diag[c] = np.diagonal(np.linalg.inv(Q))
+    lam_hat = np.max(e ** 2 * diag)
+    kept = np.zeros(problem.op.n, dtype=bool)
+    for c in problem.classes:
+        passing = np.flatnonzero(e[c] * (2.0 * e.max() + e[c]) / factor.w_min
+                                 >= np.finfo(float).eps * lam_hat)
+        if passing.size:
+            kept[c[:passing[-1] + 1]] = True
+    return kept
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 3.0])
+def test_kept_modes_contain_those_of_the_diagonal_lam_hat(
+        dirichlet_op, half_interval_set, torus_421, T):
+    # lam_hat at each class's first mode is at most the largest diagonal
+    # entry of A, so the cut keeps at least the modes that entry would keep
+    for problem in (ControlProblem.from_set(dirichlet_op, half_interval_set, T),
+                    torus_421.with_time(T), _tiled(T),
+                    ControlProblem.from_set(_interval(100.0, PotentialSpec(constant=-2.0)),
+                                            half_interval_set, T)):
+        kept, by_diagonal = _kept(problem), _kept_by_diagonal_lam_hat(problem)
+        assert by_diagonal.any()
+        assert np.all(kept[by_diagonal])
