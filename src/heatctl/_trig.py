@@ -16,14 +16,21 @@ _FREQ_EPS = 1e-12
 
 
 def _cos_primitive_diff(w, p, a, b):
-    """Vectorized ``int_a^b cos(w x + p) dx``; all four arguments broadcast."""
+    """Vectorized ``int_a^b cos(w x + p) dx``; all four arguments broadcast.
+
+    The limit ``cos(p) (b - a)`` at ``w = 0`` is evaluated on the entries
+    with ``|w| < _FREQ_EPS`` alone.
+    """
     w = np.asarray(w, dtype=float)
     p = np.asarray(p, dtype=float)
     small = np.abs(w) < _FREQ_EPS
     w_safe = np.where(small, 1.0, w)
-    osc = (np.sin(w_safe * b + p) - np.sin(w_safe * a + p)) / w_safe
-    flat = np.cos(p) * (b - a)
-    return np.where(small, flat, osc)
+    out = np.asarray((np.sin(w_safe * b + p) - np.sin(w_safe * a + p)) / w_safe)
+    if small.any():
+        at = np.broadcast_to(small, out.shape)
+        out[at] = (np.cos(np.broadcast_to(p, out.shape)[at])
+                   * np.broadcast_to(np.subtract(b, a), out.shape)[at])
+    return out
 
 
 def cross_integrals(atoms_a, atoms_b, lo, hi):

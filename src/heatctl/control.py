@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, ConditioningError, ParameterError
 from .geometry import gram_matrix, mode_classes
+from .spectral import symmetrize
 
 COND_CAP = 1e12
 
@@ -195,10 +196,11 @@ class _Factor(NamedTuple):
 
 
 def _factor_blocks(blocks):
-    """The :class:`_Factor` of the Gramian with these diagonal blocks;
-    ``cond = lambda_max / lambda_min`` over all blocks from their
+    """The :class:`_Factor` of the Gramian with these diagonal blocks, which
+    it symmetrizes in place (each is a kernel or a copy that no one else
+    reads); ``cond = lambda_max / lambda_min`` over all blocks from their
     eigenvalues alone, ``inf`` unless every eigenvalue is positive."""
-    blocks = tuple(0.5 * (Q + Q.T) for Q in blocks)
+    blocks = tuple(symmetrize(Q) for Q in blocks)
     eigs = [np.linalg.eigvalsh(Q) for Q in blocks]
     w_min = min(float(w[0]) for w in eigs)
     w_max = max(float(w[-1]) for w in eigs)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._trig import separable_sum
 from .errors import ParameterError
-from .spectral import box_integrals
+from .spectral import box_integrals, symmetrize
 
 _EPS = 1e-12
 
@@ -280,8 +280,7 @@ def gram_matrix(basis, S):
         raise ParameterError("set dimension does not match the domain")
     if S.kind == "periodic_boxes" and dom.boundary == "periodic":
         _cells_per_side(dom, S)
-    M = box_integrals(basis, basis, S.boxes_in_region(dom.box()))
-    return 0.5 * (M + M.T)
+    return symmetrize(box_integrals(basis, basis, S.boxes_in_region(dom.box())))
 
 
 def _cells_per_side(dom, S):

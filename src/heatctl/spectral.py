@@ -20,6 +20,10 @@ BOUNDARIES = ("periodic", "dirichlet", "neumann")
 
 DEFAULT_N_MAX = 512
 
+# tile side of the in-place symmetrization: three tiles (two read, one
+# scratch) stay within a core's L2 cache
+_TILE = 128
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -277,13 +281,20 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class OperatorHandle:
-    """Symmetric Galerkin matrix of ``-Laplace + V`` with its eigensystem."""
+    """Symmetric Galerkin matrix of ``-Laplace + V`` with its eigensystem.
+
+    A handle without a potential is diagonal and stores its eigenvalues
+    only: its ``matrix`` and ``eigvecs`` are ``diag(eigvals)`` and the
+    identity, built anew on each request (no path of this package makes
+    one).  Any other handle stores both dense, as ``dense_matrix`` and
+    ``dense_eigvecs``.
+    """
 
     basis: SpectralBasis
-    matrix: np.ndarray = field(repr=False)
     eigvals: np.ndarray = field(repr=False)
-    eigvecs: np.ndarray = field(repr=False)
     potential: PotentialSpec = None
+    dense_matrix: np.ndarray = field(default=None, repr=False)
+    dense_eigvecs: np.ndarray = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -293,11 +304,39 @@ class OperatorHandle:
     def is_diagonal(self):
         return self.potential is None
 
+    @property
+    def matrix(self):
+        return np.diag(self.eigvals) if self.is_diagonal else self.dense_matrix
+
+    @property
+    def eigvecs(self):
+        return np.eye(self.n) if self.is_diagonal else self.dense_eigvecs
+
     def to_eigenbasis(self, u):
         return u if self.is_diagonal else self.eigvecs.T @ u
 
     def from_eigenbasis(self, w):
         return w if self.is_diagonal else self.eigvecs @ w
+
+
+def symmetrize(M):
+    """Overwrite the square matrix ``M`` with ``0.5 * (M + M.T)``, bit for bit.
+
+    One pair of mirrored ``_TILE x _TILE`` tiles at a time, so the scratch
+    is one tile instead of two n x n temporaries.  ``M`` must be an array
+    the caller owns, with no view of it still read as the unsymmetrized
+    matrix.  Returns ``M``.
+    """
+    n = M.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper = M[i:i + _TILE, j:j + _TILE]
+            lower = M[j:j + _TILE, i:i + _TILE]
+            tile = upper + lower.T
+            tile *= 0.5
+            upper[...] = tile
+            lower[...] = tile.T
+    return M
 
 
 def _cosine_galerkin_block(basis, kvec):
@@ -329,13 +368,9 @@ def galerkin_schrodinger(basis, potential=None):
     if basis.n == 0:
         raise ParameterError("basis is empty")
     if potential is None:
-        lam = basis.eigenvalues.copy()
-        return OperatorHandle(basis=basis, matrix=np.diag(lam), eigvals=lam,
-                              eigvecs=np.eye(basis.n), potential=None)
+        return OperatorHandle(basis=basis, eigvals=basis.eigenvalues.copy())
     d = basis.domain.dimension
-    M = np.diag(basis.eigenvalues).astype(float)
-    if potential.constant:
-        M += potential.constant * np.eye(basis.n)
+    M = np.diag(basis.eigenvalues + potential.constant)
     for coeff, box in potential.boxes:
         if len(box) != d or any(len(e) != 2 or not e[0] < e[1] for e in box):
             raise ParameterError(f"box {box} needs a (lo, hi) pair with lo < hi per axis")
@@ -346,10 +381,9 @@ def galerkin_schrodinger(basis, potential=None):
         M += coeff * _cosine_galerkin_block(basis, kvec)
     if not np.all(np.isfinite(M)):
         raise NumericError("Galerkin matrix has non-finite entries")
-    M = 0.5 * (M + M.T)
-    eigvals, eigvecs = np.linalg.eigh(M)
-    return OperatorHandle(basis=basis, matrix=M, eigvals=eigvals,
-                          eigvecs=eigvecs, potential=potential)
+    eigvals, eigvecs = np.linalg.eigh(symmetrize(M))
+    return OperatorHandle(basis=basis, eigvals=eigvals, potential=potential,
+                          dense_matrix=M, dense_eigvecs=eigvecs)
 
 
 def semigroup_apply(op, t, u):
@@ -377,9 +411,7 @@ def fractional_transform(op, theta):
         return op
     new_vals = op.eigvals ** theta
     if op.is_diagonal:
-        matrix = np.diag(new_vals)
-    else:
-        matrix = (op.eigvecs * new_vals) @ op.eigvecs.T
-        matrix = 0.5 * (matrix + matrix.T)
-    return OperatorHandle(basis=op.basis, matrix=matrix, eigvals=new_vals,
-                          eigvecs=op.eigvecs, potential=op.potential)
+        return OperatorHandle(basis=op.basis, eigvals=new_vals)
+    V = op.dense_eigvecs
+    return OperatorHandle(basis=op.basis, eigvals=new_vals, potential=op.potential,
+                          dense_matrix=symmetrize((V * new_vals) @ V.T), dense_eigvecs=V)

@@ -142,7 +142,16 @@ def spectral_ineq_constant(op, S, E, gram=None):
         V = op.eigvecs[:, idx]
         return float(np.linalg.eigvalsh(V.T @ M @ V)[0])
     subspaces = (c[op.eigvals[c] <= E] for c in mode_classes(op.basis, S))
-    return min(float(np.linalg.eigvalsh(M[np.ix_(k, k)])[0]) for k in subspaces if k.size)
+    return min(float(np.linalg.eigvalsh(_principal_block(M, k))[0]) for k in subspaces if k.size)
+
+
+def _principal_block(M, k):
+    """``M[k][:, k]`` for ascending indices ``k``: a view when they are a
+    contiguous run (the prefix that ``E`` cuts from the one class), a copy
+    otherwise."""
+    if k[-1] - k[0] + 1 == k.size:
+        return M[k[0]:k[-1] + 1, k[0]:k[-1] + 1]
+    return M[np.ix_(k, k)]
 
 
 def spectral_ineq_sweep(op, S, e_grid):
@@ -428,8 +437,11 @@ def eigenvalue_lifting_check(op, W, E, support=None):
     else:
         raise ParameterError("W must be a set indicator or a PotentialSpec")
     idx = subspace_indices(op, E)
-    V = op.eigvecs[:, idx]
-    derivs = np.einsum("ij,ij->j", V, Mw @ V)
+    if op.is_diagonal:
+        derivs = np.diagonal(Mw)[idx]
+    else:
+        V = op.eigvecs[:, idx]
+        derivs = np.einsum("ij,ij->j", V, Mw @ V)
     ref = spectral_ineq_constant(op, support, E) if support is not None else 0.0
     return LiftingReport(
         indices=tuple(int(i) for i in idx),

@@ -206,7 +206,9 @@ def test_fractional_squares_eigenvalues():
     op = galerkin_schrodinger(basis)
     op2 = fractional_transform(op, 2.0)
     assert np.allclose(op2.eigvals, [1.0, 16.0, 81.0])
-    assert op2.eigvecs is op.eigvecs
+    # both handles diagonal: the same (identity) map to the eigenbasis
+    assert op.is_diagonal and op2.is_diagonal
+    assert np.array_equal(op2.eigvecs, op.eigvecs)
 
 
 def test_fractional_projector_identity():
