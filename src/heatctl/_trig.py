@@ -5,14 +5,23 @@ Every 1D basis function used in this package is a single atom
 into sums of cosines, so integrals over intervals reduce to antiderivatives
 of ``cos``.  All Gram matrices, Galerkin potential entries and cross-basis
 overlaps are assembled from the one cross kernel and the one separable box
-sum below, which keeps them free of quadrature error.
+sum below, which keeps them free of quadrature error.  The box sum is a
+BLAS matrix product over the box index, taken for a few output rows at a
+time, so it never holds a table over every pair of distinct-atom tuples.
 """
+
+import math
 
 import numpy as np
 
 # frequencies in this package are either 0 or bounded below by pi/side,
 # so anything smaller than this is an exact cancellation
 _FREQ_EPS = 1e-12
+
+# entries of one row group's matrix product (256 KiB): the gather reads it
+# back from cache, and inside the benchmark's spectral jobs 1 MiB groups ran
+# slower, their buffers page-faulted afresh on every call
+_GROUP = 1 << 15
 
 
 def _cos_primitive_diff(w, p, a, b):
@@ -57,19 +66,54 @@ def separable_sum(tables, index_a, index_b):
     """Matrix ``sum_box prod_axis tables[axis][box, index_a[axis][i], index_b[axis][j]]``.
 
     Tensor-product functions share few distinct 1D factors per axis, so the
-    box sum runs once on the small per-axis tables (one ``einsum`` over the
-    box index, in box order) and the result is gathered once into the
-    ``(len(index_a[0]), len(index_b[0]))`` matrix.
+    box sum runs on the small per-axis tables of shape (boxes, m_a, m_b).
+    The output rows are taken in groups of consecutive leading-axis atom
+    tuples (every axis but the last), as many as keep a group's product
+    within ``_GROUP`` entries.  For each group one matrix product contracts
+    the box index: the Khatri-Rao product of the leading axes' tables at the
+    group's atoms (a column of ones in 1D), transposed, times the last
+    axis's table flattened to boxes x (m_a m_b).  One flat ``np.take`` then
+    gathers the group's rows of the ``(len(index_a[0]), len(index_b[0]))``
+    matrix from it.  With one box every entry is one product of table
+    entries, exactly as the tables hold them; with several, an entry rounds
+    as the BLAS kernel adds the boxes, which need not match its mirror in
+    another group, so a Gram built here is symmetrized afterwards.
     """
-    d = len(tables)
-    rows, cols = "abc"[:d], "ijk"[:d]
-    spec = ",".join(f"z{r}{c}" for r, c in zip(rows, cols)) + "->" + rows + cols
-    shape_a = tuple(t.shape[1] for t in tables)
-    shape_b = tuple(t.shape[2] for t in tables)
-    R = np.einsum(spec, *tables).reshape(int(np.prod(shape_a)), int(np.prod(shape_b)))
-    ia = np.ravel_multi_index(tuple(index_a), shape_a)
-    ib = np.ravel_multi_index(tuple(index_b), shape_b)
-    return R[ia[:, None], ib[None, :]]
+    *lead, last = tables
+    boxes, m, n = last.shape
+    key_a = key_b = 0
+    for t, i, j in zip(lead, index_a, index_b):
+        key_a = key_a * t.shape[1] + i
+        key_b = key_b * t.shape[2] + j
+    shape_a = tuple(t.shape[1] for t in lead)
+    atoms = math.prod(shape_a)
+    # entries of the product per leading atom tuple
+    width = math.prod(t.shape[2] for t in lead) * m * n
+    row = key_a * width + index_a[-1] * n
+    col = key_b * (m * n) + index_b[-1]
+    flat = last.reshape(boxes, m * n)
+
+    def product(g0, g1):
+        K = np.ones((boxes, g1 - g0, 1))
+        for t, i in zip(lead, np.unravel_index(np.arange(g0, g1), shape_a) if lead else ()):
+            K = (K[..., None] * t[:, i, None, :]).reshape(boxes, g1 - g0, -1)
+        K = K.reshape(boxes, -1).T
+        # numpy's matmul is several times slower than the plain product for
+        # an inner dimension of one; both give every entry as one product
+        return K * flat if boxes == 1 else K @ flat
+
+    step = max(1, _GROUP // width)
+    if step >= atoms:
+        return np.take(product(0, atoms), row[:, None] + col)
+    order = np.argsort(key_a, kind="stable")
+    edges = np.searchsorted(key_a[order], np.arange(0, atoms + step, step))
+    out = np.empty((len(row), len(col)))
+    for g0, lo, hi in zip(range(0, atoms, step), edges[:-1], edges[1:]):
+        if lo < hi:
+            rows = order[lo:hi]
+            R = product(g0, min(g0 + step, atoms))
+            out[rows] = np.take(R, (row[rows] - g0 * width)[:, None] + col)
+    return out
 
 
 def quad_interval(f, a, b, order=32, panels=1):

@@ -203,9 +203,12 @@ def box_integrals(basis_a, basis_b, boxes):
 
     Each box is a sequence of ``(lo, hi)`` per axis.  Per axis the cross
     kernel runs on the distinct atoms only, for a stack of boxes at once.
-    A stack's tables hold no more entries than the summed table, so memory
-    does not grow with the box count: in 1D, where no atom is shared, each
-    box is its own stack, while every box of a 2D set fits in one.
+    A stack holds at most ``prod(m_a m_b) / sum(m_a m_b)`` boxes, where
+    ``m_a`` and ``m_b`` count an axis's distinct atoms, so its tables hold
+    no more than ``prod(m_a m_b)`` entries, the count of pairs of
+    distinct-atom tuples, and memory does not grow with the box count: in
+    1D, where no atom is shared, each box is its own stack, while every box
+    of a 2D set fits in one.
     """
     d = basis_a.domain.dimension
     ends = np.asarray(boxes, dtype=float).reshape(-1, d, 2)
@@ -357,18 +360,13 @@ def _cosine_galerkin_block(basis, kvec):
     return _trig.separable_sum(tables, index, index)
 
 
-def galerkin_schrodinger(basis, potential=None):
-    """Galerkin matrix of ``-Laplace + V`` in ``basis`` with eigensystem.
+def galerkin_matrix(basis, potential):
+    """Symmetrized Galerkin matrix of ``-Laplace + V`` in ``basis``.
 
-    With ``potential=None`` the handle is exactly diagonal.  Indicator and
-    cosine terms are integrated in closed form.  A box without one
-    ``(lo, hi)`` pair with ``lo < hi`` per axis of the domain, or a cosine
-    without one frequency per axis, raises :class:`ParameterError`.
+    Indicator and cosine terms are integrated in closed form.  A box without
+    one ``(lo, hi)`` pair with ``lo < hi`` per axis of the domain, or a
+    cosine without one frequency per axis, raises :class:`ParameterError`.
     """
-    if basis.n == 0:
-        raise ParameterError("basis is empty")
-    if potential is None:
-        return OperatorHandle(basis=basis, eigvals=basis.eigenvalues.copy())
     d = basis.domain.dimension
     M = np.diag(basis.eigenvalues + potential.constant)
     for coeff, box in potential.boxes:
@@ -381,7 +379,21 @@ def galerkin_schrodinger(basis, potential=None):
         M += coeff * _cosine_galerkin_block(basis, kvec)
     if not np.all(np.isfinite(M)):
         raise NumericError("Galerkin matrix has non-finite entries")
-    eigvals, eigvecs = np.linalg.eigh(symmetrize(M))
+    return symmetrize(M)
+
+
+def galerkin_schrodinger(basis, potential=None):
+    """Galerkin matrix of ``-Laplace + V`` in ``basis`` with eigensystem.
+
+    With ``potential=None`` the handle is exactly diagonal; otherwise the
+    matrix is :func:`galerkin_matrix`.
+    """
+    if basis.n == 0:
+        raise ParameterError("basis is empty")
+    if potential is None:
+        return OperatorHandle(basis=basis, eigvals=basis.eigenvalues.copy())
+    M = galerkin_matrix(basis, potential)
+    eigvals, eigvecs = np.linalg.eigh(M)
     return OperatorHandle(basis=basis, eigvals=eigvals, potential=potential,
                           dense_matrix=M, dense_eigvecs=eigvecs)
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import _trig, runio
 from .errors import DegenerateSetError, ParameterError
 from .geometry import ObservabilitySet, check_gamma, check_ratio, gram_matrix, mode_classes
-from .spectral import PotentialSpec, galerkin_schrodinger
+from .spectral import PotentialSpec, galerkin_matrix
 
 
 @dataclass(frozen=True)
@@ -432,8 +432,7 @@ def eigenvalue_lifting_check(op, W, E, support=None):
     elif isinstance(W, PotentialSpec):
         if W.inf_value < 0:
             raise ParameterError("perturbation must be non-negative")
-        zero_op = galerkin_schrodinger(op.basis, W)
-        Mw = zero_op.matrix - np.diag(op.basis.eigenvalues)
+        Mw = galerkin_matrix(op.basis, W) - np.diag(op.basis.eigenvalues)
     else:
         raise ParameterError("W must be a set indicator or a PotentialSpec")
     idx = subspace_indices(op, E)
@@ -442,7 +441,10 @@ def eigenvalue_lifting_check(op, W, E, support=None):
     else:
         V = op.eigvecs[:, idx]
         derivs = np.einsum("ij,ij->j", V, Mw @ V)
-    ref = spectral_ineq_constant(op, support, E) if support is not None else 0.0
+    if support is None:
+        ref = 0.0
+    else:
+        ref = spectral_ineq_constant(op, support, E, gram=Mw if support is W else None)
     return LiftingReport(
         indices=tuple(int(i) for i in idx),
         eigenvalues=tuple(float(op.eigvals[i]) for i in idx),

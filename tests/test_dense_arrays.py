@@ -3,6 +3,8 @@
 A diagonal handle keeps its eigenvalues alone and builds its matrix and
 eigenvectors on request; every symmetrized matrix is symmetrized in place,
 one pair of tiles at a time.  Both give the same bits as the dense forms.
+The set Gram is gathered one row group at a time, with no table over every
+pair of distinct-atom tuples.
 """
 
 import dataclasses
@@ -54,12 +56,15 @@ def test_symmetrize_matches_the_dense_form_bit_for_bit(n):
     assert np.array_equal(X, expect)
 
 
-def test_spectral_path_peaks_below_three_dense_matrices():
-    """Basis, diagonal handle, set Gram and one constant at n=1489: the Gram's
-    assembly peaks near 2.6 n^2 floats, and nothing else holds a dense
-    matrix beside it."""
+@pytest.mark.parametrize("cells", [1, 4], ids=["1box", "16boxes"])
+def test_spectral_path_peaks_below_two_dense_matrices(cells):
+    """Basis, diagonal handle, set Gram and one constant at n=1489, for one
+    box and for sixteen: the box sum holds one row group's product at a
+    time, so the Gram's assembly peaks near 1.1 n^2 floats, and nothing
+    else holds a dense matrix beside it."""
     dom = DomainSpec.torus(2 * math.pi, 2 * math.pi)
-    S = ObservabilitySet.periodic((2 * math.pi,) * 2, [((0.5, 3.5), (1.0, 4.0))])
+    S = ObservabilitySet.periodic((2 * math.pi / cells,) * 2,
+                                  [((0.5 / cells, 3.5 / cells), (1.0 / cells, 4.0 / cells))])
     tracemalloc.start()
     try:
         basis = build_basis(dom, 480.0, n_max=2000)
@@ -70,4 +75,5 @@ def test_spectral_path_peaks_below_three_dense_matrices():
     finally:
         tracemalloc.stop()
     assert basis.n == 1489
-    assert peak < 3 * 8 * basis.n ** 2
+    assert len(S.boxes_in_region(dom.box())) == cells ** 2
+    assert peak < 2 * 8 * basis.n ** 2

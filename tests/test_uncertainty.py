@@ -14,6 +14,7 @@ from heatctl import (DegenerateSetError, DomainSpec, ObservabilitySet,
                      sharpness_example_sparse, sharpness_example_torus,
                      spectral_ineq_constant, spectral_ineq_sweep, ucp_bound,
                      UniversalConstants)
+from heatctl.spectral import galerkin_matrix
 from heatctl.uncertainty import _shifted_ucp_exponent, _sin_power_integral
 from oracles import gl_integral, quad_gram
 
@@ -316,6 +317,60 @@ def test_lifting_half_interval(dirichlet_op, half_interval_set):
     c_emp = spectral_ineq_constant(dirichlet_op, half_interval_set, 4.0)
     assert all(d >= c_emp - 1e-8 for d in report.derivatives)
     assert report.all_above_reference
+
+
+def _seed_lifting(op, W, E, support=None):
+    """Matrix of ``W``, derivatives and reference constant by the path the
+    check took before it shared the Galerkin assembly and the Gram: the
+    matrix of a potential read from a full eigensolved handle."""
+    if isinstance(W, ObservabilitySet):
+        Mw = gram_matrix(op.basis, W)
+        support = W if support is None else support
+    else:
+        Mw = galerkin_schrodinger(op.basis, W).matrix - np.diag(op.basis.eigenvalues)
+    idx = np.flatnonzero(op.eigvals <= E)
+    if op.is_diagonal:
+        derivs = np.diagonal(Mw)[idx]
+    else:
+        V = op.eigvecs[:, idx]
+        derivs = np.einsum("ij,ij->j", V, Mw @ V)
+    ref = spectral_ineq_constant(op, support, E) if support is not None else 0.0
+    return Mw, tuple(float(d) for d in derivs), float(ref)
+
+
+_TORUS = DomainSpec.torus(2 * math.pi, 2 * math.pi)
+_TORUS_SET = ObservabilitySet.periodic((math.pi, math.pi), [((0.2, 1.4), (0.5, 2.5))])
+_BUMPS = PotentialSpec(constant=0.5, boxes=((1.5, ((0.5, 2.0), (1.0, 3.0))),),
+                       cosines=((0.4, (1, 2)),))
+
+
+@pytest.mark.parametrize("potential, W, support", [
+    (None, _BUMPS, _TORUS_SET),
+    (None, PotentialSpec.indicator([(0.5, 2.0), (1.0, 3.0)], 2.0), None),
+    (None, _TORUS_SET, None),
+    (_BUMPS, _TORUS_SET, None),
+    (_BUMPS, PotentialSpec.indicator([(0.5, 2.0), (1.0, 3.0)], 2.0), _TORUS_SET),
+])
+def test_lifting_check_matches_the_eigensolved_path_bit_for_bit(potential, W, support):
+    op = galerkin_schrodinger(build_basis(_TORUS, 40.0), potential)
+    Mw, derivs, ref = _seed_lifting(op, W, 12.0, support)
+    if isinstance(W, PotentialSpec):
+        assert np.array_equal(galerkin_matrix(op.basis, W) - np.diag(op.basis.eigenvalues), Mw)
+    report = eigenvalue_lifting_check(op, W, 12.0, support)
+    assert report.derivatives == derivs
+    assert report.reference_constant == ref
+    assert report.eigenvalues == tuple(float(op.eigvals[i]) for i in report.indices)
+
+
+def test_lifting_check_of_a_potential_runs_no_eigensolver(monkeypatch):
+    op = galerkin_schrodinger(build_basis(_TORUS, 40.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    report = eigenvalue_lifting_check(op, _BUMPS, 12.0)
+    assert report.reference_constant == 0.0 and len(report.derivatives) == 37
 
 
 def test_lifting_rejects_negative_perturbation(dirichlet_op):
