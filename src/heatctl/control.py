@@ -16,7 +16,8 @@ decomposed and applied one class at a time: ``C_T`` is the largest of the
 classes' costs and the condition number that of the whole.  Any other
 problem has the one class of all modes.  Each class's block of the control
 Gram is formed once per problem (:meth:`ControlProblem.class_blocks`): the
-one class takes the dense matrix itself, several classes one copy each.
+one class takes the conjugated matrix whole, several classes their principal
+blocks.
 """
 
 import math
@@ -97,7 +98,7 @@ class ControlProblem:
     def from_set(cls, op, S, T, u0=None):
         return cls(op=op, control_gram=gram_matrix(op.basis, S), T=T, u0=u0,
                    set_hash=S.descriptor_hash(),
-                   classes=mode_classes(op.basis, S, op.is_diagonal))
+                   classes=mode_classes(op, S))
 
     @classmethod
     def scalar(cls, op, scale, T, u0=None):
@@ -105,19 +106,16 @@ class ControlProblem:
 
     def mtil(self):
         """Control Gram conjugated into the eigenbasis of the handle."""
-        if self.op.is_diagonal:
-            return self.control_gram
-        V = self.op.eigvecs
-        return V.T @ self.control_gram @ V
+        return self.op.project(self.control_gram)
 
     def class_blocks(self):
         """Per class ``(modes, eigenvalues, block of mtil)``, formed once per
-        problem and shared by :meth:`with_time`; the one class of all modes
-        takes ``mtil`` itself, several classes one copy each."""
+        problem by :meth:`OperatorHandle.project` and shared by
+        :meth:`with_time`; the one class of all modes takes ``mtil`` whole."""
         if self._blocks is None:
-            mu, mtil = self.op.eigvals, self.mtil()
             one = len(self.classes) == 1
-            self._blocks = tuple((c, mu[c], mtil if one else mtil[np.ix_(c, c)])
+            self._blocks = tuple((c, self.op.eigvals[c],
+                                  self.op.project(self.control_gram, None if one else c))
                                  for c in self.classes)
         return self._blocks
 

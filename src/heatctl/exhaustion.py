@@ -187,7 +187,7 @@ def nested_control_family(S, T, run):
         v = signal.phases[0].v if signal.phases else np.zeros(op_L.n)
         boxes = S.boxes_in_region(basis_L.domain.box())
         Cx = cross_gram(basis_R, basis_L, boxes)
-        if not op_R.is_diagonal or not op_L.is_diagonal:
+        if run.potential is not None:
             Cx = op_R.eigvecs.T @ Cx @ op_L.eigvecs
         uT = _forced_end(Cx, mu_R, op_L.eigvals, op_R.to_eigenbasis(c_R), v, T)
         norms.append(cost)

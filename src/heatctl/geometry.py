@@ -295,24 +295,26 @@ def _cells_per_side(dom, S):
     return q
 
 
-def mode_classes(basis, S, diagonal=True):
-    """Bloch-Floquet classes of the modes of a torus tiled by ``S``.
+def mode_classes(op, S):
+    """Bloch-Floquet classes of the modes of handle ``op`` on a torus tiled by ``S``.
 
     On a torus of ``q`` cells per axis the set's indicator has harmonics in
     ``q Z`` only, so the modes ``k`` and ``k'`` meet in its Gram matrix only
     when ``|k| = +-|k'| (mod q)`` on every axis, that is when their residues
     ``r = min(|k| mod q, q - |k| mod q)`` agree per axis (Egidi & Veselic,
     Arch. Math. 2018; Kuchment, Floquet Theory for PDEs, 1993).  The Gram
-    matrix, and every Gramian of a ``diagonal`` handle, is then block
-    diagonal over the classes of equal residue tuple.  Every class is an
-    ascending index array, and the classes come in the lexicographic order of
-    their tuples.  A set that is not ``periodic_boxes``, a domain that is not
-    a torus, a non-diagonal handle or a single cell per axis give the one
-    class of all modes, ``(np.arange(n),)``, sized without reading the modes.
+    matrix, and every Gramian of a diagonal handle, is then block diagonal
+    over the classes of equal residue tuple.  Every class is an ascending
+    index array, and the classes come in the lexicographic order of their
+    tuples.  A set that is not ``periodic_boxes``, a domain that is not a
+    torus, a handle with a potential (whose eigenvectors mix the classes) or
+    a single cell per axis give the one class of all modes,
+    ``(np.arange(n),)``, sized without reading the modes.
     """
+    basis = op.basis
     dom = basis.domain
     one_class = (np.arange(basis.eigenvalues.size),)
-    if not diagonal or S is None or S.kind != "periodic_boxes" or dom.boundary != "periodic":
+    if not op.is_diagonal or S is None or S.kind != "periodic_boxes" or dom.boundary != "periodic":
         return one_class
     if S.dimension != dom.dimension:
         raise ParameterError("set dimension does not match the domain")

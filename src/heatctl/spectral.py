@@ -8,7 +8,7 @@ act in this basis.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -127,7 +127,6 @@ class SpectralBasis:
     domain: DomainSpec
     modes: tuple
     eigenvalues: np.ndarray = field(repr=False)
-    e_max: float
 
     @property
     def n(self):
@@ -156,10 +155,12 @@ class SpectralBasis:
         return tuple(axes)
 
     def evaluate(self, points):
-        """Values of all modes at ``points`` (shape (npts, d)) -> (n, npts)."""
+        """Values of all modes at ``points`` (shape (npts, d), any other shape
+        refused) -> (n, npts)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.domain.dimension:
-            pts = pts.T
+            raise ParameterError(f"points need shape (npts, {self.domain.dimension}), "
+                                 f"not {pts.shape}")
         vals = np.ones((self.n, pts.shape[0]))
         for ax in range(self.domain.dimension):
             (amps, freqs, phases), index = self.axis_atoms[ax]
@@ -194,7 +195,6 @@ def build_basis(domain, e_max, n_max=DEFAULT_N_MAX):
         domain=domain,
         modes=tuple(m for m, _ in modes),
         eigenvalues=np.array([lam for _, lam in modes]),
-        e_max=float(e_max),
     )
 
 
@@ -284,20 +284,19 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class OperatorHandle:
-    """Symmetric Galerkin matrix of ``-Laplace + V`` with its eigensystem.
+    """Eigenpairs of the Galerkin matrix of ``-Laplace + V``.
 
-    A handle without a potential is diagonal and stores its eigenvalues
-    only: its ``matrix`` and ``eigvecs`` are ``diag(eigvals)`` and the
-    identity, built anew on each request (no path of this package makes
-    one).  Any other handle stores both dense, as ``dense_matrix`` and
-    ``dense_eigvecs``.
+    A handle without a potential is diagonal: its eigenvectors are the
+    basis functions themselves, so it stores its eigenvalues only and
+    ``eigvecs`` is ``None``.  A handle with a potential stores its dense
+    eigenvectors, whose columns follow ``eigvals``.  Every operator built
+    from the handle is read in its eigenbasis (:meth:`project`).
     """
 
     basis: SpectralBasis
     eigvals: np.ndarray = field(repr=False)
     potential: PotentialSpec = None
-    dense_matrix: np.ndarray = field(default=None, repr=False)
-    dense_eigvecs: np.ndarray = field(default=None, repr=False)
+    eigvecs: np.ndarray = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -307,19 +306,27 @@ class OperatorHandle:
     def is_diagonal(self):
         return self.potential is None
 
-    @property
-    def matrix(self):
-        return np.diag(self.eigvals) if self.is_diagonal else self.dense_matrix
+    def project(self, M, modes=None):
+        """``V_k^T M V_k`` for the eigenvectors of the ascending index array
+        ``modes`` (all of them when it is ``None``).
 
-    @property
-    def eigvecs(self):
-        return np.eye(self.n) if self.is_diagonal else self.dense_eigvecs
+        On a diagonal handle this is the principal block of ``M``: ``M``
+        itself, a view for a contiguous run, a copy otherwise.
+        """
+        if self.eigvecs is not None:
+            V = self.eigvecs if modes is None else self.eigvecs[:, modes]
+            return V.T @ M @ V
+        if modes is None:
+            return M
+        if modes[-1] - modes[0] + 1 == modes.size:
+            return M[modes[0]:modes[-1] + 1, modes[0]:modes[-1] + 1]
+        return M[np.ix_(modes, modes)]
 
     def to_eigenbasis(self, u):
-        return u if self.is_diagonal else self.eigvecs.T @ u
+        return u if self.eigvecs is None else self.eigvecs.T @ u
 
     def from_eigenbasis(self, w):
-        return w if self.is_diagonal else self.eigvecs @ w
+        return w if self.eigvecs is None else self.eigvecs @ w
 
 
 def symmetrize(M):
@@ -383,10 +390,10 @@ def galerkin_matrix(basis, potential):
 
 
 def galerkin_schrodinger(basis, potential=None):
-    """Galerkin matrix of ``-Laplace + V`` in ``basis`` with eigensystem.
+    """Handle of the eigenpairs of ``-Laplace + V`` in ``basis``.
 
-    With ``potential=None`` the handle is exactly diagonal; otherwise the
-    matrix is :func:`galerkin_matrix`.
+    With ``potential=None`` the handle is exactly diagonal; otherwise its
+    eigenpairs are those of :func:`galerkin_matrix`, which is not kept.
     """
     if basis.n == 0:
         raise ParameterError("basis is empty")
@@ -394,8 +401,7 @@ def galerkin_schrodinger(basis, potential=None):
         return OperatorHandle(basis=basis, eigvals=basis.eigenvalues.copy())
     M = galerkin_matrix(basis, potential)
     eigvals, eigvecs = np.linalg.eigh(M)
-    return OperatorHandle(basis=basis, eigvals=eigvals, potential=potential,
-                          dense_matrix=M, dense_eigvecs=eigvecs)
+    return OperatorHandle(basis=basis, eigvals=eigvals, potential=potential, eigvecs=eigvecs)
 
 
 def semigroup_apply(op, t, u):
@@ -421,9 +427,4 @@ def fractional_transform(op, theta):
         raise ParameterError("fractional powers need a non-negative spectrum")
     if theta == 1.0:
         return op
-    new_vals = op.eigvals ** theta
-    if op.is_diagonal:
-        return OperatorHandle(basis=op.basis, eigvals=new_vals)
-    V = op.dense_eigvecs
-    return OperatorHandle(basis=op.basis, eigvals=new_vals, potential=op.potential,
-                          dense_matrix=symmetrize((V * new_vals) @ V.T), dense_eigvecs=V)
+    return replace(op, eigvals=op.eigvals ** theta)

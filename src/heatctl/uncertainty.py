@@ -61,7 +61,6 @@ class UncertaintyFit:
     d1: float
     s: float
     residual: float
-    e_grid: tuple
 
     def c_ur(self, E):
         return self.d0 * np.exp(self.d1 * np.maximum(E, 0.0) ** self.s)
@@ -132,26 +131,14 @@ def spectral_ineq_constant(op, S, E, gram=None):
 
     Smallest eigenvalue of the set Gram projected onto the span of
     eigenvectors with eigenvalue <= E.  Lies in [0, 1] and is
-    non-increasing in E by subspace nesting.  For a diagonal handle it is
-    the smallest over the mode classes of ``S`` (see
-    :func:`heatctl.geometry.mode_classes`), which the Gram never couples.
+    non-increasing in E by subspace nesting.  It is the smallest over the
+    mode classes of ``S`` (see :func:`heatctl.geometry.mode_classes`), which
+    the Gram never couples.
     """
-    idx = subspace_indices(op, E)
+    subspace_indices(op, E)  # refuses an E below the spectrum
     M = gram_matrix(op.basis, S) if gram is None else gram
-    if not op.is_diagonal:
-        V = op.eigvecs[:, idx]
-        return float(np.linalg.eigvalsh(V.T @ M @ V)[0])
-    subspaces = (c[op.eigvals[c] <= E] for c in mode_classes(op.basis, S))
-    return min(float(np.linalg.eigvalsh(_principal_block(M, k))[0]) for k in subspaces if k.size)
-
-
-def _principal_block(M, k):
-    """``M[k][:, k]`` for ascending indices ``k``: a view when they are a
-    contiguous run (the prefix that ``E`` cuts from the one class), a copy
-    otherwise."""
-    if k[-1] - k[0] + 1 == k.size:
-        return M[k[0]:k[-1] + 1, k[0]:k[-1] + 1]
-    return M[np.ix_(k, k)]
+    subspaces = (c[op.eigvals[c] <= E] for c in mode_classes(op, S))
+    return min(float(np.linalg.eigvalsh(op.project(M, k))[0]) for k in subspaces if k.size)
 
 
 def spectral_ineq_sweep(op, S, e_grid):
@@ -180,8 +167,7 @@ def fit_uncertainty_form(pairs, s):
     resid = float(np.sqrt(np.mean((A @ np.array([math.log(d0), d1]) - y) ** 2)))
     envelope = max(1.0 / (c * math.exp(d1 * max(Ei, 0.0) ** s)) for Ei, c in pairs)
     d0 = max(d0, envelope)
-    return UncertaintyFit(d0=d0, d1=d1, s=float(s), residual=resid,
-                          e_grid=tuple(float(p[0]) for p in pairs))
+    return UncertaintyFit(d0=d0, d1=d1, s=float(s), residual=resid)
 
 
 def _lookup(registry, name):
@@ -367,8 +353,6 @@ def sharpness_example_torus(eps, b, p=2.0):
     if b < 8 * math.pi:
         raise ParameterError("b must be at least 8*pi")
     alpha = math.floor(b / (4 * math.pi))
-    if alpha < 1:
-        raise ParameterError("b/(4 pi) must be at least 1")
     power = p * alpha
     # in t = 2 pi |x - 1/2| the band folds onto [0, pi eps] and [0, 1] onto
     # [0, pi]; sin^power is symmetric about pi/2, and its quarter integral

@@ -70,7 +70,7 @@ def _is_one_class(classes, n):
 @pytest.mark.parametrize("name", sorted(TILINGS))
 def test_classes_partition_the_modes_by_residue(name):
     op, S = _tiled(name)
-    classes = mode_classes(op.basis, S)
+    classes = mode_classes(op, S)
     assert len(classes) == TILINGS[name][4]
     assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(op.n))
     q = np.array([round(s / c) for s, c in zip(TILINGS[name][0], S.cell)])
@@ -86,7 +86,7 @@ def test_gram_vanishes_off_the_classes(name):
     op, S = _tiled(name)
     M = gram_matrix(op.basis, S)
     off = np.ones_like(M, dtype=bool)
-    for c in mode_classes(op.basis, S):
+    for c in mode_classes(op, S):
         off[np.ix_(c, c)] = False
         assert np.any(M[np.ix_(c, c)])
     assert np.max(np.abs(M[off])) <= 1e-14
@@ -182,20 +182,21 @@ def test_class_blocks_are_formed_once_per_problem_family(monkeypatch):
 
 def test_sets_that_do_not_tile_give_one_class():
     op, S = _tiled("2d_q2x2")
-    basis = op.basis
     extent = [(0.0, TWO_PI), (0.0, TWO_PI)]
     balls = make_equidistributed(EquidistributedSpec(G=math.pi, delta=0.5, seed=3), extent)
     whole_cell = ObservabilitySet.periodic((TWO_PI, TWO_PI), [((0.4, 2.3), (0.2, 2.0))])
-    assert _is_one_class(mode_classes(basis, balls), op.n)
-    assert _is_one_class(mode_classes(basis, whole_cell), op.n)
-    assert _is_one_class(mode_classes(basis, ObservabilitySet.full()), op.n)
-    assert _is_one_class(mode_classes(basis, S, diagonal=False), op.n)
+    schrodinger = galerkin_schrodinger(op.basis, PotentialSpec.const(1.0))
+    assert _is_one_class(mode_classes(op, balls), op.n)
+    assert _is_one_class(mode_classes(op, whole_cell), op.n)
+    assert _is_one_class(mode_classes(op, ObservabilitySet.full()), op.n)
+    assert _is_one_class(mode_classes(schrodinger, S), op.n)
     # the one-class cases are decided before the modes are read
-    no_modes = dataclasses.replace(basis, modes=None)
-    for T, kw in ((balls, {}), (whole_cell, {}), (S, {"diagonal": False})):
-        assert _is_one_class(mode_classes(no_modes, T, **kw), op.n)
-    dirichlet = build_basis(DomainSpec("dirichlet", (TWO_PI, TWO_PI)), 20.0)
-    assert _is_one_class(mode_classes(dataclasses.replace(dirichlet, modes=None), S),
+    no_modes = dataclasses.replace(op.basis, modes=None)
+    for handle, T in ((op, balls), (op, whole_cell), (schrodinger, S)):
+        assert _is_one_class(mode_classes(dataclasses.replace(handle, basis=no_modes), T), op.n)
+    dirichlet = galerkin_schrodinger(build_basis(DomainSpec("dirichlet", (TWO_PI, TWO_PI)), 20.0))
+    no_modes = dataclasses.replace(dirichlet.basis, modes=None)
+    assert _is_one_class(mode_classes(dataclasses.replace(dirichlet, basis=no_modes), S),
                          dirichlet.n)
 
 
@@ -214,4 +215,4 @@ def test_set_that_does_not_tile_the_torus_is_refused():
     op, _ = _tiled("2d_q2x2")
     S = ObservabilitySet.periodic((2.5, 2.5), [((0.1, 1.0), (0.1, 1.0))])
     with pytest.raises(ValueError, match="tile"):
-        mode_classes(op.basis, S)
+        mode_classes(op, S)

@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from heatctl import runio
+from heatctl import (ControlProblem, UniversalConstants, build_basis, cost_bound, empirical_cost,
+                     galerkin_schrodinger, runio)
 from heatctl.cli import RUNNERS, main
 from heatctl.errors import ParameterError
 
@@ -364,6 +365,41 @@ def test_calibrate_spectral_cube(tmp_path):
     assert rc == 0
     consts = json.loads((tmp_path / "out" / "constants_out.json").read_text())
     assert consts["K5"] >= 1.0
+
+
+# target: (domain, set, params of the bound)
+CALIBRATE_T_TARGETS = {
+    "thick1": ({"interval": [0.0, math.pi], "boundary": "dirichlet"},
+               {"band": {"period": math.pi, "gamma": 0.5}},
+               {"gamma": 0.5, "a": [math.pi], "d": 1}),
+    "thick2": ({"interval": [0.0, math.pi], "boundary": "dirichlet"},
+               {"band": {"period": math.pi, "gamma": 0.5}},
+               {"gamma": 0.5, "a": [math.pi]}),
+    "equidistributed": ({"interval": [0.0, 3.0], "boundary": "dirichlet"},
+                        {"equidistributed": {"G": 1.0, "delta": 0.2, "seed": 5},
+                         "extent": [[0.0, 3.0]]},
+                        {"G": 1.0, "delta": 0.2}),
+}
+
+
+@pytest.mark.parametrize("target", sorted(CALIBRATE_T_TARGETS))
+def test_calibrate_t_targets_bound_every_measured_cost(tmp_path, target):
+    domain, set_, params = CALIBRATE_T_TARGETS[target]
+    t_grid = [0.5, 1.0, 2.0]
+    cfg = base("calibrate", target=target, domain=domain, set=set_, e_max=25.0,
+               t_grid=t_grid, params=params)
+    rc = main(["calibrate", "--config", write_config(tmp_path, "c.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    cal = UniversalConstants(**json.loads((tmp_path / "out" / "constants_out.json").read_text()))
+    op = galerkin_schrodinger(build_basis(runio.parse_domain(domain), 25.0))
+    problem = ControlProblem.from_set(op, runio.parse_set(set_, None), t_grid[0])
+    ratios = [cost_bound(target, params, cal, T=T) / empirical_cost(problem.with_time(T))
+              for T in t_grid]
+    assert min(ratios) >= 1.0 - 1e-12
+    if target != "thick1":
+        # a prefactor is scaled until the bound touches the data
+        assert min(ratios) <= 1.0 + 1e-12
 
 
 def test_set_by_file_path(tmp_path):

@@ -1,8 +1,9 @@
 """Dense n x n arrays only where they are read.
 
-A diagonal handle keeps its eigenvalues alone and builds its matrix and
-eigenvectors on request; every symmetrized matrix is symmetrized in place,
-one pair of tiles at a time.  Both give the same bits as the dense forms.
+A handle keeps its eigenpairs alone: a diagonal one its eigenvalues, a
+potential one its eigenvalues and eigenvectors, with no Galerkin matrix
+beside them.  Every symmetrized matrix is symmetrized in place, one pair of
+tiles at a time, with the same bits as the dense form.
 The set Gram is gathered one row group at a time, with no table over every
 pair of distinct-atom tuples.
 """
@@ -31,9 +32,7 @@ def test_diagonal_handle_stores_its_eigenvalues_only(theta):
     op = fractional_transform(galerkin_schrodinger(basis), theta)
     assert op.is_diagonal and op.n == 185
     assert _stored_bytes(op) == op.eigvals.nbytes == 8 * op.n
-    assert op.matrix.dtype == op.eigvecs.dtype == np.float64
-    assert np.array_equal(op.matrix, np.diag(op.eigvals))
-    assert np.array_equal(op.eigvecs, np.eye(op.n))
+    assert op.eigvecs is None
     u = np.arange(op.n, dtype=float)
     assert op.to_eigenbasis(u) is u and op.from_eigenbasis(u) is u
 
@@ -42,8 +41,9 @@ def test_potential_handle_stores_its_dense_eigensystem():
     basis = build_basis(DomainSpec.interval(0.0, math.pi, "dirichlet"), 100.0)
     op = galerkin_schrodinger(basis, PotentialSpec.indicator([(0.5, 2.0)], 3.0))
     assert not op.is_diagonal
-    assert op.matrix is op.dense_matrix and op.eigvecs is op.dense_eigvecs
-    assert _stored_bytes(op) == 8 * op.n * (2 * op.n + 1)
+    assert [f.name for f in dataclasses.fields(op)] == ["basis", "eigvals", "potential", "eigvecs"]
+    assert op.eigvecs.shape == (op.n, op.n)
+    assert _stored_bytes(op) == 8 * op.n * (op.n + 1)
 
 
 @pytest.mark.parametrize("n", [1, 5, 127, 129, 300])

@@ -404,3 +404,23 @@ def test_set_json_roundtrip_and_hash():
     assert again == S
     assert S.descriptor_hash() == again.descriptor_hash()
     assert S.descriptor_hash() != periodic_band(0.5, 0.4).descriptor_hash()
+
+
+def test_equidistributed_with_explicit_centers():
+    extent = [(0.0, 2.0), (-1.0, 1.0)]
+    centers = [(0.5, -0.5), (0.4, 0.7), (1.6, -0.3), (1.5, 0.5)]  # cells in sorted order
+    S = make_equidistributed(EquidistributedSpec(G=1.0, delta=0.3, centers=centers), extent)
+    h = 0.3 / math.sqrt(2.0)
+    assert S.kind == "equidistributed_balls"
+    assert S.meta["centers"] == [list(z) for z in centers]
+    assert np.allclose(S.boxes, [((x - h, x + h), (y - h, y + h)) for x, y in centers],
+                       rtol=0.0, atol=1e-15)
+    line = make_equidistributed(EquidistributedSpec(G=1.0, delta=0.3, centers=[[0.3], [1.7]]),
+                                [(0.0, 2.0)])
+    assert line.boxes == (((0.0, 0.6),), ((1.4, 2.0),))
+    with pytest.raises(ParameterError, match="expected 4 centers, got 3"):
+        make_equidistributed(EquidistributedSpec(G=1.0, delta=0.3, centers=centers[:3]), extent)
+    # a ball of radius 0.3 about 0.25 leaves its cell [0, 1]
+    leaving = [(0.25, -0.5)] + centers[1:]
+    with pytest.raises(ParameterError, match="containment"):
+        make_equidistributed(EquidistributedSpec(G=1.0, delta=0.3, centers=leaving), extent)

@@ -6,7 +6,7 @@ import pytest
 from heatctl import (CapacityError, DomainSpec, ParameterError, PotentialSpec,
                      build_basis, fractional_transform, galerkin_schrodinger,
                      semigroup_apply)
-from heatctl.spectral import BOUNDARIES, _axis_atom
+from heatctl.spectral import BOUNDARIES, _axis_atom, galerkin_matrix
 from oracles import quad_gram
 
 
@@ -63,34 +63,32 @@ def test_orthonormality_2d():
 def test_galerkin_zero_potential_is_diagonal():
     basis = build_basis(DomainSpec.interval(0.0, math.pi, "dirichlet"), 20.0)
     op = galerkin_schrodinger(basis)
-    assert op.is_diagonal
-    assert np.array_equal(op.matrix, np.diag(basis.eigenvalues))
+    assert op.is_diagonal and op.eigvecs is None
     assert np.array_equal(op.eigvals, basis.eigenvalues)
 
 
 def test_galerkin_constant_potential():
     basis = build_basis(DomainSpec.interval(0.0, math.pi, "dirichlet"), 20.0)
     op = galerkin_schrodinger(basis, PotentialSpec.const(2.5))
-    assert np.allclose(op.matrix, np.diag(basis.eigenvalues + 2.5), atol=1e-12)
+    assert np.allclose(galerkin_matrix(basis, op.potential), np.diag(basis.eigenvalues + 2.5),
+                       atol=1e-12)
     assert np.allclose(np.sort(op.eigvals), basis.eigenvalues + 2.5, atol=1e-12)
 
 
 def test_galerkin_indicator_closed_form():
     basis = build_basis(DomainSpec.interval(0.0, math.pi, "dirichlet"), 5.0)
     V = PotentialSpec.indicator([(0.0, math.pi / 2)])
-    op = galerkin_schrodinger(basis, V)
     off = 4.0 / (3.0 * math.pi)  # antiderivative of sin(x) sin(2x) on (0, pi/2)
     expect = np.array([[1.0 + 0.5, off], [off, 4.0 + 0.5]])
-    assert np.allclose(op.matrix, expect, atol=1e-14)
+    assert np.allclose(galerkin_matrix(basis, V), expect, atol=1e-14)
 
 
 def test_galerkin_matches_quadrature_for_cosine_series():
     basis = build_basis(DomainSpec.interval(0.0, math.pi, "dirichlet"), 30.0)
     V = PotentialSpec(cosines=((0.7, (1,)), (-0.3, (3,))))
-    op = galerkin_schrodinger(basis, V)
     f = lambda pts: V.evaluate(pts, basis.domain)
     Vq = quad_gram_weighted(basis, f)
-    assert np.max(np.abs(op.matrix - np.diag(basis.eigenvalues) - Vq)) < 1e-10
+    assert np.max(np.abs(galerkin_matrix(basis, V) - np.diag(basis.eigenvalues) - Vq)) < 1e-10
 
 
 def quad_gram_weighted(basis, f, order=96):
@@ -116,8 +114,7 @@ def test_galerkin_2d_matches_weighted_quadrature(term, dom, e_max):
         V = PotentialSpec(cosines=((0.7, (1, 2)),))
         Vq = quad_gram(basis, [dom.box()], order=64,
                        weight=lambda pts: V.evaluate(pts, dom))
-    op = galerkin_schrodinger(basis, V)
-    assert np.max(np.abs(op.matrix - np.diag(basis.eigenvalues) - Vq)) < 1e-10
+    assert np.max(np.abs(galerkin_matrix(basis, V) - np.diag(basis.eigenvalues) - Vq)) < 1e-10
 
 
 @pytest.mark.parametrize("V", [
@@ -151,10 +148,11 @@ def test_galerkin_symmetry_and_form_lower_bound():
     basis = build_basis(DomainSpec.interval(0.0, math.pi, "dirichlet"), 50.0)
     V = PotentialSpec.indicator([(1.0, 2.0)], height=-3.0)
     op = galerkin_schrodinger(basis, V)
-    assert np.max(np.abs(op.matrix - op.matrix.T)) < 1e-12 * np.max(np.abs(op.matrix))
+    M = galerkin_matrix(basis, V)
+    assert np.max(np.abs(M - M.T)) < 1e-12 * np.max(np.abs(M))
     assert np.max(np.abs(op.eigvecs.T @ op.eigvecs - np.eye(op.n))) < 1e-10
     recon = (op.eigvecs * op.eigvals) @ op.eigvecs.T
-    assert np.max(np.abs(recon - op.matrix)) < 1e-9 * max(np.max(np.abs(op.matrix)), 1)
+    assert np.max(np.abs(recon - M)) < 1e-9 * max(np.max(np.abs(M)), 1)
     assert op.eigvals[0] >= -V.sup_norm - 1e-10
 
 
@@ -208,7 +206,7 @@ def test_fractional_squares_eigenvalues():
     assert np.allclose(op2.eigvals, [1.0, 16.0, 81.0])
     # both handles diagonal: the same (identity) map to the eigenbasis
     assert op.is_diagonal and op2.is_diagonal
-    assert np.array_equal(op2.eigvecs, op.eigvecs)
+    assert op.eigvecs is None and op2.eigvecs is None
 
 
 def test_fractional_projector_identity():
@@ -228,7 +226,7 @@ def test_semigroup_matches_expm_oracle():
     u = rng.standard_normal(op.n)
     for t in (0.05, 0.4, 1.3):
         ours = semigroup_apply(op, t, u)
-        dense = scipy.linalg.expm(-t * op.matrix) @ u
+        dense = scipy.linalg.expm(-t * galerkin_matrix(basis, op.potential)) @ u
         assert np.max(np.abs(ours - dense)) < 1e-10 * np.linalg.norm(u)
 
 
@@ -237,8 +235,9 @@ def test_fractional_transform_non_diagonal():
     op = galerkin_schrodinger(basis, PotentialSpec.const(5.0))
     op2 = fractional_transform(op, 2.0)
     assert np.allclose(np.sort(op2.eigvals), np.sort(op.eigvals) ** 2, rtol=1e-13)
+    M = galerkin_matrix(basis, op.potential)
     recon = (op2.eigvecs * op2.eigvals) @ op2.eigvecs.T
-    assert np.max(np.abs(recon - op2.matrix)) < 1e-9 * np.max(np.abs(op2.matrix))
+    assert np.max(np.abs(recon - M @ M)) < 1e-9 * np.max(np.abs(M @ M))
     for lam in (40.0, 200.0, 700.0):
         sel2 = np.flatnonzero(op2.eigvals <= lam)
         sel1 = np.flatnonzero(op.eigvals <= math.sqrt(lam))
@@ -250,3 +249,51 @@ def test_fractional_rejects_negative_spectrum():
     op = galerkin_schrodinger(basis, PotentialSpec.const(-5.0))
     with pytest.raises(ParameterError):
         fractional_transform(op, 2.0)
+
+
+def test_project_on_a_diagonal_handle_is_the_principal_block():
+    op = galerkin_schrodinger(build_basis(DomainSpec.torus(2 * math.pi), 30.0))
+    M = np.random.default_rng(3).standard_normal((op.n, op.n))
+    assert op.project(M) is M
+    scattered = np.array([0, 2, 3, 7, 10])
+    assert np.array_equal(op.project(M, scattered), M[np.ix_(scattered, scattered)])
+    run = np.arange(2, 9)
+    block = op.project(M, run)
+    assert np.shares_memory(block, M)
+    assert np.array_equal(block, M[np.ix_(run, run)])
+
+
+def test_project_on_a_potential_handle_conjugates_by_the_eigenvectors():
+    basis = build_basis(DomainSpec.interval(0.0, math.pi, "dirichlet"), 100.0)
+    op = galerkin_schrodinger(basis, PotentialSpec.indicator([(0.5, 2.0)], 3.0))
+    M = np.random.default_rng(5).standard_normal((op.n, op.n))
+    V = op.eigvecs
+    assert np.array_equal(op.project(M), V.T @ M @ V)
+    for k in (np.array([0, 2, 5, 6]), np.arange(4)):
+        assert np.array_equal(op.project(M, k), V[:, k].T @ M @ V[:, k])
+    assert fractional_transform(op, 0.5).eigvecs is op.eigvecs
+
+
+def test_evaluate_reads_points_as_rows_and_refuses_columns():
+    dom = DomainSpec.torus(2 * math.pi, 2 * math.pi)
+    basis = build_basis(dom, 2.0)
+    atoms = [[_axis_atom(dom.boundary, dom.sides[ax], dom.origin[ax], m[ax]) for ax in range(2)]
+             for m in basis.modes]
+
+    def exact(pts):
+        return np.array([[math.prod(a * math.cos(w * x + p) for (a, w, p), x in zip(mode, pt))
+                          for pt in pts] for mode in atoms])
+
+    for pts in (np.array([[0.3, 1.2], [2.0, 0.5], [5.0, 4.4]]), np.array([[0.3, 1.2], [2.0, 0.5]])):
+        assert np.allclose(basis.evaluate(pts), exact(pts), rtol=0.0, atol=1e-15)
+    with pytest.raises(ParameterError, match=r"\(npts, 2\)"):
+        basis.evaluate(np.array([[0.3, 2.0, 5.0], [1.2, 0.5, 4.4]]))
+
+
+def test_potential_box_terms_evaluate_to_the_indicator():
+    dom = DomainSpec.torus(2 * math.pi, 2 * math.pi)
+    V = PotentialSpec(constant=0.5, boxes=((2.0, ((1.0, 2.0), (0.5, 3.0))),
+                                           (-1.0, ((1.5, 4.0), (2.0, 2.5)))))
+    pts = np.array([[1.2, 1.0], [1.8, 2.2], [3.0, 2.2], [0.5, 1.0], [1.2, 3.5], [1.0, 0.5]])
+    inside = [[1, 0], [1, 1], [0, 1], [0, 0], [0, 0], [1, 0]]
+    assert np.array_equal(V.evaluate(pts, dom), 0.5 + np.array(inside) @ [2.0, -1.0])
