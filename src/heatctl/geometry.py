@@ -275,12 +275,37 @@ def gram_matrix(basis, S):
         return np.eye(basis.n)
     if S.kind == "empty":
         return np.zeros((basis.n, basis.n))
-    dom = basis.domain
+    return symmetrize(box_integrals(basis, basis, region_boxes(basis.domain, S)))
+
+
+def region_boxes(dom, S):
+    """Disjoint absolute boxes covering ``S`` intersected with the domain
+    ``dom``, for a set that is neither ``full`` nor ``empty``; refused when
+    the set's dimension is not the domain's or its cells do not tile a
+    torus."""
     if S.dimension != dom.dimension:
         raise ParameterError("set dimension does not match the domain")
     if S.kind == "periodic_boxes" and dom.boundary == "periodic":
         _cells_per_side(dom, S)
-    return symmetrize(box_integrals(basis, basis, S.boxes_in_region(dom.box())))
+    return S.boxes_in_region(dom.box())
+
+
+def single_box(dom, S):
+    """The box in which ``S`` meets the domain ``dom`` when that is one box,
+    else ``None``.
+
+    Only a periodic set or a finite family that stores one box can qualify,
+    and a periodic set on a torus only with one cell per axis, so a tiled
+    set or a family of several boxes is turned away without building its
+    boxes, even a family whose other boxes all miss the domain.
+    """
+    if S.kind not in ("periodic_boxes", "equidistributed_balls") or len(S.boxes) != 1:
+        return None
+    if (S.kind == "periodic_boxes" and dom.boundary == "periodic"
+            and any(q != 1 for q in _cells_per_side(dom, S))):
+        return None
+    boxes = region_boxes(dom, S)
+    return boxes[0] if len(boxes) == 1 else None
 
 
 def _cells_per_side(dom, S):

@@ -138,21 +138,41 @@ class SpectralBasis:
         return np.array(self.modes, dtype=int).reshape(self.n, self.domain.dimension)
 
     @cached_property
+    def axis_indices(self):
+        """Per axis ``(distinct, index)``, built once per basis: the distinct
+        1D mode indices of the axis, ascending, and ``index[i]`` the position
+        of mode ``i``'s among them."""
+        return tuple(np.unique(self.mode_indices[:, ax], return_inverse=True)
+                     for ax in range(self.domain.dimension))
+
+    @cached_property
     def axis_atoms(self):
         """Per axis ``((amps, freqs, phases), index)``, built once per basis.
 
-        The arrays hold the distinct 1D atoms of the axis; ``index[i]`` is the
-        position of mode ``i``'s factor among them.
+        The arrays hold the distinct 1D atoms of the axis, in the order of
+        :attr:`axis_indices`; ``index[i]`` is the position of mode ``i``'s
+        factor among them.
         """
         dom = self.domain
-        ks = self.mode_indices
         axes = []
-        for ax in range(dom.dimension):
-            distinct, index = np.unique(ks[:, ax], return_inverse=True)
+        for ax, (distinct, index) in enumerate(self.axis_indices):
             atoms = np.array([_axis_atom(dom.boundary, dom.sides[ax], dom.origin[ax], int(k))
                               for k in distinct]).T
             axes.append((tuple(atoms), index))
         return tuple(axes)
+
+    @cached_property
+    def sign_classes(self):
+        """The modes grouped by the sign pattern of their indices, built once
+        per basis: ascending index arrays, one per pattern that occurs, in
+        the order of ``sum_ax 2^ax [k_ax < 0]``.  On a torus axis the mode
+        ``k < 0`` is the sine and ``k >= 0`` the cosine or constant, so in
+        atoms centred at any point ``c`` these are the classes of equal
+        parity under the reflections through ``c``.
+        """
+        key = (self.mode_indices < 0) @ (1 << np.arange(self.domain.dimension))
+        order = np.argsort(key, kind="stable")
+        return tuple(np.split(order, np.flatnonzero(np.diff(key[order])) + 1))
 
     def evaluate(self, points):
         """Values of all modes at ``points`` (shape (npts, d), any other shape
@@ -321,6 +341,15 @@ class OperatorHandle:
         if modes[-1] - modes[0] + 1 == modes.size:
             return M[modes[0]:modes[-1] + 1, modes[0]:modes[-1] + 1]
         return M[np.ix_(modes, modes)]
+
+    def project_diagonal(self, M, modes):
+        """The diagonal of ``project(M, modes)``, without the rest of the
+        block: ``np.diagonal(M)[modes]`` on a diagonal handle, the column
+        sums of ``V_k * (M V_k)`` on a dense one."""
+        if self.eigvecs is None:
+            return np.diagonal(M)[modes]
+        V = self.eigvecs[:, modes]
+        return np.einsum("ij,ij->j", V, M @ V)
 
     def to_eigenbasis(self, u):
         return u if self.eigvecs is None else self.eigvecs.T @ u

@@ -692,10 +692,15 @@ VALID_FORMS = {
              None, "36899c1033758c82bbfc744a4e7fd630feb1527970907c53c8deb8fb21b00a45"),
     "set_file": (_si({"interval": [0.0, math.pi]}, "SET_FILE"),
                  None, "0b65b40293dcb52ed859a5b740e406ce27148e41804cde6423b83b0cc523c9d3"),
+    # one box on its torus: the constants come from the reflection-parity
+    # blocks, which moved C_emp at E=4 from 0.0006928185479499335 to
+    # 0.0006928185479501164 and at E=9 from 4.92830601054845e-06 to
+    # 4.928306010570798e-06 (mpmath: 0.000692818547950319 and
+    # 4.92830601033095e-06); E=1 kept 0.017274531366009427
     "torus": (_si({"torus": [2 * math.pi, 2 * math.pi]},
                   {"kind": "periodic_boxes", "cell": [2 * math.pi, 2 * math.pi],
                    "boxes": [[[0.0, math.pi], [0.0, math.pi]]]}),
-              None, "d27dd4329380c3d21a022790f9a2417d8046a3afb90703fc26a415990d99a902"),
+              None, "b46ae0e0f54579a885c1286b3283d95beeed75a65eb40611c7b05d438572151d"),
     "domain_spec": (_si({"boundary": "neumann", "sides": [2.0, 1.0], "origin": [0.5, 0.0]},
                         {"kind": "periodic_boxes", "cell": [1.0, 1.0],
                          "boxes": [[[0.0, 0.5], [0.0, 0.5]]]}),
