@@ -180,13 +180,21 @@ def miller_cstar(beta: float, b: float, a: float = 0.0, m: float = 0.0):
 
 
 def tenenbaum_threshold(s: float, d1: float):
-    """Admissible-coefficient threshold ``h^{gh} g^{-g^2} d1^h``."""
+    """Admissible-coefficient threshold ``h^{gh} g^{-g^2} d1^h`` with
+    ``g = s/(1-s)`` and ``h = 1/(1-s)``; a threshold beyond double range is
+    refused."""
     s = _check_s(s)
     if d1 < 0:
         raise ParameterError("d1 must be non-negative")
     g = s / (1.0 - s)
     h = 1.0 / (1.0 - s)
-    return h ** (g * h) * g ** (-g * g) * d1 ** h
+    try:
+        value = h ** (g * h) * g ** (-g * g) * d1 ** h
+    except OverflowError:
+        value = math.inf
+    if not value < math.inf:
+        raise ParameterError(f"the threshold is beyond double range (s={s}, d1={d1})")
+    return value
 
 
 def regime_table(names, params, t_grid, constants=None):

@@ -137,7 +137,7 @@ def run_synthesize(domain, e_max: float, T: float, set=None, control_scale: floa
     rows, traj = _trajectory_rows(problem, signal, t_points)
     report.diagnostics["final_residual"] = traj.final_norm()
     report.constants = asdict(constants)
-    files["report.json"] = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+    files["report.json"] = runio.json_text(asdict(report))
     files["trajectory.csv"] = runio.csv_text(["x", "y", "series"], rows)
     return files
 
@@ -181,7 +181,7 @@ def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
               row["best"]] for row in regime_rows])
         report["classifiers"] = classifiers
     if report:
-        files["bounds_report.json"] = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        files["bounds_report.json"] = runio.json_text(report)
     return files
 
 
@@ -252,7 +252,7 @@ def run_exhaust(t: float, L: list[float], L_ref: float, R: float = 1.0,
     return {
         "exhaust.csv": runio.csv_text(["L", "difference", "control_norm", "residual"],
                                       rows),
-        "exhaust_report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
+        "exhaust_report.json": runio.json_text(report),
     }
 
 
@@ -285,8 +285,7 @@ def run_calibrate(target, domain, set, e_max: float, e_grid: list[float] = None,
         else:
             cal = bd.calibrate_prefactor(target, pairs, params, constants)
             fitted = {"D1": cal.D1}
-    files = {"constants_out.json": json.dumps(asdict(cal), sort_keys=True,
-                                              indent=2) + "\n"}
+    files = {"constants_out.json": runio.json_text(asdict(cal))}
     files["calibrate.csv"] = runio.csv_text(
         ["target", "constant", "value"],
         [[target, k, repr(v)] for k, v in sorted(fitted.items())])

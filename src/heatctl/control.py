@@ -15,9 +15,9 @@ kernel and control norm is then block diagonal, and each is formed,
 decomposed and applied one class at a time: ``C_T`` is the largest of the
 classes' costs and the condition number that of the whole.  Any other
 problem has the one class of all modes.  Each class's block of the control
-Gram is formed once per problem (:meth:`ControlProblem.class_blocks`): the
-one class takes the conjugated matrix whole, several classes their principal
-blocks.
+Gram is formed once per problem (:meth:`ControlProblem.class_blocks`) by
+:func:`heatctl.geometry.class_block`, the projection that forms the blocks
+of a spectral constant.
 """
 
 import math
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ConditioningError, ParameterError
-from .geometry import gram_matrix, mode_classes
+from .geometry import class_block, gram_matrix, mode_classes
 from .spectral import symmetrize
 
 COND_CAP = 1e12
@@ -110,12 +110,12 @@ class ControlProblem:
 
     def class_blocks(self):
         """Per class ``(modes, eigenvalues, block of mtil)``, formed once per
-        problem by :meth:`OperatorHandle.project` and shared by
-        :meth:`with_time`; the one class of all modes takes ``mtil`` whole."""
+        problem by :func:`heatctl.geometry.class_block`, as the blocks of a
+        spectral constant are, and shared by :meth:`with_time`.  On a
+        diagonal handle the one class of all modes takes a view of the whole
+        control Gram."""
         if self._blocks is None:
-            one = len(self.classes) == 1
-            self._blocks = tuple((c, self.op.eigvals[c],
-                                  self.op.project(self.control_gram, None if one else c))
+            self._blocks = tuple(class_block(self.op, self.control_gram, c)
                                  for c in self.classes)
         return self._blocks
 

@@ -108,8 +108,8 @@ class DiffReport:
     L_list: tuple
     differences: tuple
     fidelities: tuple
-    slope_vs_Lsq: float
-    intercept: float
+    slope_vs_Lsq: float | None
+    intercept: float | None
 
 
 def _heat_state(L, run, tol):
@@ -131,7 +131,9 @@ def semigroup_difference(run):
     The small-box semigroup acts as ``exp(-t H_L) ⊕ I`` restricted to the
     zero-extension, and the comparison uses exact cross inner products in
     the reference basis, so the reported values carry only the (checked)
-    basis-truncation error.
+    basis-truncation error.  The slope and intercept of ``ln difference``
+    against ``L^2`` are ``None`` when there is no fit: fewer than two boxes,
+    or a difference that vanishes.
     """
     basis_R, op_R, c_R, _ = _heat_state(run.L_ref, run, run.fidelity_tol)
     v_R = semigroup_apply(op_R, run.t, c_R)
@@ -147,7 +149,7 @@ def semigroup_difference(run):
         coef, _ = _line_fit([L ** 2 for L in run.L_list], np.log(diffs))
         slope, intercept = float(coef[1]), float(coef[0])
     else:
-        slope = intercept = math.nan
+        slope = intercept = None
     return DiffReport(
         L_list=run.L_list,
         differences=tuple(diffs),

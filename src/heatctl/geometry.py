@@ -6,6 +6,7 @@ everything box-shaped makes measures, window densities and Gram matrices
 against a :class:`~heatctl.spectral.SpectralBasis` available in closed form.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -13,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._trig import separable_sum
+from ._trig import cross_integrals, separable_sum
 from .errors import ParameterError
-from .spectral import box_integrals, symmetrize
+from .spectral import _axis_atom, box_integrals, symmetrize
 
 _EPS = 1e-12
 
@@ -290,24 +291,6 @@ def region_boxes(dom, S):
     return S.boxes_in_region(dom.box())
 
 
-def single_box(dom, S):
-    """The box in which ``S`` meets the domain ``dom`` when that is one box,
-    else ``None``.
-
-    Only a periodic set or a finite family that stores one box can qualify,
-    and a periodic set on a torus only with one cell per axis, so a tiled
-    set or a family of several boxes is turned away without building its
-    boxes, even a family whose other boxes all miss the domain.
-    """
-    if S.kind not in ("periodic_boxes", "equidistributed_balls") or len(S.boxes) != 1:
-        return None
-    if (S.kind == "periodic_boxes" and dom.boundary == "periodic"
-            and any(q != 1 for q in _cells_per_side(dom, S))):
-        return None
-    boxes = region_boxes(dom, S)
-    return boxes[0] if len(boxes) == 1 else None
-
-
 def _cells_per_side(dom, S):
     """Per axis the whole number ``q = side / cell`` of a periodic set's cells
     along a torus; refused unless the cells tile it."""
@@ -330,11 +313,14 @@ def mode_classes(op, S):
     Arch. Math. 2018; Kuchment, Floquet Theory for PDEs, 1993).  The Gram
     matrix, and every Gramian of a diagonal handle, is then block diagonal
     over the classes of equal residue tuple.  Every class is an ascending
-    index array, and the classes come in the lexicographic order of their
-    tuples.  A set that is not ``periodic_boxes``, a domain that is not a
-    torus, a handle with a potential (whose eigenvectors mix the classes) or
-    a single cell per axis give the one class of all modes,
-    ``(np.arange(n),)``, sized without reading the modes.
+    index array, so with the modes sorted by eigenvalue the modes of a class
+    up to any energy are a leading run of it, and the classes come in the
+    lexicographic order of their tuples.  A set that is not
+    ``periodic_boxes``, a domain that is not a torus, a handle with a
+    potential (whose eigenvectors mix the classes) or a single cell per axis
+    give the one class of all modes, ``(np.arange(n),)``, sized without
+    reading the modes.  :func:`set_blocks` reads these classes, and splits a
+    set that meets a torus in one box by parity instead.
     """
     basis = op.basis
     dom = basis.domain
@@ -351,6 +337,81 @@ def mode_classes(op, S):
     order = np.argsort(key, kind="stable")
     bounds = np.flatnonzero(np.diff(key[order])) + 1
     return tuple(np.split(order, bounds))
+
+
+def class_block(op, M, modes):
+    """``(modes, eigenvalues, block)`` of the ascending index array ``modes``:
+    their eigenvalues under handle ``op`` and ``op.project(M, modes)``."""
+    return modes, op.eigvals[modes], op.project(M, modes)
+
+
+def _single_box(dom, S):
+    """The box in which ``S`` meets the torus ``dom`` when that is one box,
+    else ``None``.
+
+    Only a periodic set with one cell per axis or a finite family that
+    stores one box can qualify, so a tiled set or a family of several boxes
+    is turned away without building its boxes, even a family whose other
+    boxes all miss the domain.
+    """
+    if S is None or S.kind not in ("periodic_boxes", "equidistributed_balls") or len(S.boxes) != 1:
+        return None
+    if S.kind == "periodic_boxes" and any(q != 1 for q in _cells_per_side(dom, S)):
+        return None
+    boxes = region_boxes(dom, S)
+    return boxes[0] if len(boxes) == 1 else None
+
+
+@functools.lru_cache(maxsize=64)
+def _centred_table(side, lo, hi, ks):
+    """Read-only table of ``int_lo^hi f_i f_j`` over the atoms ``f`` of the
+    torus indices ``ks`` on an axis of length ``side``, centred at the
+    midpoint of ``(lo, hi)``; kept for the next blocks of the same box."""
+    atoms = np.array([_axis_atom("periodic", side, 0.5 * (lo + hi), k) for k in ks]).T
+    table = cross_integrals(atoms, atoms, [lo], [hi])[0]
+    table.flags.writeable = False
+    return table
+
+
+def set_blocks(op, S, E, gram=None):
+    """Per class of the set ``S`` that holds a mode of eigenvalue <= ``E``
+    under handle ``op``, ``(modes, eigenvalues, block)``: those modes as an
+    ascending index array, their eigenvalues, and the block of the set Gram
+    on them in the eigenbasis, which couples no two classes.
+
+    The modes of a class are sorted by eigenvalue, so the block at a lower
+    energy is the leading block of this one.  A set that meets the torus of
+    a diagonal handle in one box is symmetric under the reflection of every
+    axis through the box's midpoint ``c``.  In the atoms ``cos(w (x - c))``
+    and ``sin(w (x - c))``, which span the same eigenspaces, its Gram splits
+    into ``2^d`` parity blocks, the sign classes of the mode indices
+    (:attr:`heatctl.spectral.SpectralBasis.sign_classes`).  Each block is
+    then gathered by one flat ``np.take`` per axis from a cached table over
+    the axis's distinct atoms, and ``gram`` is not read.  Tiled sets keep
+    their Bloch classes alone: splitting those by parity as well leaves so
+    many tiny blocks that the calls cost more than the smaller blocks save.
+    Every other set takes the blocks of ``gram`` (assembled when ``None``)
+    over :func:`mode_classes`, each by :func:`class_block`.
+    """
+    basis = op.basis
+    dom = basis.domain
+    box = op.is_diagonal and dom.boundary == "periodic" and _single_box(dom, S)
+    classes = basis.sign_classes if box else mode_classes(op, S)
+    kept = [modes for modes in (c[op.eigvals[c] <= E] for c in classes) if modes.size]
+    if not box:
+        M = gram_matrix(basis, S) if gram is None else gram
+        return [class_block(op, M, modes) for modes in kept]
+    tables = [_centred_table(side, lo, hi, tuple(distinct.tolist()))
+              for side, (lo, hi), (distinct, _) in zip(dom.sides, box, basis.axis_indices)]
+    out = []
+    for modes in kept:
+        block = None
+        for table, (_, index) in zip(tables, basis.axis_indices):
+            at = index[modes]
+            factor = np.take(table, at[:, None] * len(table) + at)
+            block = factor if block is None else np.multiply(block, factor, out=block)
+        out.append((modes, op.eigvals[modes], block))
+    return out
 
 
 def _axis_offsets(S, a_len, axis, grid):

@@ -19,7 +19,7 @@ import numbers
 import os
 import tempfile
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .geometry import (EquidistributedSpec, ObservabilitySet, example_constructor,
                        make_equidistributed, periodic_band)
 from .spectral import DomainSpec, PotentialSpec
@@ -111,6 +111,16 @@ def canonical_json(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def json_text(data):
+    """``data`` as the text of a JSON report: keys sorted, indented by two,
+    a final newline.  Strict JSON has no ``NaN`` or infinity, so a
+    non-finite number is refused with :class:`NumericError`."""
+    try:
+        return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"a report is not strict JSON: {exc}") from exc
+
+
 def config_hash(config):
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
 
@@ -154,8 +164,7 @@ def write_outputs(out_dir, files, meta):
         atomic_write_text(os.path.join(out_dir, name), text)
     meta = dict(meta)
     meta["outputs"] = {name: sha256_of(os.path.join(out_dir, name)) for name in files}
-    atomic_write_text(os.path.join(out_dir, "run_meta.json"),
-                      json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(os.path.join(out_dir, "run_meta.json"), json_text(meta))
 
 
 def read_json(path, what):

@@ -6,7 +6,6 @@ spectral subspace (smallest eigenvalue of the projected set Gram), and the
 unspecified universal constants live in :class:`UniversalConstants`.
 """
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -15,9 +14,8 @@ import numpy as np
 
 from . import _trig, runio
 from .errors import DegenerateSetError, ParameterError
-from .geometry import (ObservabilitySet, check_gamma, check_ratio, gram_matrix, mode_classes,
-                       single_box)
-from .spectral import PotentialSpec, _axis_atom, galerkin_matrix
+from .geometry import ObservabilitySet, check_gamma, check_ratio, gram_matrix, set_blocks
+from .spectral import PotentialSpec, galerkin_matrix
 
 
 @dataclass(frozen=True)
@@ -139,58 +137,20 @@ def _check_operands(op, S, gram):
         raise ParameterError(f"gram must be an ({n}, {n}) array, not {got}")
 
 
-@functools.lru_cache(maxsize=64)
-def _centred_table(side, lo, hi, ks):
-    """Read-only table of ``int_lo^hi f_i f_j`` over the atoms ``f`` of the
-    torus indices ``ks`` on an axis of length ``side``, centred at the
-    midpoint of ``(lo, hi)``; kept for the next constant of the same box."""
-    atoms = np.array([_axis_atom("periodic", side, 0.5 * (lo + hi), k) for k in ks]).T
-    table = _trig.cross_integrals(atoms, atoms, [lo], [hi])[0]
-    table.flags.writeable = False
-    return table
-
-
-def _reflection_tables(op, S):
-    """Per axis the table of :func:`_centred_table` for the one box in which
-    ``S`` meets the torus of the diagonal handle ``op``
-    (:func:`heatctl.geometry.single_box`); ``None`` for any other handle,
-    domain or set, the ``full`` set included, whose Gram is the identity."""
-    dom = op.basis.domain
-    if not op.is_diagonal or dom.boundary != "periodic" or S is None:
-        return None
-    box = single_box(dom, S)
-    if box is None:
-        return None
-    return [_centred_table(side, lo, hi, tuple(distinct.tolist()))
-            for side, (lo, hi), (distinct, _) in zip(dom.sides, box, op.basis.axis_indices)]
-
-
-def _reflection_blocks(op, tables, E):
-    """The blocks of the modes with eigenvalue <= ``E`` in the centred
-    atoms, one per sign class of the basis, each gathered by one flat
-    ``np.take`` per axis table."""
-    for modes in op.basis.sign_classes:
-        kept = modes[op.eigvals[modes] <= E]
-        if kept.size:
-            block = None
-            for table, (_, index) in zip(tables, op.basis.axis_indices):
-                at = index[kept]
-                factor = np.take(table, at[:, None] * len(table) + at)
-                block = factor if block is None else np.multiply(block, factor, out=block)
-            yield block
-
-
-def _constant(op, S, E, tables, gram):
-    """The constant at ``E`` from the parity ``tables`` if there are any,
-    else from the class blocks of ``gram`` (assembled when ``None``)."""
-    subspace_indices(op, E)  # refuses an E below the spectrum
-    if tables is not None:
-        blocks = _reflection_blocks(op, tables, E)
-    else:
-        M = gram_matrix(op.basis, S) if gram is None else gram
-        subspaces = (c[op.eigvals[c] <= E] for c in mode_classes(op, S))
-        blocks = (op.project(M, k) for k in subspaces if k.size)
-    return min(float(np.linalg.eigvalsh(B)[0]) for B in blocks)
+def _constants(op, S, grid, gram):
+    """The constant at each energy of ``grid``, from the leading blocks of
+    one :func:`heatctl.geometry.set_blocks` at the largest of them."""
+    _check_operands(op, S, gram)
+    for E in grid:
+        subspace_indices(op, E)  # refuses an E below the spectrum
+    if S is not None and S.kind in ("full", "empty"):
+        return [float(S.kind == "full") for _ in grid]
+    blocks = set_blocks(op, S, max(grid), gram) if grid else []
+    out = []
+    for E in grid:
+        leading = [B[:k, :k] for _, mu, B in blocks if (k := np.count_nonzero(mu <= E))]
+        out.append(min(float(np.linalg.eigvalsh(B)[0]) for B in leading))
+    return out
 
 
 def spectral_ineq_constant(op, S, E, gram=None):
@@ -199,34 +159,24 @@ def spectral_ineq_constant(op, S, E, gram=None):
     Smallest eigenvalue of the set Gram projected onto the span of
     eigenvectors with eigenvalue <= E.  Lies in [0, 1] and is
     non-increasing in E by subspace nesting.  It is the smallest over the
-    mode classes of ``S`` (see :func:`heatctl.geometry.mode_classes`), which
-    the Gram never couples.  ``gram``, the set Gram if the caller holds it,
-    must be an ``(n, n)`` array; without a set (``S=None``) it is required.
-
-    A set that meets the torus of a diagonal handle in one box is symmetric
-    under the reflection of every axis through the box's midpoint ``c``.
-    Each eigenspace is then spanned by the atoms ``cos(w (x - c))`` and
-    ``sin(w (x - c))`` as well, and in them the Gram splits into ``2^d``
-    parity blocks, the sign classes of the mode indices
-    (:attr:`heatctl.spectral.SpectralBasis.sign_classes`).  Their entries
-    are products of one ``m x m`` table per axis, over the ``m`` distinct 1D
-    atoms, so on that path ``gram`` is not read and no dense Gram is built;
-    the constant agrees with the dense one to rounding.  Tiled sets keep
-    their Bloch classes alone: splitting those by parity as well leaves so
-    many tiny blocks that the calls cost more than the smaller blocks save.
+    classes of ``S`` that the Gram never couples, whose blocks
+    :func:`heatctl.geometry.set_blocks` chooses and forms: parity blocks of
+    a set that meets a torus in one box, Bloch classes of a tiled one, or
+    the one class of all modes.  ``gram``, the set Gram if the caller holds
+    it, must be an ``(n, n)`` array; without a set (``S=None``) it is
+    required, and the parity blocks do not read it.  An ``E`` below the
+    spectrum is refused; the ``full`` set gives exactly 1 and the ``empty``
+    set exactly 0.
     """
-    _check_operands(op, S, gram)
-    return _constant(op, S, E, _reflection_tables(op, S), gram)
+    return _constants(op, S, [E], gram)[0]
 
 
 def spectral_ineq_sweep(op, S, e_grid):
-    """(E, C_emp) pairs over a grid, reusing one Gram assembly, or one set
-    of parity tables on the path of :func:`spectral_ineq_constant` that
-    reads no Gram."""
-    _check_operands(op, S, None)
-    tables = _reflection_tables(op, S)
-    M = gram_matrix(op.basis, S) if tables is None else None
-    return [(float(E), _constant(op, S, E, tables, M)) for E in e_grid]
+    """(E, C_emp) pairs over a grid, as :func:`spectral_ineq_constant` gives
+    them.  The blocks are formed once, at the largest energy, and the
+    constant at each energy is read from their leading blocks up to it."""
+    grid = [float(E) for E in e_grid]
+    return list(zip(grid, _constants(op, S, grid, None)))
 
 
 def fit_uncertainty_form(pairs, s):

@@ -14,7 +14,7 @@ import pytest
 from heatctl import (ControlProblem, UniversalConstants, build_basis, cost_bound, empirical_cost,
                      galerkin_schrodinger, runio)
 from heatctl.cli import RUNNERS, main
-from heatctl.errors import ParameterError
+from heatctl.errors import NumericError, ParameterError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -885,3 +885,73 @@ def test_call_reads_each_value_by_its_annotation_without_touching_the_section():
                              ("params", {"a": "1"}, "a number")):
         with pytest.raises(ParameterError, match=f"^sec: {key}.* must be {noun}"):
             runio.call(f, {**section, key: value}, "sec")
+
+
+def _strict_json(path):
+    """The JSON document at ``path``, refused unless it is strict JSON."""
+    def refuse(constant):
+        raise AssertionError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_json_text_is_the_report_format_and_refuses_non_finite_numbers():
+    data = {"b": [1.5, None], "a": {"y": 2, "x": "s"}}
+    assert runio.json_text(data) == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    for value in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(NumericError, match="not strict JSON"):
+            runio.json_text({"a": [value]})
+
+
+def test_exhaust_without_a_fit_writes_null(tmp_path):
+    cfg = base("exhaust", t=0.1, L=[2.0], L_ref=8.0)
+    out = tmp_path / "out"
+    assert main(["exhaust", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 0
+    report = _strict_json(out / "exhaust_report.json")
+    assert report["diff_slope_vs_Lsq"] is None and report["diff_intercept"] is None
+    assert len(report["fidelities"]) == 1
+    _strict_json(out / "run_meta.json")
+
+
+def test_non_finite_regime_classifier_exits_2_without_files(tmp_path, capsys):
+    # every thick bound overflows below T = 1, so the line fits read inf - inf
+    cfg = base("bounds", regime={"names": ["thick1", "thick2"],
+                                 "params": {"gamma": 0.01, "a": [5.0], "d": 1},
+                                 "t_grid": [1e-4, 1e-3, 1e-2, 1e-1, 1.0]})
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "not strict JSON" in capsys.readouterr().err
+
+
+def test_tenenbaum_threshold_beyond_double_range_exits_2(tmp_path, capsys):
+    cfg = base("bounds", tenenbaum={"s": 0.95, "d1": 10.0})
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "beyond double range" in err and "s=0.95" in err and "d1=10.0" in err
+
+
+def test_seed_option_overrides_the_config_seed(tmp_path):
+    spec = {"equidistributed": {"G": 1.0, "delta": 0.2}, "extent": [[0.0, 4.0]]}
+    cfg = base("spectral-ineq", domain={"torus": [4.0]}, set=spec, e_max=20.0,
+               e_grid=[4.0, 16.0], seed=3)
+    out = tmp_path / "out"
+    assert main(["spectral-ineq", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--seed", "7", "--out", str(out)]) == 0
+    rows = read_csv(out / "spectral_ineq.csv")
+    seeded = {seed: runio.parse_set(spec, seed).descriptor_hash() for seed in (3, 7)}
+    assert seeded[3] != seeded[7]
+    assert {r[4] for r in rows[1:]} == {seeded[7]}
+    meta = _strict_json(out / "run_meta.json")
+    assert meta["config_hash"] == runio.config_hash({**cfg, "seed": 7})
+
+
+def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path):
+    target = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        runio.atomic_write_text(str(target), 123)
+    assert list(tmp_path.iterdir()) == []

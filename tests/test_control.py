@@ -405,6 +405,16 @@ def test_douglas_identity_cases():
     assert abs(res2.c_min - 2.0) < 1e-10
 
 
+def test_douglas_with_zero_y_includes_only_zero_x():
+    Y = np.zeros((3, 2))
+    res = douglas_factorize(np.zeros((3, 4)), Y)
+    assert res.range_inclusion and res.c_min == 0.0 and res.rank == 0
+    assert np.array_equal(res.z_min, np.zeros((2, 4)))
+    X = np.array([[3.0], [4.0], [0.0]])
+    res = douglas_factorize(X, Y)
+    assert not res.range_inclusion and res.z_min is None and res.rank == 0
+    assert res.residual == 5.0
+
 def test_douglas_rank_deficient_example():
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
     Y = np.array([[2.0, 0.0], [0.0, 1.0]])

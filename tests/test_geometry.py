@@ -424,3 +424,23 @@ def test_equidistributed_with_explicit_centers():
     leaving = [(0.25, -0.5)] + centers[1:]
     with pytest.raises(ParameterError, match="containment"):
         make_equidistributed(EquidistributedSpec(G=1.0, delta=0.3, centers=leaving), extent)
+
+
+@pytest.mark.parametrize("S", [
+    ObservabilitySet.full(), ObservabilitySet.empty(),
+    make_equidistributed(EquidistributedSpec(G=1.0, delta=0.2, seed=4), [(0.0, 2.0), (0.0, 1.0)]),
+], ids=["full", "empty", "equidistributed"])
+def test_json_roundtrip_of_non_periodic_kinds_keeps_the_hash(S):
+    back = ObservabilitySet.from_json(S.to_json())
+    assert back == S
+    assert back.descriptor_hash() == S.descriptor_hash()
+
+
+def test_full_and_empty_sets_answer_without_boxes():
+    full, empty = ObservabilitySet.full(), ObservabilitySet.empty()
+    region = [(0.0, 2.0), (-1.0, 1.0)]
+    assert full.density() == 1.0 and empty.density() == 0.0
+    assert full.boxes_in_region(region) == [((0.0, 2.0), (-1.0, 1.0))]
+    assert empty.boxes_in_region(region) == []
+    assert thickness_estimate(full, [0.5, 0.5]) == 1.0
+    assert thickness_estimate(empty, [0.5]) == 0.0

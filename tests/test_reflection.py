@@ -1,11 +1,13 @@
-"""Reflection-parity blocks of a set that meets a torus in one box.
+"""The class blocks of ``geometry.set_blocks`` and the constants read from them.
 
-Such a set is symmetric under the reflection of every axis through the
-box's midpoint, so in the atoms centred there its Gram splits into ``2^d``
-blocks by the sign pattern of the mode indices.  The constants of these
-blocks are checked against the dense path, the sets that must keep the
-dense path are checked to keep it, and the bad operands of
-``spectral_ineq_constant`` are checked to be refused.
+A set that meets a torus in one box is symmetric under the reflection of
+every axis through the box's midpoint, so in the atoms centred there its
+Gram splits into ``2^d`` blocks by the sign pattern of the mode indices.
+The constants of these blocks are checked against the dense path, the sets
+that must keep the classes of ``mode_classes`` are checked to keep them, a
+sweep is checked to form its blocks once and read leading blocks of them,
+and the bad operands of ``spectral_ineq_constant`` are checked to be
+refused.
 """
 
 import math
@@ -13,11 +15,13 @@ import math
 import numpy as np
 import pytest
 
-from heatctl import (DomainSpec, EquidistributedSpec, ObservabilitySet, ParameterError,
-                     PotentialSpec, build_basis, galerkin_schrodinger, gram_matrix,
-                     make_equidistributed, spectral_ineq_constant, spectral_ineq_sweep)
-from heatctl import uncertainty
-from heatctl.spectral import galerkin_matrix
+from heatctl import (ControlProblem, DomainSpec, EquidistributedSpec, ObservabilitySet,
+                     ParameterError, PotentialSpec, build_basis, galerkin_schrodinger,
+                     gram_matrix, make_equidistributed, spectral_ineq_constant,
+                     spectral_ineq_sweep)
+from heatctl import geometry
+from heatctl.geometry import mode_classes, set_blocks
+from heatctl.spectral import OperatorHandle, galerkin_matrix
 
 TWO_PI = 2.0 * math.pi
 E_GRID = (0.5, 1.0, 2.0, 4.0, 9.0, 16.0, 25.0, 40.0)
@@ -31,6 +35,14 @@ def _dense_constant(op, M, E):
     """The smallest eigenvalue of the whole projected Gram, one dense block."""
     k = np.flatnonzero(op.eigvals <= E)
     return float(np.linalg.eigvalsh(op.project(M, k))[0])
+
+
+def _block_modes(op, S, E):
+    return [modes for modes, _, _ in set_blocks(op, S, E)]
+
+
+def _same_classes(got, expect):
+    return len(got) == len(expect) and all(map(np.array_equal, got, expect))
 
 
 def _random_box(rng, sides):
@@ -75,10 +87,11 @@ def test_one_box_constants_match_the_dense_path(name, monkeypatch):
     op = _op(sides, 40.0)
     assert len(S.boxes_in_region(op.basis.domain.box())) == 1
     M = gram_matrix(op.basis, S)
-    assert uncertainty._reflection_tables(op, S) is not None
+    # at the top of the basis the blocks are the sign classes, whole
+    assert _same_classes(_block_modes(op, S, 40.0), op.basis.sign_classes)
     dense = [_dense_constant(op, M, E) for E in E_GRID]
     # the sweep builds no Gram at all
-    monkeypatch.setattr(uncertainty, "gram_matrix", None)
+    monkeypatch.setattr(geometry, "gram_matrix", None)
     split = [c for _, c in spectral_ineq_sweep(op, S, E_GRID)]
     assert [spectral_ineq_constant(op, S, E, gram=M) for E in E_GRID] == split
     assert max(abs(a - b) for a, b in zip(split, dense)) <= 1e-14
@@ -104,16 +117,28 @@ def test_other_sets_keep_the_dense_path(name):
     else:
         op = galerkin_schrodinger(build_basis(DomainSpec.interval(0.0, math.pi), 100.0))
         S = ObservabilitySet.periodic((math.pi,), [((0.3, 1.9),)])
-    assert uncertainty._reflection_tables(op, S) is None
+    assert _same_classes(_block_modes(op, S, op.eigvals[-1]), mode_classes(op, S))
     M = gram_matrix(op.basis, S)
     for E in (1.0, 4.0, 16.0):
         assert spectral_ineq_constant(op, S, E) == spectral_ineq_constant(op, S, E, gram=M)
+        assert abs(spectral_ineq_constant(op, S, E) - _dense_constant(op, M, E)) <= 1e-14
 
 
-def test_full_set_keeps_its_identity_gram():
+@pytest.mark.parametrize("kind, value", [("full", 1.0), ("empty", 0.0)])
+def test_full_and_empty_sets_give_their_constant_exactly(kind, value, monkeypatch):
     op = _op((TWO_PI, TWO_PI), 20.0)
-    assert uncertainty._reflection_tables(op, ObservabilitySet.full()) is None
-    assert spectral_ineq_constant(op, ObservabilitySet.full(), 20.0) == 1.0
+    S = ObservabilitySet(kind=kind)
+    # neither a Gram nor an eigenvalue is formed
+    monkeypatch.setattr(geometry, "gram_matrix", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert spectral_ineq_constant(op, S, 20.0) == value
+    assert spectral_ineq_constant(op, S, 1.0, gram=np.eye(op.n)) == value
+    assert spectral_ineq_sweep(op, S, [0.0, 4.0, 20.0]) == [(0.0, value), (4.0, value),
+                                                            (20.0, value)]
+    with pytest.raises(ParameterError, match="no eigenvalue below E=-1.0"):
+        spectral_ineq_constant(op, S, -1.0)
+    with pytest.raises(ParameterError, match="no eigenvalue below E=-1.0"):
+        spectral_ineq_sweep(op, S, [4.0, -1.0])
 
 
 def test_single_box_at_n481_takes_four_small_blocks_per_energy(monkeypatch):
@@ -137,19 +162,80 @@ def test_single_box_at_n481_takes_four_small_blocks_per_energy(monkeypatch):
     assert sum(m for m, _ in sizes[-4:]) == op.n
 
 
-def test_sweep_builds_the_tables_once(monkeypatch):
+def _count(monkeypatch, owner, name, calls):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_sweep_gathers_each_parity_block_once_at_its_largest_energy(monkeypatch):
     op = _op((4.0, 4.0), 40.0)
     S = ObservabilitySet.periodic((4.0, 4.0), [((0.3, 1.1), (2.0, 3.5))])
-    calls = []
-    tables = uncertainty._reflection_tables
+    expect = [c for _, c in spectral_ineq_sweep(op, S, E_GRID)]
+    tables, gathers = [], []
+    _count(monkeypatch, geometry, "_centred_table", tables)
+    _count(monkeypatch, np, "take", gathers)
+    pairs = spectral_ineq_sweep(op, S, E_GRID)
+    assert [c for _, c in pairs] == expect
+    # one table per axis, one gather per axis and sign class, sized at the top
+    assert len(tables) == 2
+    top = [c[op.eigvals[c] <= E_GRID[-1]] for c in op.basis.sign_classes]
+    assert sorted(g.shape for g in gathers) == sorted((c.size, c.size) for c in top for _ in "xy")
+    # one energy gathers the modes up to it alone, as a sweep of one
+    gathers.clear()
+    assert spectral_ineq_constant(op, S, 9.0) == expect[4]
+    low = [c[op.eigvals[c] <= 9.0] for c in op.basis.sign_classes]
+    assert sorted(g.shape for g in gathers) == sorted((c.size, c.size) for c in low for _ in "xy")
 
-    def count(*args):
-        calls.append(args)
-        return tables(*args)
 
-    monkeypatch.setattr(uncertainty, "_reflection_tables", count)
-    spectral_ineq_sweep(op, S, E_GRID)
-    assert len(calls) == 1
+@pytest.mark.parametrize("potential", [None, PotentialSpec(constant=0.5,
+                                                           cosines=((0.4, (1, 2)),))])
+def test_sweep_projects_each_class_once_at_its_largest_energy(potential, monkeypatch):
+    op = _op((TWO_PI, TWO_PI), 30.0, potential)
+    S = ObservabilitySet.periodic((math.pi, math.pi), [((0.4, 2.3), (0.2, 2.0))])
+    single = [spectral_ineq_constant(op, S, E) for E in E_GRID]
+    grams, projections = [], []
+    _count(monkeypatch, geometry, "gram_matrix", grams)
+    _count(monkeypatch, OperatorHandle, "project", projections)
+    swept = [c for _, c in spectral_ineq_sweep(op, S, E_GRID)]
+    assert len(grams) == 1
+    classes = mode_classes(op, S)
+    assert len(classes) == (1 if potential else 4)
+    assert sorted(B.shape for B in projections) == sorted(
+        (c[op.eigvals[c] <= E_GRID[-1]].size,) * 2 for c in classes)
+    if potential is None:
+        # principal blocks of principal blocks: the same bits
+        assert swept == single
+    else:
+        assert max(abs(a - b) for a, b in zip(swept, single)) <= 1e-15
+
+
+def test_leading_blocks_are_the_blocks_at_lower_energies():
+    op = _op((TWO_PI, TWO_PI), 40.0)
+    for S in (ObservabilitySet.periodic((TWO_PI,) * 2, [((0.7, 1.9), (2.2, 3.1))]),
+              ObservabilitySet.periodic((math.pi, math.pi), [((0.4, 2.3), (0.2, 2.0))])):
+        top = set_blocks(op, S, 40.0)
+        for E in (2.0, 9.0, 25.0):
+            low = set_blocks(op, S, E)
+            for (modes, mu, B), (m, mu_low, B_low) in zip(top, low):
+                k = m.size
+                assert np.array_equal(modes[:k], m) and np.array_equal(mu[:k], mu_low)
+                assert np.array_equal(B[:k, :k], B_low)
+
+
+def test_control_problem_blocks_are_the_set_blocks():
+    op = _op((TWO_PI, TWO_PI), 30.0)
+    S = ObservabilitySet.periodic((math.pi, math.pi), [((0.4, 2.3), (0.2, 2.0))])
+    problem = ControlProblem.from_set(op, S, 0.5)
+    for (c, mu, B), (modes, mu_s, B_s) in zip(problem.class_blocks(),
+                                              set_blocks(op, S, op.eigvals[-1])):
+        assert np.array_equal(c, modes) and np.array_equal(mu, mu_s)
+        assert np.array_equal(B, B_s)
 
 
 def test_sign_classes_split_the_centred_gram():
@@ -170,8 +256,9 @@ def test_sign_classes_split_the_centred_gram():
     for i, c in enumerate(classes):
         label[c] = i
     assert np.max(np.abs(M[label[:, None] != label[None, :]])) <= 1e-15
-    blocks = list(uncertainty._reflection_blocks(op, uncertainty._reflection_tables(op, S), 30.0))
-    for c, B in zip(classes, blocks):
+    blocks = set_blocks(op, S, 30.0)
+    for c, (modes, mu, B) in zip(classes, blocks):
+        assert np.array_equal(modes, c) and np.array_equal(mu, op.eigvals[c])
         assert np.max(np.abs(B - M[np.ix_(c, c)])) <= 1e-14
 
 
