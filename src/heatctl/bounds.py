@@ -205,6 +205,8 @@ def regime_table(names, params, t_grid, constants=None):
     coefficient (slope of ``ln value`` against ``1/T`` on the three smallest
     grid points, the limit of ``T ln value``) and the large-T exponent
     (slope of ``ln(sqrt(T) value)`` against ``ln T`` on the three largest).
+    The first value that is not finite, in the order of ``names`` and then
+    of ``T``, is refused with :class:`ParameterError` before any fit.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid:
@@ -216,6 +218,8 @@ def regime_table(names, params, t_grid, constants=None):
         vals = [cost_bound(name, params, c, T=T) for T in t_grid]
         values[name] = vals
         for T, v in zip(t_grid, vals):
+            if not math.isfinite(v):
+                raise ParameterError(f"bound {name} at T={T} is {v}, not a finite number")
             rows.append({"name": name, "T": T, "value": v,
                          "validity": bound_validity(name)})
     for i, T in enumerate(t_grid):

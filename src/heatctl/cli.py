@@ -122,8 +122,8 @@ def run_synthesize(domain, e_max: float, T: float, set=None, control_scale: floa
         )
     else:
         sched = ct.active_passive_schedule(problem.T, max(float(problem.op.eigvals[-1]), 1.0))
-        pairs = [(E, uc.spectral_ineq_constant(problem.op, S, E, gram=problem.control_gram))
-                 for E in sched.E_j if E >= problem.op.eigvals[0]]
+        kept = [E for E in sched.E_j if E >= problem.op.eigvals[0]]
+        pairs = uc.spectral_ineq_sweep(problem.op, S, kept, gram=problem.control_gram)
         fit = uc.fit_uncertainty_form(pairs, s)
         signal, report = ct.active_passive_synthesize(problem, fit)
         report.c_emp = ct.empirical_cost(problem)

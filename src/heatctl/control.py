@@ -17,7 +17,8 @@ classes' costs and the condition number that of the whole.  Any other
 problem has the one class of all modes.  Each class's block of the control
 Gram is formed once per problem (:meth:`ControlProblem.class_blocks`) by
 :func:`heatctl.geometry.class_block`, the projection that forms the blocks
-of a spectral constant.
+of a spectral constant.  Those blocks, and every kernel built from them,
+are exactly symmetric, so nothing here symmetrizes or writes them.
 """
 
 import math
@@ -28,7 +29,6 @@ import numpy as np
 
 from .errors import CapacityError, ConditioningError, ParameterError
 from .geometry import class_block, gram_matrix, mode_classes
-from .spectral import symmetrize
 
 COND_CAP = 1e12
 
@@ -110,11 +110,19 @@ class ControlProblem:
 
     def class_blocks(self):
         """Per class ``(modes, eigenvalues, block of mtil)``, formed once per
-        problem by :func:`heatctl.geometry.class_block`, as the blocks of a
-        spectral constant are, and shared by :meth:`with_time`.  On a
-        diagonal handle the one class of all modes takes a view of the whole
-        control Gram."""
+        problem family by :func:`heatctl.geometry.class_block`, as the blocks
+        of a spectral constant are, and shared by :meth:`with_time`.
+
+        Every block is exactly symmetric, and so is every kernel
+        ``M o Phi_h`` built from one: a dense handle's projection symmetrizes
+        it, and a diagonal handle's is a principal block of the control
+        Gram, which is refused with :class:`ParameterError` unless it is
+        exactly symmetric.  On a diagonal handle the one class of all modes
+        takes a view of the whole control Gram.
+        """
         if self._blocks is None:
+            if not np.array_equal(self.control_gram, self.control_gram.T):
+                raise ParameterError("control Gram is not exactly symmetric")
             self._blocks = tuple(class_block(self.op, self.control_gram, c)
                                  for c in self.classes)
         return self._blocks
@@ -185,8 +193,8 @@ def gramian(problem):
 
 
 class _Factor(NamedTuple):
-    """A Gramian measured block by block: its symmetrized blocks, its
-    condition number and its smallest eigenvalue."""
+    """A Gramian measured block by block: its diagonal blocks as it was
+    handed them, its condition number and its smallest eigenvalue."""
 
     blocks: tuple
     cond: float
@@ -195,14 +203,15 @@ class _Factor(NamedTuple):
 
 def _factor_blocks(blocks):
     """The :class:`_Factor` of the Gramian with these diagonal blocks, which
-    it symmetrizes in place (each is a kernel or a copy that no one else
-    reads); ``cond = lambda_max / lambda_min`` over all blocks from their
-    eigenvalues alone, ``inf`` unless every eigenvalue is positive."""
-    blocks = tuple(symmetrize(Q) for Q in blocks)
+    it reads and never writes: each is a kernel of a class block or a view
+    of one, exactly symmetric as those are (see
+    :meth:`ControlProblem.class_blocks`).  ``cond = lambda_max /
+    lambda_min`` over all blocks from their eigenvalues alone, ``inf``
+    unless every eigenvalue is positive."""
     eigs = [np.linalg.eigvalsh(Q) for Q in blocks]
     w_min = min(float(w[0]) for w in eigs)
     w_max = max(float(w[-1]) for w in eigs)
-    return _Factor(blocks, w_max / w_min if w_min > 0 else math.inf, w_min)
+    return _Factor(tuple(blocks), w_max / w_min if w_min > 0 else math.inf, w_min)
 
 
 def _checked(factor, what="Gramian"):
@@ -518,18 +527,16 @@ def active_passive_synthesize(problem, fit):
         norm_in = float(np.linalg.norm(state))
         v = np.zeros_like(state)
         norm_sq = 0.0
-        # one kernel per class gives the phase Gramian (its steered block)
-        # and the phase end
+        # one kernel per class gives the phase end and the phase Gramian:
+        # the modes with mu <= E_j lead every class, so it steers the
+        # leading view of each kernel
         kernels = _class_kernels(problem, h)
         # a cutoff below the lowest eigenvalue has no modes to steer: the
         # phase carries the zero control and only the free decay acts
         if mask.any():
-            steered = []
-            for (c, mu_c, _), K in zip(problem.class_blocks(), kernels):
-                k = mu_c <= E_j
-                if k.any():
-                    steered.append((c[k], K[np.ix_(k, k)]))
-            modes, blocks = zip(*steered)
+            modes, blocks = zip(*[(c[:k], K[:k, :k]) for (c, mu_c, _), K
+                                  in zip(problem.class_blocks(), kernels)
+                                  if (k := np.count_nonzero(mu_c <= E_j))])
             factor = _factor_blocks(blocks)
             what = f"Gramian of active phase j={j} (E_j={E_j}, {int(mask.sum())} modes)"
             v, norm_sq = _steer(_checked(factor, what), modes, np.exp(-h * mu) * state)

@@ -327,15 +327,19 @@ class OperatorHandle:
         return self.potential is None
 
     def project(self, M, modes=None):
-        """``V_k^T M V_k`` for the eigenvectors of the ascending index array
-        ``modes`` (all of them when it is ``None``).
+        """``V_k^T M V_k`` of a symmetric ``M`` for the eigenvectors of the
+        ascending index array ``modes`` (all of them when it is ``None``),
+        exactly symmetric.
 
-        On a diagonal handle this is the principal block of ``M``: ``M``
+        On a dense handle the product is formed anew and symmetrized in
+        place, the one place a projected block is symmetrized.  On a
+        diagonal handle it is the principal block of ``M``, as exactly
+        symmetric as ``M`` is (every Gram is, from its assembler): ``M``
         itself, a view for a contiguous run, a copy otherwise.
         """
         if self.eigvecs is not None:
             V = self.eigvecs if modes is None else self.eigvecs[:, modes]
-            return V.T @ M @ V
+            return symmetrize(V.T @ M @ V)
         if modes is None:
             return M
         if modes[-1] - modes[0] + 1 == modes.size:

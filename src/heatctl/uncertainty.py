@@ -171,12 +171,13 @@ def spectral_ineq_constant(op, S, E, gram=None):
     return _constants(op, S, [E], gram)[0]
 
 
-def spectral_ineq_sweep(op, S, e_grid):
+def spectral_ineq_sweep(op, S, e_grid, gram=None):
     """(E, C_emp) pairs over a grid, as :func:`spectral_ineq_constant` gives
-    them.  The blocks are formed once, at the largest energy, and the
-    constant at each energy is read from their leading blocks up to it."""
+    them for the same ``S`` and ``gram``.  The blocks are formed once, at
+    the largest energy, and the constant at each energy is read from their
+    leading blocks up to it."""
     grid = [float(E) for E in e_grid]
-    return list(zip(grid, _constants(op, S, grid, None)))
+    return list(zip(grid, _constants(op, S, grid, gram)))
 
 
 def fit_uncertainty_form(pairs, s):

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from heatctl import bounds as bd
 from heatctl import (ControlProblem, UniversalConstants, build_basis, cost_bound, empirical_cost,
                      galerkin_schrodinger, runio)
 from heatctl.cli import RUNNERS, main
@@ -710,10 +711,13 @@ VALID_FORMS = {
                                     "params": {"gamma": 0.5, "a": [1.0], "d": 1}}]),
                        {"K5": 2.0},
                        "f33bc1aa29617f621f1752a67d47991d3af1aeddb7838b3685bab901817b7172"),
+    # the dense handle's projected blocks are exactly symmetric, which moved
+    # C_emp at E=9 from 3.2441710025613303e-06 to 3.24417100260047e-06; E=1
+    # kept 0.14561566669924533 and E=4 kept 0.0012132222443854586
     "potential": (_si({"torus": [2 * math.pi]}, {**SET_RECORD, "cell": [2 * math.pi]},
                       potential={"constant": 0.5, "boxes": [[1.0, [[0.0, 1.0]]]],
                                  "cosines": [[0.25, [2]]]}),
-                  None, "100773454841c836a389f4e88d2cfb3091a182b263f316dab1914939214a5279"),
+                  None, "c18d88608a89a284a81aa3d87614f043ae0e20a3596934f95d1a38b42f9a3445"),
 }
 
 
@@ -913,8 +917,9 @@ def test_exhaust_without_a_fit_writes_null(tmp_path):
     _strict_json(out / "run_meta.json")
 
 
-def test_non_finite_regime_classifier_exits_2_without_files(tmp_path, capsys):
-    # every thick bound overflows below T = 1, so the line fits read inf - inf
+def test_non_finite_regime_bound_exits_2_naming_the_bound_and_T(tmp_path, capsys):
+    # every thick bound overflows below T = 1; the first overflow is refused
+    # before a line fit reads inf - inf
     cfg = base("bounds", regime={"names": ["thick1", "thick2"],
                                  "params": {"gamma": 0.01, "a": [5.0], "d": 1},
                                  "t_grid": [1e-4, 1e-3, 1e-2, 1e-1, 1.0]})
@@ -922,7 +927,8 @@ def test_non_finite_regime_classifier_exits_2_without_files(tmp_path, capsys):
     assert main(["bounds", "--config", write_config(tmp_path, "c.json", cfg),
                  "--out", str(out)]) == 2
     assert not out.exists()
-    assert "not strict JSON" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "heatctl: error: bound thick1 at T=0.0001 is inf, not a finite number\n")
 
 
 def test_tenenbaum_threshold_beyond_double_range_exits_2(tmp_path, capsys):
@@ -955,3 +961,60 @@ def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path):
     with pytest.raises(TypeError):
         runio.atomic_write_text(str(target), 123)
     assert list(tmp_path.iterdir()) == []
+
+
+def _set_record(*boxes):
+    return {"kind": "periodic_boxes", "cell": [math.pi], "boxes": list(boxes)}
+
+
+# (experiment, config keys, the whole error line) of outside input that is
+# refused with exit 2
+REFUSED = {
+    "too_many_modes": ("spectral-ineq", {**SI, "domain": {"torus": [2 * math.pi, 2 * math.pi]},
+                                         "e_max": 1000.0},
+                       "e_max=1000.0 yields 3149 modes, exceeding n_max=512"),
+    "no_mode_below_e_max": ("spectral-ineq", {**SI, "e_max": 0.5},
+                            "no admissible mode below e_max"),
+    "box_of_wrong_dimension": ("spectral-ineq", {**SI, "set": _set_record([[0.0, 1.0], [0.0, 1.0]])},
+                               "box dimension does not match cell"),
+    "box_of_no_extent": ("spectral-ineq", {**SI, "set": _set_record([[1.0, 1.0]])},
+                         "box has non-positive extent"),
+    "empty_potential": ("spectral-ineq", {**SI, "potential": {}}, "potential spec is empty"),
+    "zero_horizon": ("synthesize", {**SYNTH, "T": 0.0}, "horizon T must be positive"),
+    "zero_time": ("exhaust", {**EXHAUST, "t": 0.0}, "t must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_input_exits_2_without_files(tmp_path, capsys, case):
+    experiment, keys, message = REFUSED[case]
+    assert run_case(tmp_path, experiment, keys, None) == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"heatctl: error: {message}\n"
+
+
+def test_config_of_another_schema_exits_2_without_files(tmp_path, capsys):
+    cfg = {**base("spectral-ineq", **SI), "schema": "heatctl-run/2"}
+    out = tmp_path / "out"
+    assert main(["spectral-ineq", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "heatctl: error: config must be a JSON object of schema 'heatctl-run/1'\n")
+
+
+def test_unexpected_exception_exits_1_with_a_traceback_without_files(tmp_path, capsys,
+                                                                    monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("unexpected failure inside a bound")
+
+    monkeypatch.setattr(bd, "cost_bound", fail)
+    cfg = base("bounds", evaluations=[{**THICK1, "params": {**THICK1["params"], "T": 1.0}}])
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: unexpected failure inside a bound\n")
+    assert "heatctl: error" not in err

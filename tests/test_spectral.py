@@ -6,7 +6,7 @@ import pytest
 from heatctl import (CapacityError, DomainSpec, ParameterError, PotentialSpec,
                      build_basis, fractional_transform, galerkin_schrodinger,
                      semigroup_apply)
-from heatctl.spectral import BOUNDARIES, _axis_atom, galerkin_matrix
+from heatctl.spectral import BOUNDARIES, _axis_atom, galerkin_matrix, symmetrize
 from oracles import quad_gram
 
 
@@ -266,11 +266,16 @@ def test_project_on_a_diagonal_handle_is_the_principal_block():
 def test_project_on_a_potential_handle_conjugates_by_the_eigenvectors():
     basis = build_basis(DomainSpec.interval(0.0, math.pi, "dirichlet"), 100.0)
     op = galerkin_schrodinger(basis, PotentialSpec.indicator([(0.5, 2.0)], 3.0))
-    M = np.random.default_rng(5).standard_normal((op.n, op.n))
+    X = np.random.default_rng(5).standard_normal((op.n, op.n))
+    M = X + X.T
     V = op.eigvecs
-    assert np.array_equal(op.project(M), V.T @ M @ V)
-    for k in (np.array([0, 2, 5, 6]), np.arange(4)):
-        assert np.array_equal(op.project(M, k), V[:, k].T @ M @ V[:, k])
+    # the conjugation rounds unevenly across the diagonal; project mirrors it
+    assert not np.array_equal(V.T @ M @ V, (V.T @ M @ V).T)
+    for k in (None, np.array([0, 2, 5, 6]), np.arange(4)):
+        Vk = V if k is None else V[:, k]
+        block = op.project(M, k)
+        assert np.array_equal(block, symmetrize(Vk.T @ M @ Vk))
+        assert np.array_equal(block, block.T)
     assert fractional_transform(op, 0.5).eigvecs is op.eigvecs
 
 

@@ -14,6 +14,7 @@ from heatctl import (DegenerateSetError, DomainSpec, ObservabilitySet,
                      sharpness_example_sparse, sharpness_example_torus,
                      spectral_ineq_constant, spectral_ineq_sweep, ucp_bound,
                      UniversalConstants)
+from heatctl import uncertainty
 from heatctl.spectral import galerkin_matrix
 from heatctl.uncertainty import _shifted_ucp_exponent, _sin_power_integral
 from oracles import gl_integral, quad_gram
@@ -384,3 +385,21 @@ def test_calibrated_k5_is_envelope(dirichlet_op, half_interval_set):
     for E, c_emp in pairs:
         bound = ucp_bound("spectral_cube", cal, gamma=gamma, a=[math.pi], d=1, E=E)
         assert bound <= c_emp * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("with_set", [True, False], ids=["set", "gram_only"])
+def test_sweep_with_a_gram_forms_its_blocks_once(monkeypatch, with_set):
+    # a tiled set reads its Gram class by class; without the set (the
+    # control_scale path of synthesize) the Gram is one class
+    op = galerkin_schrodinger(build_basis(DomainSpec.torus(2 * math.pi, 2 * math.pi), 20.0))
+    S = ObservabilitySet.periodic((math.pi, math.pi), [((0.4, 2.3), (0.2, 2.0))])
+    M = gram_matrix(op.basis, S)
+    S = S if with_set else None
+    grid = [1.0, 4.0, 9.0, 16.0]
+    per_energy = [spectral_ineq_constant(op, S, E, gram=M) for E in grid]
+    formed = []
+    set_blocks = uncertainty.set_blocks
+    monkeypatch.setattr(uncertainty, "set_blocks",
+                        lambda *args: formed.append(args) or set_blocks(*args))
+    assert spectral_ineq_sweep(op, S, grid, gram=M) == list(zip(grid, per_energy))
+    assert len(formed) == 1 and formed[0][3] is M
