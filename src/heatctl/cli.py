@@ -30,6 +30,14 @@ def _operator(domain, e_max, n_max, potential=None):
     return galerkin_schrodinger(build_basis(domain, e_max, n_max=n_max), potential)
 
 
+def _check_energies(e_grid, e_max):
+    """Refuse an energy of ``e_grid`` above ``e_max``: the basis holds no mode
+    above its cutoff, so it would miss part of that energy's spectral subspace."""
+    for E in e_grid:
+        if E > e_max:
+            raise ParameterError(f"e_grid energy E={E} exceeds e_max={e_max}, the basis cutoff")
+
+
 def _entry(name, params: dict[str, float] = None):
     return name, {} if params is None else params
 
@@ -64,6 +72,7 @@ def run_spectral_ineq(domain, set, e_max: float, e_grid: list[float], potential=
     S = runio.parse_set(set, seed)
     specs = _named(bounds, "bounds")
     op = _operator(domain, e_max, n_max, potential)
+    _check_energies(e_grid, e_max)
     pairs = uc.spectral_ineq_sweep(op, S, e_grid)
     set_hash = S.descriptor_hash()
     rows = []
@@ -272,6 +281,7 @@ def run_calibrate(target, domain, set, e_max: float, e_grid: list[float] = None,
     S = runio.parse_set(set, seed)
     op = _operator(domain, e_max, n_max)
     if cube:
+        _check_energies(grid, e_max)
         pairs = uc.spectral_ineq_sweep(op, S, grid)
         cal = uc.calibrate_spectral_cube(pairs, thick.gamma, thick.a,
                                          op.basis.domain.dimension, constants)

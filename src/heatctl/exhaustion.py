@@ -13,6 +13,7 @@ import numpy as np
 
 from .control import ControlProblem, _forced_end, gramian_condition, min_norm_control
 from .errors import FidelityError, ParameterError
+from .geometry import region_boxes
 from .spectral import (DomainSpec, box_integrals, build_basis, galerkin_schrodinger,
                        semigroup_apply)
 from .uncertainty import _line_fit
@@ -187,10 +188,8 @@ def nested_control_family(S, T, run):
         problem = ControlProblem.from_set(op_L, S, T, u0=c_L)
         signal, cost = min_norm_control(problem)
         v = signal.phases[0].v if signal.phases else np.zeros(op_L.n)
-        boxes = S.boxes_in_region(basis_L.domain.box())
-        Cx = cross_gram(basis_R, basis_L, boxes)
-        if run.potential is not None:
-            Cx = op_R.eigvecs.T @ Cx @ op_L.eigvecs
+        Cx = cross_gram(basis_R, basis_L, region_boxes(basis_L.domain, S))
+        Cx = op_L.to_eigenbasis(op_R.to_eigenbasis(Cx).T).T
         uT = _forced_end(Cx, mu_R, op_L.eigvals, op_R.to_eigenbasis(c_R), v, T)
         norms.append(cost)
         residuals.append(float(np.linalg.norm(uT)))

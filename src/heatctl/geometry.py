@@ -16,7 +16,7 @@ import numpy as np
 
 from ._trig import cross_integrals, separable_sum
 from .errors import ParameterError
-from .spectral import _axis_atom, box_integrals, symmetrize
+from .spectral import _axis_atom, box_integrals, group_modes, symmetrize
 
 _EPS = 1e-12
 
@@ -281,25 +281,27 @@ def gram_matrix(basis, S):
 
 def region_boxes(dom, S):
     """Disjoint absolute boxes covering ``S`` intersected with the domain
-    ``dom``, for a set that is neither ``full`` nor ``empty``; refused when
-    the set's dimension is not the domain's or its cells do not tile a
-    torus."""
-    if S.dimension != dom.dimension:
-        raise ParameterError("set dimension does not match the domain")
-    if S.kind == "periodic_boxes" and dom.boundary == "periodic":
-        _cells_per_side(dom, S)
+    ``dom``, in the order of :meth:`ObservabilitySet.boxes_in_region`, after
+    :func:`_torus_cells` has checked how the set meets the domain."""
+    _torus_cells(dom, S)
     return S.boxes_in_region(dom.box())
 
 
-def _cells_per_side(dom, S):
-    """Per axis the whole number ``q = side / cell`` of a periodic set's cells
-    along a torus; refused unless the cells tile it."""
-    q = []
-    for side, c in zip(dom.sides, S.cell):
-        ratio = side / c
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ParameterError("set period does not tile the torus")
-        q.append(round(ratio))
+def _torus_cells(dom, S):
+    """How the set ``S`` meets the domain ``dom``, decided here alone: per axis
+    the whole number ``q = side / cell`` of a periodic set's cells along a
+    torus, or ``None`` for any other set or domain.  Refused when the set's
+    dimension is not the domain's (``full`` and ``empty`` have none and are
+    never refused) or when its cells do not tile the torus."""
+    if S.kind in ("full", "empty"):
+        return None
+    if S.dimension != dom.dimension:
+        raise ParameterError("set dimension does not match the domain")
+    if S.kind != "periodic_boxes" or dom.boundary != "periodic":
+        return None
+    q = [round(side / c) for side, c in zip(dom.sides, S.cell)]
+    if any(abs(side / c - qi) > 1e-9 for side, c, qi in zip(dom.sides, S.cell, q)):
+        raise ParameterError("set period does not tile the torus")
     return q
 
 
@@ -312,31 +314,25 @@ def mode_classes(op, S):
     ``r = min(|k| mod q, q - |k| mod q)`` agree per axis (Egidi & Veselic,
     Arch. Math. 2018; Kuchment, Floquet Theory for PDEs, 1993).  The Gram
     matrix, and every Gramian of a diagonal handle, is then block diagonal
-    over the classes of equal residue tuple.  Every class is an ascending
-    index array, so with the modes sorted by eigenvalue the modes of a class
-    up to any energy are a leading run of it, and the classes come in the
-    lexicographic order of their tuples.  A set that is not
-    ``periodic_boxes``, a domain that is not a torus, a handle with a
-    potential (whose eigenvectors mix the classes) or a single cell per axis
-    give the one class of all modes, ``(np.arange(n),)``, sized without
-    reading the modes.  :func:`set_blocks` reads these classes, and splits a
-    set that meets a torus in one box by parity instead.
+    over the classes of equal residue tuple, grouped by
+    :func:`heatctl.spectral.group_modes`.  Every class is an ascending index
+    array, so with the modes sorted by eigenvalue the modes of a class up to
+    any energy are a leading run of it, and the classes come in the
+    lexicographic order of their tuples.  ``q`` comes from
+    :func:`_torus_cells`, which refuses a set of the wrong dimension on any
+    domain.  A set that is not ``periodic_boxes``, a domain that is not a
+    torus, a handle with a potential (whose eigenvectors mix the classes) or
+    a single cell per axis give the one class of all modes,
+    ``(np.arange(n),)``, sized without reading the modes.
+    :func:`set_blocks` reads these classes, and splits a set that meets a
+    torus in one box by parity instead.
     """
     basis = op.basis
-    dom = basis.domain
-    one_class = (np.arange(basis.eigenvalues.size),)
-    if not op.is_diagonal or S is None or S.kind != "periodic_boxes" or dom.boundary != "periodic":
-        return one_class
-    if S.dimension != dom.dimension:
-        raise ParameterError("set dimension does not match the domain")
-    q = _cells_per_side(dom, S)
-    if all(qi == 1 for qi in q):
-        return one_class
+    q = None if S is None else _torus_cells(basis.domain, S)
+    if not op.is_diagonal or q is None or all(qi == 1 for qi in q):
+        return (np.arange(basis.eigenvalues.size),)
     r = np.abs(basis.mode_indices) % q
-    key = np.ravel_multi_index(np.minimum(r, q - r).T, [qi // 2 + 1 for qi in q])
-    order = np.argsort(key, kind="stable")
-    bounds = np.flatnonzero(np.diff(key[order])) + 1
-    return tuple(np.split(order, bounds))
+    return group_modes(np.ravel_multi_index(np.minimum(r, q - r).T, [qi // 2 + 1 for qi in q]))
 
 
 def class_block(op, M, modes):
@@ -349,16 +345,16 @@ def _single_box(dom, S):
     """The box in which ``S`` meets the torus ``dom`` when that is one box,
     else ``None``.
 
-    Only a periodic set with one cell per axis or a finite family that
-    stores one box can qualify, so a tiled set or a family of several boxes
-    is turned away without building its boxes, even a family whose other
-    boxes all miss the domain.
+    Only a periodic set with one cell per axis (as :func:`_torus_cells`
+    counts them) or a finite family that stores one box can qualify, so a
+    tiled set or a family of several boxes is turned away without building
+    its boxes, even a family whose other boxes all miss the domain.
     """
     if S is None or S.kind not in ("periodic_boxes", "equidistributed_balls") or len(S.boxes) != 1:
         return None
-    if S.kind == "periodic_boxes" and any(q != 1 for q in _cells_per_side(dom, S)):
+    if any(q != 1 for q in _torus_cells(dom, S) or ()):
         return None
-    boxes = region_boxes(dom, S)
+    boxes = S.boxes_in_region(dom.box())
     return boxes[0] if len(boxes) == 1 else None
 
 

@@ -170,9 +170,7 @@ class SpectralBasis:
         atoms centred at any point ``c`` these are the classes of equal
         parity under the reflections through ``c``.
         """
-        key = (self.mode_indices < 0) @ (1 << np.arange(self.domain.dimension))
-        order = np.argsort(key, kind="stable")
-        return tuple(np.split(order, np.flatnonzero(np.diff(key[order])) + 1))
+        return group_modes((self.mode_indices < 0) @ (1 << np.arange(self.domain.dimension)))
 
     def evaluate(self, points):
         """Values of all modes at ``points`` (shape (npts, d), any other shape
@@ -187,6 +185,15 @@ class SpectralBasis:
             vals *= (amps[:, None] * np.cos(freqs[:, None] * pts[:, ax][None, :]
                                             + phases[:, None]))[index]
         return vals
+
+
+def group_modes(key):
+    """The modes grouped by equal integer ``key`` (one per mode): ascending
+    index arrays, in the order of the keys.  It groups both
+    :attr:`SpectralBasis.sign_classes` and the Bloch classes of
+    :func:`heatctl.geometry.mode_classes`."""
+    order = np.argsort(key, kind="stable")
+    return tuple(np.split(order, np.flatnonzero(np.diff(key[order])) + 1))
 
 
 def build_basis(domain, e_max, n_max=DEFAULT_N_MAX):

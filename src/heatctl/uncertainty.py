@@ -166,7 +166,10 @@ def spectral_ineq_constant(op, S, E, gram=None):
     it, must be an ``(n, n)`` array; without a set (``S=None``) it is
     required, and the parity blocks do not read it.  An ``E`` below the
     spectrum is refused; the ``full`` set gives exactly 1 and the ``empty``
-    set exactly 0.
+    set exactly 0.  The library keeps no basis cutoff to check ``E``
+    against: above the ``e_max`` the basis was built to, the result is the
+    constant of the whole truncated basis, not of the spectral subspace.
+    The CLI runners refuse such an ``E``.
     """
     return _constants(op, S, [E], gram)[0]
 

@@ -20,6 +20,7 @@ from heatctl import (ControlProblem, DomainSpec, ObservabilitySet, PotentialSpec
                      worst_initial_state)
 from heatctl.control import control_norm_at
 from heatctl.geometry import mode_classes
+from heatctl.spectral import group_modes
 
 TWO_PI = 2.0 * math.pi
 
@@ -218,3 +219,11 @@ def test_set_that_does_not_tile_the_torus_is_refused():
     S = ObservabilitySet.periodic((2.5, 2.5), [((0.1, 1.0), (0.1, 1.0))])
     with pytest.raises(ValueError, match="tile"):
         mode_classes(op, S)
+
+
+def test_group_modes_gives_ascending_classes_in_the_order_of_their_keys():
+    classes = group_modes(np.array([2, 0, 2, 1, 0, 2]))
+    assert [c.tolist() for c in classes] == [[1, 4], [3], [0, 2, 5]]
+    op, _ = _tiled("2d_q2x2")
+    signs = (op.basis.mode_indices < 0) @ np.array([1, 2])
+    assert all(map(np.array_equal, op.basis.sign_classes, group_modes(signs)))

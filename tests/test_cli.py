@@ -982,6 +982,11 @@ REFUSED = {
     "empty_potential": ("spectral-ineq", {**SI, "potential": {}}, "potential spec is empty"),
     "zero_horizon": ("synthesize", {**SYNTH, "T": 0.0}, "horizon T must be positive"),
     "zero_time": ("exhaust", {**EXHAUST, "t": 0.0}, "t must be positive"),
+    "energy_above_e_max": ("spectral-ineq", {**SI, "e_grid": [1.0, 4.0, 9.0]},
+                           "e_grid energy E=9.0 exceeds e_max=4.0, the basis cutoff"),
+    "cube_energy_above_e_max": ("calibrate", {**CUBE, "e_grid": [1.0, 4.5],
+                                              "thick": {"gamma": 0.5, "a": [math.pi]}},
+                                "e_grid energy E=4.5 exceeds e_max=4.0, the basis cutoff"),
 }
 
 

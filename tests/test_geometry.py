@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heatctl import (DomainSpec, EquidistributedSpec, ObservabilitySet,
-                     ParameterError, ThickParams, beta_complement, build_basis,
-                     example_set, gram_matrix, make_equidistributed,
+from heatctl import (ControlProblem, DomainSpec, EquidistributedSpec, ObservabilitySet,
+                     ParameterError, PotentialSpec, ThickParams, beta_complement, build_basis,
+                     example_set, galerkin_schrodinger, gram_matrix, make_equidistributed,
                      periodic_band, thickness_estimate)
 from heatctl import _trig
-from heatctl.geometry import disk_box_area
+from heatctl.geometry import disk_box_area, mode_classes, region_boxes, set_blocks
 from oracles import (beta_2d_mp, disk_box_area_mp, grid_measure_periodic, quad_gram,
                      set_indicator, window_measure)
 
@@ -444,3 +444,134 @@ def test_full_and_empty_sets_answer_without_boxes():
     assert empty.boxes_in_region(region) == []
     assert thickness_estimate(full, [0.5, 0.5]) == 1.0
     assert thickness_estimate(empty, [0.5]) == 0.0
+
+
+def _wrong_dimension_cases():
+    """(handle, set) pairs whose set has the other dimension than the domain:
+    on a torus and on a box, with and without a potential."""
+    torus = build_basis(DomainSpec.torus(2 * math.pi, 2 * math.pi), 6.0)
+    box = build_basis(DomainSpec("dirichlet", (2.0, 3.0)), 8.0)
+    line = ObservabilitySet.periodic((math.pi,), [((0.0, 1.0),)])
+    plane = periodic_band(1.0, 0.3, d=2)
+    family = make_equidistributed(EquidistributedSpec(G=1.0, delta=0.2, seed=1), [(0.0, 2.0)])
+    handles = [galerkin_schrodinger(b, p) for b in (torus, box)
+               for p in (None, PotentialSpec(constant=0.5))]
+    line_handle = galerkin_schrodinger(build_basis(DomainSpec.torus(2 * math.pi), 6.0))
+    return ([(op, S) for op in handles for S in (line, family)]
+            + [(line_handle, plane)])
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_set_of_the_wrong_dimension_is_refused_everywhere(case):
+    op, S = _wrong_dimension_cases()[case]
+    calls = [lambda: gram_matrix(op.basis, S), lambda: mode_classes(op, S),
+             lambda: set_blocks(op, S, 4.0), lambda: set_blocks(op, S, 4.0, np.eye(op.n)),
+             lambda: ControlProblem.from_set(op, S, 1.0),
+             lambda: region_boxes(op.basis.domain, S)]
+    for call in calls:
+        with pytest.raises(ParameterError, match="^set dimension does not match the domain$"):
+            call()
+
+
+def test_set_records_refuse_unknown_kinds_and_non_positive_cells():
+    with pytest.raises(ParameterError, match="unknown set kind 'balls'"):
+        ObservabilitySet(kind="balls")
+    with pytest.raises(ParameterError, match="cell lengths must be positive"):
+        ObservabilitySet.periodic((1.0, 0.0), [((0.1, 0.2), (0.1, 0.2))])
+    with pytest.raises(ParameterError, match="box sets support dimensions 1 and 2 only"):
+        ObservabilitySet.periodic((1.0,) * 3, [((0.1, 0.2),) * 3])
+
+
+def test_union_measure_and_density_need_periodic_sets_of_one_cell():
+    band = periodic_band(1.0, 0.5)
+    family = make_equidistributed(EquidistributedSpec(G=1.0, delta=0.2, seed=1), [(0.0, 2.0)])
+    for a, b in ((band, family), (family, band), (band, ObservabilitySet.full())):
+        with pytest.raises(ParameterError, match="union is defined for periodic box sets"):
+            a.union(b)
+    with pytest.raises(ParameterError, match="union requires matching cells"):
+        band.union(periodic_band(2.0, 0.5))
+    with pytest.raises(ParameterError, match="per-cell measure needs a periodic set"):
+        family.measure_per_cell()
+    with pytest.raises(ParameterError, match="density needs a periodic set"):
+        family.density()
+
+
+def test_beta_complement_refuses_bad_radii_and_finite_families():
+    band = periodic_band(1.0, 0.5)
+    for radii in ([0.0], [-0.5, 0.5]):
+        with pytest.raises(ParameterError, match="radii must be positive"):
+            beta_complement(band, radii)
+    with pytest.raises(ParameterError, match="radii must be increasing"):
+        beta_complement(band, [0.5, 0.2])
+    family = make_equidistributed(EquidistributedSpec(G=1.0, delta=0.2, seed=1), [(0.0, 2.0)])
+    with pytest.raises(ParameterError, match="complement density needs a periodic set"):
+        beta_complement(family, [0.5])
+
+
+def test_equidistributed_spec_and_family_refusals():
+    with pytest.raises(ParameterError, match="G must be positive"):
+        EquidistributedSpec(G=0.0, delta=0.1)
+    with pytest.raises(ParameterError, match="G must be positive"):
+        EquidistributedSpec(G=-1.0, delta=0.1)
+    with pytest.raises(ParameterError, match="mode must be 'uniform' or 'centered'"):
+        EquidistributedSpec(G=1.0, delta=0.2, mode="random")
+    with pytest.raises(ParameterError, match="d <= 2"):
+        make_equidistributed(EquidistributedSpec(G=1.0, delta=0.2, seed=1), [(0.0, 1.0)] * 3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: periodic_band(1.0, 1.0), "gamma must be in"),
+    (lambda: periodic_band(1.0, 0.0), "gamma must be in"),
+    (lambda: periodic_band(0.0, 0.5), "period must be positive"),
+    (lambda: example_set("corner_interval", gamma=1.0), "gamma must be in"),
+    (lambda: example_set("edge_bands", gamma=0.0), "gamma must be in"),
+    (lambda: example_set("edge_bands", gamma=1.5, d=2), "gamma must be in"),
+])
+def test_example_sets_refuse_densities_outside_the_open_unit_interval(build, message):
+    with pytest.raises(ParameterError, match=message):
+        build()
+
+
+def test_slab_thinner_than_the_tolerance_is_dropped():
+    # the second box starts 5e-13 after the first ends: the x-edges 0.5 and
+    # 0.5 + 5e-13 bound a slab that no box is counted in
+    gap = 5e-13
+    S = ObservabilitySet.periodic((1.0, 1.0), [((0.1, 0.5), (0.1, 0.4)),
+                                               ((0.5 + gap, 0.8), (0.2, 0.6))])
+    assert S.boxes == (((0.1, 0.5), (0.1, 0.4)), ((0.5 + gap, 0.8), (0.2, 0.6)))
+    assert all(x1 - x0 > 1e-12 for (x0, x1), _ in S.boxes)
+    assert abs(S.measure_per_cell() - (0.4 * 0.3 + 0.3 * 0.4)) < 1e-12
+
+
+def _translate_products(dom, S):
+    """Per cell box, the Cartesian product of its per-axis translates by the
+    cell clipped to ``dom``, keeping those longer than the tolerance, in the
+    order of ``boxes_in_region``: cell translates outer, boxes inner."""
+    ranges = [range(math.floor(lo / c), math.ceil(hi / c)) for (lo, hi), c in zip(dom.box(), S.cell)]
+    kept = []  # per box, per axis: translate index -> clipped interval
+    for box in S.boxes:
+        kept.append([{j: (max(a + j * c, lo), min(b + j * c, hi)) for j in rng
+                      if min(b + j * c, hi) - max(a + j * c, lo) > 1e-12}
+                     for (a, b), (lo, hi), c, rng in zip(box, dom.box(), S.cell, ranges)])
+    products = [list(itertools.product(*(list(axis.values()) for axis in axes))) for axes in kept]
+    ordered = [tuple(axis[jj] for axis, jj in zip(axes, j))
+               for j in itertools.product(*ranges) for axes in kept
+               if all(jj in axis for axis, jj in zip(axes, j))]
+    return products, ordered
+
+
+@pytest.mark.parametrize("dom, S, count", [
+    (DomainSpec.torus(2 * math.pi, 2 * math.pi),
+     ObservabilitySet.periodic((2 * math.pi / 3,) * 2, [((0.3, 1.7), (0.2, 1.9))]), 9),
+    # cells cut by the edges x = 0.35, x = 3.75 and y = 2.4
+    (DomainSpec("dirichlet", (3.4, 2.8), (0.35, -0.4)),
+     ObservabilitySet.periodic((1.0, 1.0), [((0.1, 0.5), (0.2, 0.6)), ((0.6, 0.9), (0.7, 0.95))]),
+     24),
+], ids=["torus_3x3", "box_partial_cells"])
+def test_region_boxes_are_products_of_per_axis_translates(dom, S, count):
+    boxes = region_boxes(dom, S)
+    products, ordered = _translate_products(dom, S)
+    assert boxes == ordered and len(boxes) == count
+    assert sorted(boxes) == sorted(b for product in products for b in product)
+    for product in products:
+        assert set(product) <= set(boxes)

@@ -288,3 +288,18 @@ def test_project_diagonal_matches_the_former_branches(potential):
     assert np.array_equal(op.project_diagonal(M, idx), expect)
     assert np.allclose(op.project_diagonal(M, idx), np.diagonal(op.project(M, idx)),
                        rtol=0.0, atol=1e-13)
+
+
+def test_single_box_turns_tiled_sets_and_families_away_without_building_boxes(monkeypatch):
+    dom = DomainSpec.torus(TWO_PI, TWO_PI)
+    box = ((0.4, 2.3), (0.2, 2.0))
+    one_cell = ObservabilitySet.periodic((TWO_PI, TWO_PI), [box])
+    tiled = ObservabilitySet.periodic((math.pi, math.pi), [box])
+    family = ObservabilitySet(kind="equidistributed_balls", boxes=(box, ((3.0, 3.5),) * 2))
+    assert geometry._single_box(dom, one_cell) == box
+    monkeypatch.setattr(ObservabilitySet, "boxes_in_region", None)
+    for S in (tiled, family, ObservabilitySet.full(), None):
+        assert geometry._single_box(dom, S) is None
+    # a cell that does not tile the torus is refused before any box is built
+    with pytest.raises(ParameterError, match="^set period does not tile the torus$"):
+        geometry._single_box(dom, ObservabilitySet.periodic((2.5, 2.5), [box]))
