@@ -71,8 +71,8 @@ def run_spectral_ineq(domain, set, e_max: float, e_grid: list[float], potential=
         raise ParameterError("e_grid must hold at least one value, not []")
     S = runio.parse_set(set, seed)
     specs = _named(bounds, "bounds")
-    op = _operator(domain, e_max, n_max, potential)
     _check_energies(e_grid, e_max)
+    op = _operator(domain, e_max, n_max, potential)
     pairs = uc.spectral_ineq_sweep(op, S, e_grid)
     set_hash = S.descriptor_hash()
     rows = []
@@ -279,9 +279,10 @@ def run_calibrate(target, domain, set, e_max: float, e_grid: list[float] = None,
     if not grid:
         raise ParameterError(f"{key} must hold at least one value, not []")
     S = runio.parse_set(set, seed)
-    op = _operator(domain, e_max, n_max)
     if cube:
         _check_energies(grid, e_max)
+    op = _operator(domain, e_max, n_max)
+    if cube:
         pairs = uc.spectral_ineq_sweep(op, S, grid)
         cal = uc.calibrate_spectral_cube(pairs, thick.gamma, thick.a,
                                          op.basis.domain.dimension, constants)

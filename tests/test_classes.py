@@ -19,7 +19,7 @@ from heatctl import (ControlProblem, DomainSpec, ObservabilitySet, PotentialSpec
                      min_norm_control, spectral_ineq_constant, spectral_ineq_sweep,
                      worst_initial_state)
 from heatctl.control import control_norm_at
-from heatctl.geometry import mode_classes
+from heatctl.geometry import mode_classes, set_blocks
 from heatctl.spectral import group_modes
 
 TWO_PI = 2.0 * math.pi
@@ -219,6 +219,13 @@ def test_set_that_does_not_tile_the_torus_is_refused():
     S = ObservabilitySet.periodic((2.5, 2.5), [((0.1, 1.0), (0.1, 1.0))])
     with pytest.raises(ValueError, match="tile"):
         mode_classes(op, S)
+    # a potential handle has one class, yet the set is still checked against the torus
+    schrodinger = galerkin_schrodinger(op.basis, PotentialSpec.indicator(
+        [(0.0, 1.0), (0.0, 1.0)], height=2.0))
+    with pytest.raises(ValueError, match="tile"):
+        mode_classes(schrodinger, S)
+    with pytest.raises(ValueError, match="tile"):
+        set_blocks(schrodinger, S, 10.0, gram=np.eye(op.n))
 
 
 def test_group_modes_gives_ascending_classes_in_the_order_of_their_keys():

@@ -973,7 +973,7 @@ REFUSED = {
     "too_many_modes": ("spectral-ineq", {**SI, "domain": {"torus": [2 * math.pi, 2 * math.pi]},
                                          "e_max": 1000.0},
                        "e_max=1000.0 yields 3149 modes, exceeding n_max=512"),
-    "no_mode_below_e_max": ("spectral-ineq", {**SI, "e_max": 0.5},
+    "no_mode_below_e_max": ("spectral-ineq", {**SI, "e_max": 0.5, "e_grid": [0.5]},
                             "no admissible mode below e_max"),
     "box_of_wrong_dimension": ("spectral-ineq", {**SI, "set": _set_record([[0.0, 1.0], [0.0, 1.0]])},
                                "box dimension does not match cell"),

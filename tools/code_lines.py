@@ -1,9 +1,8 @@
 """Count the code lines of ``src/heatctl``: lines that hold a token of code,
 without docstrings, comments and blank lines.
 
-Usage: ``python3 tools/code_lines.py [package directory]``.  Prints each
-module's count and the total; the directory defaults to ``src/heatctl`` of
-this checkout.
+Usage: ``python3 tools/code_lines.py``.  Prints each module's count and the
+total for the ``src/heatctl`` of the checkout that holds this script.
 """
 
 import ast
@@ -37,9 +36,8 @@ def code_lines(source):
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv):
-    root = pathlib.Path(argv[1]) if len(argv) > 1 else (
-        pathlib.Path(__file__).resolve().parent.parent / "src" / "heatctl")
+def main():
+    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "heatctl"
     total = 0
     for path in sorted(root.glob("*.py")):
         count = code_lines(path.read_text())
@@ -50,4 +48,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
