@@ -57,10 +57,7 @@ def _initial_state(mode: int = None, coeffs: list[float] = None):
     def state(n):
         if mode is not None and mode not in range(n):
             raise ParameterError(f"u0: mode must be an integer in [0, {n})")
-        u0 = np.asarray(coeffs, dtype=float) if mode is None else np.eye(1, n, mode)[0]
-        if u0.shape != (n,):
-            raise ParameterError("u0 coefficient vector has wrong length")
-        return u0
+        return np.asarray(coeffs, dtype=float) if mode is None else np.eye(1, n, mode)[0]
     return state
 
 

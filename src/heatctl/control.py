@@ -14,15 +14,19 @@ control Gram never couples.  Every Gramian, cost operator, phase end, step
 kernel and control norm is then block diagonal, and each is formed,
 decomposed and applied one class at a time: ``C_T`` is the largest of the
 classes' costs and the condition number that of the whole.  Any other
-problem has the one class of all modes.  Each class's block of the control
-Gram is formed once per problem (:meth:`ControlProblem.class_blocks`) by
+problem has the one class of all modes.  A :class:`ControlProblem` forms
+what it derives once, as cached properties: each class's block of the
+control Gram (:attr:`ControlProblem.class_blocks`, by
 :func:`heatctl.geometry.class_block`, the projection that forms the blocks
-of a spectral constant.  Those blocks, and every kernel built from them,
-are exactly symmetric, so nothing here symmetrizes or writes them.
+of a spectral constant), the Gramian factor and the cost blocks.  Those
+blocks, and every kernel built from them, are exactly symmetric, so nothing
+here symmetrizes or writes them.  Its initial state is read only through
+:meth:`ControlProblem.initial_state`.
 """
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +72,8 @@ class ControlProblem:
     scalar system ``B = c`` it is ``[[c**2]]``.  ``classes`` are the mode
     classes that ``control_gram`` never couples, ascending index arrays (the
     one class of all modes unless the problem comes from a set that tiles a
-    torus).
+    torus).  ``u0``, in the function basis, may be given or assigned at any
+    time; it is checked when it is read (:meth:`initial_state`).
     """
 
     op: object
@@ -77,9 +82,6 @@ class ControlProblem:
     u0: np.ndarray = None
     set_hash: str = None
     classes: tuple = field(default=None, repr=False)
-    _blocks: tuple = field(default=None, init=False, repr=False)
-    _factor: tuple = field(default=None, init=False, repr=False)
-    _cost: list = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.T <= 0:
@@ -87,10 +89,6 @@ class ControlProblem:
         self.control_gram = np.asarray(self.control_gram, dtype=float)
         if self.control_gram.shape != (self.op.n, self.op.n):
             raise ParameterError("control Gram has wrong shape")
-        if self.u0 is not None:
-            self.u0 = np.asarray(self.u0, dtype=float)
-            if self.u0.shape != (self.op.n,):
-                raise ParameterError("u0 has wrong length")
         if self.classes is None:
             self.classes = (np.arange(self.op.n),)
 
@@ -108,6 +106,17 @@ class ControlProblem:
         """Control Gram conjugated into the eigenbasis of the handle."""
         return self.op.project(self.control_gram)
 
+    def initial_state(self):
+        """``u0`` in the eigenbasis of the handle; refused when it is missing
+        or its length is not the mode count."""
+        if self.u0 is None:
+            raise ParameterError("problem has no initial state")
+        u0 = np.asarray(self.u0, dtype=float)
+        if u0.shape != (self.op.n,):
+            raise ParameterError(f"u0 has wrong length: shape {u0.shape}, expected ({self.op.n},)")
+        return self.op.to_eigenbasis(u0)
+
+    @cached_property
     def class_blocks(self):
         """Per class ``(modes, eigenvalues, block of mtil)``, formed once per
         problem family by :func:`heatctl.geometry.class_block`, as the blocks
@@ -120,30 +129,26 @@ class ControlProblem:
         exactly symmetric.  On a diagonal handle the one class of all modes
         takes a view of the whole control Gram.
         """
-        if self._blocks is None:
-            if not np.array_equal(self.control_gram, self.control_gram.T):
-                raise ParameterError("control Gram is not exactly symmetric")
-            self._blocks = tuple(class_block(self.op, self.control_gram, c)
-                                 for c in self.classes)
-        return self._blocks
+        if not np.array_equal(self.control_gram, self.control_gram.T):
+            raise ParameterError("control Gram is not exactly symmetric")
+        return tuple(class_block(self.op, self.control_gram, c) for c in self.classes)
 
+    @cached_property
     def gramian_factor(self):
         """The :class:`_Factor` of ``Q_T``, measured once per problem (see
         :func:`_factor_blocks`)."""
-        if self._factor is None:
-            self._factor = _factor_blocks(_class_kernels(self, self.T))
-        return self._factor
+        return _factor_blocks(_class_kernels(self, self.T))
 
+    @cached_property
     def cost_blocks(self):
         """The kept blocks of the cost operator, factored once per problem
         (see :func:`_cost_operator`)."""
-        if self._cost is None:
-            self._cost = _cost_operator(self)
-        return self._cost
+        return _cost_operator(self)
 
     def with_time(self, T):
+        """The same problem at horizon ``T``, sharing these class blocks."""
         later = replace(self, T=T)
-        later._blocks = self.class_blocks()
+        later.class_blocks = self.class_blocks
         return later
 
 
@@ -152,7 +157,8 @@ class Phase:
     """One active window carrying ``f(s) = -B* exp(-(t_end-s) A) v``.
 
     ``v`` vanishes outside ``mode_mask``, the modes the phase steers (all
-    modes when it is ``None``).
+    modes when it is ``None``).  ``norm_sq``, the squared norm of the
+    control, is required: a signal's norm is read from its phases'.
     """
 
     t_start: float
@@ -162,6 +168,8 @@ class Phase:
     norm_sq: float = None
 
     def __post_init__(self):
+        if self.norm_sq is None:
+            raise ParameterError("phase needs norm_sq, the squared norm of its control")
         if self.mode_mask is not None and np.any(self.v[~self.mode_mask]):
             raise ParameterError("phase vector must vanish outside its mode mask")
 
@@ -205,7 +213,7 @@ def _factor_blocks(blocks):
     """The :class:`_Factor` of the Gramian with these diagonal blocks, which
     it reads and never writes: each is a kernel of a class block or a view
     of one, exactly symmetric as those are (see
-    :meth:`ControlProblem.class_blocks`).  ``cond = lambda_max /
+    :attr:`ControlProblem.class_blocks`).  ``cond = lambda_max /
     lambda_min`` over all blocks from their eigenvalues alone, ``inf``
     unless every eigenvalue is positive."""
     eigs = [np.linalg.eigvalsh(Q) for Q in blocks]
@@ -235,14 +243,14 @@ def _steer(blocks, modes, y):
 
 def _class_kernels(problem, h):
     """Per class, the kernel ``M o Phi_h`` of its block."""
-    return [_kernel(M, mu, mu, h) for _, mu, M in problem.class_blocks()]
+    return [_kernel(M, mu, mu, h) for _, mu, M in problem.class_blocks]
 
 
 def _phase_end(problem, u, v, h, kernels):
     """``_forced_end`` of a phase of length ``h`` in ``problem``, class by
     class, given the classes' kernels of length ``h``."""
     end = np.empty_like(u)
-    for (c, mu, _), K in zip(problem.class_blocks(), kernels):
+    for (c, mu, _), K in zip(problem.class_blocks, kernels):
         end[c] = np.exp(-h * mu) * u[c] - K @ v[c]
     return end
 
@@ -254,14 +262,12 @@ def min_norm_control(problem):
     ``y = exp(-T A) u0``; the Duhamel solution driven by the signal reaches
     zero at ``T`` up to the inversion accuracy.
     """
-    if problem.u0 is None:
-        raise ParameterError("problem has no initial state")
     mu = problem.op.eigvals
-    u0e = problem.op.to_eigenbasis(problem.u0)
+    u0e = problem.initial_state()
     if not np.any(u0e):
         return ControlSignal.zero(), 0.0
     y = np.exp(-problem.T * mu) * u0e
-    v, cost_sq = _steer(_checked(problem.gramian_factor()), problem.classes, y)
+    v, cost_sq = _steer(_checked(problem.gramian_factor), problem.classes, y)
     phase = Phase(0.0, problem.T, v, None, cost_sq)
     return ControlSignal(phases=(phase,)), math.sqrt(cost_sq)
 
@@ -293,7 +299,7 @@ def _cost_operator(problem):
     A Cholesky factor that breaks down is refused with the measured
     condition number.
     """
-    factor = problem.gramian_factor()
+    factor = problem.gramian_factor
     e = np.exp(-problem.T * problem.op.eigvals)
     try:
         chols = [np.linalg.cholesky(Q[::-1, ::-1]) for Q in _checked(factor)]
@@ -322,7 +328,7 @@ def empirical_cost(problem):
     system; the largest eigenvalue is the largest over the classes, each
     taken on the modes that carry it (see :func:`_cost_operator`).
     """
-    lam = max(float(np.linalg.eigvalsh(A)[-1]) for _, A in problem.cost_blocks())
+    lam = max(float(np.linalg.eigvalsh(A)[-1]) for _, A in problem.cost_blocks)
     return math.sqrt(max(lam, 0.0))
 
 
@@ -333,7 +339,7 @@ def worst_initial_state(problem):
     largest top eigenvalue, the first such class on a tie, and vanishes on
     every other mode (see :func:`_cost_operator`).
     """
-    tops = [(np.linalg.eigh(A), modes) for modes, A in problem.cost_blocks()]
+    tops = [(np.linalg.eigh(A), modes) for modes, A in problem.cost_blocks]
     (_, V), modes = tops[int(np.argmax([lam[-1] for (lam, _), _ in tops]))]
     w = np.zeros(problem.op.n)
     w[modes] = V[:, -1]
@@ -342,7 +348,7 @@ def worst_initial_state(problem):
 
 def gramian_condition(problem):
     """Condition number of ``Q_T``; ``inf`` when it is singular.  Never raises."""
-    return problem.gramian_factor().cond
+    return problem.gramian_factor.cond
 
 
 @dataclass(frozen=True)
@@ -371,7 +377,7 @@ def _step_through_phase(problem, state, phase, times):
     h = np.diff(times, prepend=phase.t_start)
     steps, group = np.unique(h, return_inverse=True)
     forced = np.zeros((mu.size, times.size))
-    for c, mu_c, M in problem.class_blocks():
+    for c, mu_c, M in problem.class_blocks:
         k = slice(None) if phase.mode_mask is None else phase.mode_mask[c]
         mu_k, M_k = mu_c[k], M[:, k]
         if not mu_k.size:
@@ -398,8 +404,6 @@ def duhamel_solve(problem, signal, t_grid):
     form; inside a phase the grid is walked by exact steps, with one kernel
     per distinct step length and class.
     """
-    if problem.u0 is None:
-        raise ParameterError("problem has no initial state")
     mu = problem.op.eigvals
     for ph in signal.phases:
         if ph.t_start < -1e-12 or ph.t_end > problem.T + 1e-12:
@@ -412,7 +416,7 @@ def duhamel_solve(problem, signal, t_grid):
         raise ParameterError("time grid must lie within [0, T]")
 
     # anchor states at 0 and at every phase boundary
-    anchors = [(0.0, problem.op.to_eigenbasis(problem.u0))]
+    anchors = [(0.0, problem.initial_state())]
     for ph in signal.phases:
         t_prev, u_prev = anchors[-1]
         u_start = np.exp(-(ph.t_start - t_prev) * mu) * u_prev
@@ -444,7 +448,7 @@ def control_norm_at(problem, signal, s):
     for ph in signal.phases:
         if ph.t_start - 1e-15 <= s <= ph.t_end + 1e-15:
             w = np.exp(-(ph.t_end - s) * problem.op.eigvals) * ph.v
-            norm_sq = sum(float(w[c] @ (M @ w[c])) for c, _, M in problem.class_blocks())
+            norm_sq = sum(float(w[c] @ (M @ w[c])) for c, _, M in problem.class_blocks)
             return math.sqrt(max(norm_sq, 0.0))
     return 0.0
 
@@ -508,15 +512,12 @@ def active_passive_synthesize(problem, fit):
     is checked against ``fit.c_ur(E_j)/T_j * ||u(a_j)||^2``.  Termination:
     the first cutoff covering the whole basis empties the state exactly.
     """
-    if problem.u0 is None:
-        raise ParameterError("problem has no initial state")
+    state = problem.initial_state().copy()
     mu = problem.op.eigvals
     sched = active_passive_schedule(problem.T, max(float(mu[-1]), 1.0))
-    state = problem.op.to_eigenbasis(problem.u0).copy()
     u0_norm = float(np.linalg.norm(state))
     phases = []
     rows = []
-    total_sq = 0.0
     worst_cond = 0.0
     for j, (E_j, T_j) in enumerate(zip(sched.E_j, sched.T_j)):
         a_j, t_end = sched.a[j], sched.a[j] + T_j
@@ -535,7 +536,7 @@ def active_passive_synthesize(problem, fit):
         # phase carries the zero control and only the free decay acts
         if mask.any():
             modes, blocks = zip(*[(c[:k], K[:k, :k]) for (c, mu_c, _), K
-                                  in zip(problem.class_blocks(), kernels)
+                                  in zip(problem.class_blocks, kernels)
                                   if (k := np.count_nonzero(mu_c <= E_j))])
             factor = _factor_blocks(blocks)
             what = f"Gramian of active phase j={j} (E_j={E_j}, {int(mask.sum())} modes)"
@@ -543,7 +544,6 @@ def active_passive_synthesize(problem, fit):
             worst_cond = max(worst_cond, factor.cond)
         phase = Phase(a_j, t_end, v, mask.copy(), norm_sq)
         phases.append(phase)
-        total_sq += norm_sq
         # end of active phase
         state = _phase_end(problem, state, v, h, kernels)
         low_residual = float(np.linalg.norm(state[mask]))
@@ -572,19 +572,20 @@ def active_passive_synthesize(problem, fit):
     if tail > 0:
         state = np.exp(-tail * mu) * state
     final = float(np.linalg.norm(state))
+    signal = ControlSignal(phases=tuple(phases))
     report = CostReport(
         T=problem.T,
         condition_number=worst_cond,
         diagnostics={
             "phases": rows,
-            "total_norm": math.sqrt(total_sq),
+            "total_norm": signal.norm,
             "final_residual": final,
             "u0_norm": u0_norm,
         },
         schedule=asdict(sched),
         set_hash=problem.set_hash,
     )
-    return ControlSignal(phases=tuple(phases)), report
+    return signal, report
 
 
 @dataclass(frozen=True)

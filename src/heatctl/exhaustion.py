@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlProblem, _forced_end, gramian_condition, min_norm_control
-from .errors import FidelityError, ParameterError
+from .errors import FidelityError, NumericError, ParameterError
 from .geometry import region_boxes
 from .spectral import (DomainSpec, box_integrals, build_basis, galerkin_schrodinger,
                        semigroup_apply)
@@ -132,21 +132,33 @@ def semigroup_difference(run):
     The small-box semigroup acts as ``exp(-t H_L) ⊕ I`` restricted to the
     zero-extension, and the comparison uses exact cross inner products in
     the reference basis, so the reported values carry only the (checked)
-    basis-truncation error.  The slope and intercept of ``ln difference``
-    against ``L^2`` are ``None`` when there is no fit: fewer than two boxes,
-    or a difference that vanishes.
+    basis-truncation error.
+
+    The square ``d2 = ||v_R||^2 + ||v_L||^2 - 2 <v_R, O v_L>`` is formed by
+    cancellation, so a ``d2`` at or below its rounding floor
+    ``gamma_n (||v_R||^2 + ||v_L||^2 + 2 ||v_R|| ||O v_L||)``, with
+    ``gamma_n = n u / (1 - n u)``, ``u = 2**-53`` and ``n`` the size of the
+    reference basis, is refused with :class:`NumericError`; every reported
+    difference is positive.  The slope and intercept of ``ln difference``
+    against ``L^2`` are ``None`` for fewer than two boxes.
     """
     basis_R, op_R, c_R, _ = _heat_state(run.L_ref, run, run.fidelity_tol)
     v_R = semigroup_apply(op_R, run.t, c_R)
+    nu = op_R.n * 2.0 ** -53
     diffs, fids = [], []
     for L in run.L_list:
         basis_L, op_L, c_L, fid_L = _heat_state(L, run, run.fidelity_tol)
         v_L = semigroup_apply(op_L, run.t, c_L)
-        O = overlap_matrix(basis_R, basis_L)
-        d2 = float(v_R @ v_R + v_L @ v_L - 2.0 * v_R @ (O @ v_L))
-        diffs.append(math.sqrt(max(d2, 0.0)))
+        Ov_L = overlap_matrix(basis_R, basis_L) @ v_L
+        sq_R, sq_L = v_R @ v_R, v_L @ v_L
+        d2 = float(sq_R + sq_L - 2.0 * v_R @ Ov_L)
+        floor = nu / (1.0 - nu) * (sq_R + sq_L + 2.0 * math.sqrt(sq_R) * np.linalg.norm(Ov_L))
+        if d2 <= floor:
+            raise NumericError(f"semigroup difference at L={L}, t={run.t} is below rounding: "
+                               f"d^2={d2:.3e} <= floor {floor:.3e}")
+        diffs.append(math.sqrt(d2))
         fids.append(fid_L)
-    if len(diffs) >= 2 and all(d > 0 for d in diffs):
+    if len(diffs) >= 2:
         coef, _ = _line_fit([L ** 2 for L in run.L_list], np.log(diffs))
         slope, intercept = float(coef[1]), float(coef[0])
     else:

@@ -245,6 +245,36 @@ def test_numpy_scalar_bound_parameters_read_as_numbers():
     assert v == cost_bound("thick1", gamma=0.5, a=[1.0], d=1, T=1.0)
 
 
+THICK1 = {"gamma": 0.5, "a": [1.0], "d": 1}
+ABSTRACT = {"T": 1.0, "s": 0.5, "d0": 1.0, "d1": 0.0, "B_norm": 0.0}
+
+
+@pytest.mark.parametrize("evaluate, message", [
+    (lambda: cost_bound("thick1", THICK1, T=0.0), "thick1: T must be positive"),
+    (lambda: cost_bound("abstract_observability", ABSTRACT, beta=0.5),
+     "abstract_observability: beta must be <= 0"),
+    (lambda: cost_bound("abstract_observability", {**ABSTRACT, "d0": 0.0}),
+     "abstract_observability: d0 must be positive, d1 and B_norm non-negative"),
+    (lambda: cost_bound("abstract_observability", {**ABSTRACT, "B_norm": -1.0}),
+     "abstract_observability: d0 must be positive, d1 and B_norm non-negative"),
+    (lambda: cost_bound("fractional", {"gamma": 0.5, "theta": 1.0, "a": [1.0]},
+                        UniversalConstants(D4=0.5), T=1.0),
+     "fractional: fractional bound needs D4 > gamma"),
+    (lambda: miller_cstar(0.0, 1.0, 0.0, 1.0), "beta and b must be positive"),
+    (lambda: miller_cstar(1.0, 0.0, 0.0, 1.0), "beta and b must be positive"),
+    (lambda: miller_cstar(1.0, 1.0, 0.0, 0.0), "a and m must be non-negative with a \\+ m > 0"),
+    (lambda: miller_cstar(1.0, 1.0, -1.0, 2.0), "a and m must be non-negative with a \\+ m > 0"),
+    (lambda: tenenbaum_threshold(0.5, -1.0), "d1 must be non-negative"),
+    (lambda: regime_table(["thick1"], THICK1, []), "T grid is empty"),
+    (lambda: calibrate_prefactor("thick1", [(1.0, 1.0)], THICK1),
+     "thick1 has no prefactor calibration"),
+], ids=["T", "beta", "d0", "B_norm", "D4", "miller-beta", "miller-b", "miller-a+m",
+        "miller-a", "tenenbaum-d1", "regime-grid", "prefactor-name"])
+def test_bounds_refuse_inputs_outside_their_formulas(evaluate, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        evaluate()
+
+
 def test_calibrations_refuse_empty_pairs():
     params = {"gamma": 0.5, "a": [1.0], "d": 1}
     for calibrate in (lambda: calibrate_thick1([], params),

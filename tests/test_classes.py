@@ -160,14 +160,14 @@ def test_control_norm_is_the_dense_quadratic_form(name):
 
 def test_class_blocks_are_formed_once_per_problem_family(monkeypatch):
     problem, _ = _problems("2d_q2x2")
-    formed = problem.class_blocks()
+    formed = problem.class_blocks
     assert len(formed) == len(problem.classes) > 1
     later = problem.with_time(0.5)
-    assert later.class_blocks() is formed
+    assert later.class_blocks is formed
     # a copy with other classes forms its own; the one class is a full view
     # of the dense Gram, sharing its memory
     dense = dataclasses.replace(later, classes=(np.arange(later.op.n),))
-    (_, _, M), = dense.class_blocks()
+    (_, _, M), = dense.class_blocks
     assert M.base is dense.control_gram and M.shape == dense.control_gram.shape
     assert np.array_equal(M, dense.control_gram)
     later.u0 = _random_state(later.op.n)

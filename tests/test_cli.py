@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -967,6 +968,13 @@ def _set_record(*boxes):
     return {"kind": "periodic_boxes", "cell": [math.pi], "boxes": list(boxes)}
 
 
+def _no_cell(extent):
+    return {"equidistributed": {"G": 1.0, "delta": 0.2, "seed": 1}, "extent": extent}
+
+
+NO_CELL = {"domain": {"interval": [0.0, 3.0], "boundary": "dirichlet"}, "e_max": 10.0,
+           "e_grid": [4.0]}
+
 # (experiment, config keys, the whole error line) of outside input that is
 # refused with exit 2
 REFUSED = {
@@ -987,6 +995,24 @@ REFUSED = {
     "cube_energy_above_e_max": ("calibrate", {**CUBE, "e_grid": [1.0, 4.5],
                                               "thick": {"gamma": 0.5, "a": [math.pi]}},
                                 "e_grid energy E=4.5 exceeds e_max=4.0, the basis cutoff"),
+    "u0_with_mode_and_coeffs": ("synthesize", {**SYNTH, "u0": {"mode": 0, "coeffs": [1.0, 0.0]}},
+                                "u0 must be 'worst', {'mode': k} or {'coeffs': [...]}"),
+    "u0_with_neither_mode_nor_coeffs": ("synthesize", {**SYNTH, "u0": {}},
+                                        "u0 must be 'worst', {'mode': k} or {'coeffs': [...]}"),
+    "u0_coeffs_of_wrong_length": ("synthesize", {**SYNTH, "u0": {"coeffs": [1.0, 0.0, 0.0]}},
+                                  "u0 has wrong length: shape (3,), expected (2,)"),
+    "set_and_control_scale": ("synthesize", {**SYNTH, "set": "full"},
+                              "synthesize needs exactly one of 'set' and 'control_scale'"),
+    "neither_set_nor_control_scale": ("synthesize", {**SYNTH, "control_scale": None},
+                                      "synthesize needs exactly one of 'set' and 'control_scale'"),
+    "unknown_synthesize_mode": ("synthesize", {**SYNTH, "mode": "greedy"},
+                                "unknown synthesize mode 'greedy'"),
+    "unknown_calibration_target": ("calibrate", {**CUBE, "target": "thick3"},
+                                   "unknown calibration target 'thick3'"),
+    "extent_of_no_width": ("spectral-ineq", {**NO_CELL, "set": _no_cell([[1.0, 1.0]])},
+                           "extent [[1.0, 1.0]] holds no cell of side G=1.0"),
+    "reversed_extent": ("spectral-ineq", {**NO_CELL, "set": _no_cell([[2.0, 1.0]])},
+                        "extent [[2.0, 1.0]] holds no cell of side G=1.0"),
 }
 
 
@@ -996,6 +1022,14 @@ def test_refused_input_exits_2_without_files(tmp_path, capsys, case):
     assert run_case(tmp_path, experiment, keys, None) == 2
     assert not (tmp_path / "out").exists()
     assert capsys.readouterr().err == f"heatctl: error: {message}\n"
+
+
+def test_semigroup_difference_under_its_rounding_floor_exits_2_without_files(tmp_path, capsys):
+    keys = {"t": 0.05, "L": [3.0, 4.0], "L_ref": 11.0, "omega_cut": 140.0}
+    assert run_case(tmp_path, "exhaust", keys, None) == 2
+    assert not (tmp_path / "out").exists()
+    assert re.fullmatch(r"heatctl: error: semigroup difference at L=4\.0, t=0\.05 is below "
+                        r"rounding: d\^2=\S+ <= floor \S+\n", capsys.readouterr().err)
 
 
 def test_config_of_another_schema_exits_2_without_files(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heatctl import (ConditioningError, ControlProblem, ControlSignal,
+from heatctl import (CapacityError, ConditioningError, ControlProblem, ControlSignal,
                      DomainSpec, ObservabilitySet, ParameterError,
                      active_passive_schedule, active_passive_synthesize,
                      build_basis, douglas_factorize, duhamel_solve,
@@ -218,6 +218,17 @@ def test_schedule_values():
     assert np.allclose(np.array(sched2.a), 2 * np.array(sched.a))
 
 
+@pytest.mark.parametrize("T, e_cap, error, message", [
+    (0.0, 16.0, ParameterError, "T must be positive"),
+    (-1.0, 16.0, ParameterError, "T must be positive"),
+    (1.0, 0.0, ParameterError, "e_cap must be positive"),
+    (1.0, 1e40, CapacityError, "schedule exceeds 60 dyadic levels"),
+])
+def test_schedule_refusals(T, e_cap, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        active_passive_schedule(T, e_cap)
+
+
 def test_schedule_cap():
     sched = active_passive_schedule(1.0, 16.0)
     assert sched.J == 2
@@ -338,7 +349,7 @@ def test_gramian_blocks_are_factored_once_and_never_reach_eigh(
     min_norm_control(prob)
     empirical_cost(prob)
     gramian_condition(prob)
-    blocks = prob.gramian_factor().blocks
+    blocks = prob.gramian_factor.blocks
     assert len(blocks) == len(prob.classes) == classes
     assert len(choleskys) == len(blocks)
     for Q in blocks:
@@ -403,6 +414,11 @@ def test_douglas_identity_cases():
     assert np.allclose(res.z_min, np.eye(4), atol=1e-10)
     res2 = douglas_factorize(2 * Y, Y)
     assert abs(res2.c_min - 2.0) < 1e-10
+
+
+def test_douglas_refuses_maps_into_different_spaces():
+    with pytest.raises(ParameterError, match="^X and Y must map into the same space$"):
+        douglas_factorize(np.eye(3), np.eye(2))
 
 
 def test_douglas_with_zero_y_includes_only_zero_x():
@@ -480,6 +496,52 @@ def test_douglas_factor_gives_the_control_cost(case):
 def test_signal_phase_validation():
     with pytest.raises(ParameterError):
         ControlSignal(phases=(Phase(0.5, 0.2, np.array([1.0]), None, 0.0),))
+    # a signal's norm is the root of its phases' norm_sq, so a phase carries one
+    with pytest.raises(ParameterError, match="^phase needs norm_sq, the squared norm of its"):
+        Phase(0.0, 1.0, np.array([1.0]))
+    v = np.array([1.0])
+    assert ControlSignal((Phase(0.0, 0.5, v, None, 4.0), Phase(0.5, 1.0, v, None, 5.0))).norm == 3.0
+
+
+FLAT_FIT = fit_uncertainty_form([(1.0, 1.0), (4.0, 1.0), (16.0, 1.0)], 0.5)
+
+
+@pytest.mark.parametrize("read", [
+    min_norm_control,
+    lambda problem: duhamel_solve(problem, ControlSignal.zero(), [0.0, 1.0]),
+    lambda problem: active_passive_synthesize(problem, FLAT_FIT),
+], ids=["min_norm_control", "duhamel_solve", "active_passive_synthesize"])
+def test_initial_state_is_checked_where_it_is_read(read):
+    op = single_heat_mode_op()
+    with pytest.raises(ParameterError, match="^problem has no initial state$"):
+        read(ControlProblem.from_set(op, ObservabilitySet.full(), 1.0))
+    # a wrong length given at construction or assigned later is refused alike
+    given = ControlProblem.from_set(op, ObservabilitySet.full(), 1.0, u0=np.ones(2))
+    assigned = ControlProblem.from_set(op, ObservabilitySet.full(), 1.0)
+    assigned.u0 = [1.0, 0.0]
+    for problem in (given, assigned):
+        with pytest.raises(ParameterError,
+                           match=r"^u0 has wrong length: shape \(2,\), expected \(1,\)$"):
+            read(problem)
+    assigned.u0 = [1.0]
+    read(assigned)
+
+
+def test_control_gram_of_the_wrong_shape_is_refused():
+    op = single_heat_mode_op()
+    with pytest.raises(ParameterError, match="^control Gram has wrong shape$"):
+        ControlProblem(op, np.eye(2), 1.0)
+
+
+def test_duhamel_refuses_phases_and_times_outside_the_horizon():
+    op = single_heat_mode_op()
+    prob = ControlProblem.from_set(op, ObservabilitySet.full(), 1.0, u0=np.array([1.0]))
+    late = ControlSignal((Phase(0.5, 1.5, np.array([1.0]), None, 1.0),))
+    with pytest.raises(ParameterError, match=r"^signal phases must lie within \[0, T\]$"):
+        duhamel_solve(prob, late, [0.0, 1.0])
+    for t_grid in ([0.0, 1.5], [-0.5, 1.0]):
+        with pytest.raises(ParameterError, match=r"^time grid must lie within \[0, T\]$"):
+            duhamel_solve(prob, ControlSignal.zero(), t_grid)
 
 
 def _ivp_oracle(problem, signal, t_end):

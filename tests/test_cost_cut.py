@@ -44,7 +44,7 @@ def _whole(problem):
     factor ``L`` of its Gramian block with the modes reversed."""
     e = np.exp(-problem.T * problem.op.eigvals)
     whole = []
-    for c, Q in zip(problem.classes, problem.gramian_factor().blocks):
+    for c, Q in zip(problem.classes, problem.gramian_factor.blocks):
         X = np.linalg.inv(np.linalg.cholesky(Q[::-1, ::-1])) * e[c][::-1]
         whole.append((c[::-1], X.T @ X))
     return whole
@@ -62,7 +62,7 @@ def _uncut(problem):
 def _kept(problem):
     """Modes kept per class, as a boolean mask over all modes."""
     kept = np.zeros(problem.op.n, dtype=bool)
-    for modes, A in problem.cost_blocks():
+    for modes, A in problem.cost_blocks:
         assert A.shape == (modes.size, modes.size)
         kept[modes] = True
     return kept
@@ -132,7 +132,7 @@ def test_tiled_torus_may_drop_whole_classes(T):
     assert len(problem.classes) == 9
     kept = _assert_matches_uncut(problem)
     classes_kept = sum(1 for c in problem.classes if kept[c].any())
-    assert len(problem.cost_blocks()) == classes_kept
+    assert len(problem.cost_blocks) == classes_kept
     if T == 10.0:
         assert classes_kept < len(problem.classes)
 
@@ -163,7 +163,7 @@ def _kept_by_diagonal_lam_hat(problem):
     """The modes the cut would keep with ``lam_hat = max_i e_i**2 (Q_T^{-1})_ii``
     over every mode, as a boolean mask over all modes."""
     e = np.exp(-problem.T * problem.op.eigvals)
-    factor = problem.gramian_factor()
+    factor = problem.gramian_factor
     diag = np.empty(problem.op.n)
     for c, Q in zip(problem.classes, factor.blocks):
         diag[c] = np.diagonal(np.linalg.inv(Q))

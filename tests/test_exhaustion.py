@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from heatctl import (ExhaustionRun, FidelityError, ParameterError, PotentialSpec,
+from heatctl import (ExhaustionRun, FidelityError, NumericError, ParameterError, PotentialSpec,
                      box_basis, bump_state, embed_zero_extension,
                      nested_control_family, overlap_matrix, periodic_band,
                      semigroup_difference)
@@ -85,6 +86,20 @@ def test_run_refuses_an_empty_L_list():
         ExhaustionRun(L_list=(), L_ref=8.0, t=0.1)
 
 
+def test_difference_under_its_rounding_floor_is_refused():
+    # d^2 = ||v_R||^2 + ||v_L||^2 - 2 <v_R, O v_L> is 9.5e-15 here, under the
+    # floor of ~1.3e-13 that rounding leaves in those three terms at n = 490
+    run = ExhaustionRun(L_list=(3.0, 4.0), L_ref=11.0, t=0.05, omega_cut=140.0)
+    with pytest.raises(NumericError, match=r"^semigroup difference at L=4\.0, t=0\.05 is below "
+                                           r"rounding: d\^2=\S+ <= floor \S+$") as err:
+        semigroup_difference(run)
+    d2, floor = (float(x) for x in re.findall(r"=(\S+) <= floor (\S+)$", str(err.value))[0])
+    assert d2 <= floor < 1e-12
+    # the box below it is resolved: its difference is well above the floor
+    diff = semigroup_difference(ExhaustionRun(L_list=(3.0,), L_ref=11.0, t=0.05, omega_cut=140.0))
+    assert diff.differences[0] > 1e-5 and diff.slope_vs_Lsq is None
+
+
 def test_difference_self_comparison_vanishes():
     # comparing the reference box with itself through the cross-Gram route
     from heatctl import semigroup_apply
@@ -158,6 +173,13 @@ def test_nested_controls_with_indicator_potential():
     assert res[0] > res[1] > res[2]
     assert res[2] < 0.02
     assert max(fam.control_norms) / min(fam.control_norms) <= 2.0
+
+
+def test_nested_controls_refuse_a_non_positive_horizon():
+    run = ExhaustionRun(L_list=(2.0,), L_ref=4.0, t=0.1, omega_cut=20.0)
+    for T in (0.0, -1.0):
+        with pytest.raises(ParameterError, match="^T must be positive$"):
+            nested_control_family(periodic_band(1.0, 0.5), T, run)
 
 
 def test_nested_controls_zero_state():

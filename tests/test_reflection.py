@@ -232,7 +232,7 @@ def test_control_problem_blocks_are_the_set_blocks():
     op = _op((TWO_PI, TWO_PI), 30.0)
     S = ObservabilitySet.periodic((math.pi, math.pi), [((0.4, 2.3), (0.2, 2.0))])
     problem = ControlProblem.from_set(op, S, 0.5)
-    for (c, mu, B), (modes, mu_s, B_s) in zip(problem.class_blocks(),
+    for (c, mu, B), (modes, mu_s, B_s) in zip(problem.class_blocks,
                                               set_blocks(op, S, op.eigvals[-1])):
         assert np.array_equal(c, modes) and np.array_equal(mu, mu_s)
         assert np.array_equal(B, B_s)

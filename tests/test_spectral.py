@@ -191,6 +191,24 @@ def test_semigroup_rejects_negative_time():
     op = galerkin_schrodinger(basis)
     with pytest.raises(ParameterError):
         semigroup_apply(op, -0.1, np.array([1.0, 0.0]))
+    with pytest.raises(ParameterError, match="^vector has length 3, expected 2$"):
+        semigroup_apply(op, 0.1, np.ones(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DomainSpec("robin", (1.0,)), "unknown boundary 'robin'"),
+    (lambda: DomainSpec("periodic", ()), "dimension must be 1, 2 or 3"),
+    (lambda: DomainSpec("periodic", (1.0,) * 4), "dimension must be 1, 2 or 3"),
+    (lambda: DomainSpec("dirichlet", (1.0, 0.0)), "all side lengths must be positive"),
+    (lambda: DomainSpec("dirichlet", (1.0, 1.0), (0.0,)),
+     "origin and sides must have equal length"),
+    (lambda: build_basis(DomainSpec.interval(0.0, 1.0), 0.0), "e_max must be positive"),
+    (lambda: fractional_transform(galerkin_schrodinger(build_basis(
+        DomainSpec.interval(0.0, 1.0, "dirichlet"), 40.0)), 0.0), "theta must be positive"),
+], ids=["boundary", "no-axis", "four-axes", "side", "origin", "e_max", "theta"])
+def test_domain_basis_and_transform_refusals(build, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        build()
 
 
 def test_fractional_identity_power():

@@ -56,7 +56,7 @@ def _symmetric(B):
 def test_class_blocks_set_blocks_and_kernels_are_exactly_symmetric(name):
     op, S = _case(name)
     problem = ControlProblem.from_set(op, S, 1.0)
-    blocks = problem.class_blocks()
+    blocks = problem.class_blocks
     assert len(blocks) == (4 if name == "tiled" else 1)
     assert all(_symmetric(M) for _, _, M in blocks)
     for h in (1.0, 0.3, 1e-3):
@@ -111,7 +111,7 @@ def test_control_gram_that_is_not_exactly_symmetric_is_refused():
     M = gram_matrix(op.basis, S)
     M[0, 1] = np.nextafter(M[0, 1], math.inf)
     problem = ControlProblem(op, M, 1.0, u0=np.eye(1, op.n, 0)[0])
-    for refuse in (problem.class_blocks, lambda: problem.with_time(2.0),
+    for refuse in (lambda: problem.class_blocks, lambda: problem.with_time(2.0),
                    lambda: min_norm_control(problem)):
         with pytest.raises(ParameterError, match="^control Gram is not exactly symmetric$"):
             refuse()

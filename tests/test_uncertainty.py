@@ -117,6 +117,17 @@ def test_fit_envelope_property(dirichlet_op, half_interval_set):
 def test_fit_rejects_degenerate():
     with pytest.raises(DegenerateSetError):
         fit_uncertainty_form([(1.0, 0.5), (4.0, 0.0), (9.0, 0.1)], 0.5)
+    with pytest.raises(ParameterError, match="^need at least three"):
+        fit_uncertainty_form([(1.0, 0.5), (4.0, 0.25)], 0.5)
+    for s in (0.0, 1.0):
+        with pytest.raises(ParameterError, match=r"^s must be in \(0, 1\)$"):
+            fit_uncertainty_form([(1.0, 0.5), (4.0, 0.25), (9.0, 0.1)], s)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_universal_constants_refuse_non_positive_fields(value):
+    with pytest.raises(ParameterError, match="^constant D4 must be a positive number$"):
+        UniversalConstants(D4=value)
 
 
 def test_ucp_bound_spot_values():
@@ -215,8 +226,10 @@ def test_spectral_projector_shifted_constant_potential_is_exact():
     ("spectral_fullspace", {"gamma": 0.5, "a": [1.0], "d": 1, "E": -1.0}),
     ("spectral_cube", {"gamma": 0.5, "a": [1.0], "d": 1, "E": None}),
     ("kovrijkine", {"gamma": None, "a": [1.0], "b": [2.0], "d": 1}),
+    ("spectral_projector_shifted", {"G": 1.0, "delta": 0.25, "E": 4.0, "v_lo": 2.0, "v_hi": 1.0}),
 ], ids=["klein-norm", "klein-2v+E", "eigenfunction-norm", "projector-norm",
-        "projector-E", "fullspace-E", "cube-E-None", "kovrijkine-gamma-None"])
+        "projector-E", "fullspace-E", "cube-E-None", "kovrijkine-gamma-None",
+        "shifted-v_hi-below-v_lo"])
 def test_ucp_bound_refuses_inputs_outside_the_formula(name, params):
     with pytest.raises(ParameterError, match=name):
         ucp_bound(name, **params)
@@ -284,9 +297,16 @@ def test_sharpness_torus_band_covering_peak():
     assert ratio <= 1.0 and upper >= 1.0
 
 
-def test_sharpness_torus_rejects_small_b():
-    with pytest.raises(ParameterError):
-        sharpness_example_torus(0.1, 2 * math.pi)
+@pytest.mark.parametrize("example, message", [
+    (lambda: sharpness_example_torus(0.1, 2 * math.pi), r"b must be at least 8\*pi"),
+    (lambda: sharpness_example_torus(0.0, 40.0), r"eps must be in \(0, 1\)"),
+    (lambda: sharpness_example_torus(1.0, 40.0), r"eps must be in \(0, 1\)"),
+    (lambda: sharpness_example_torus(0.1, 40.0, p=0.5), "p must be >= 1"),
+    (lambda: sharpness_example_sparse(0, 0.5), "b must be a positive integer"),
+], ids=["torus-b", "torus-eps-0", "torus-eps-1", "torus-p", "sparse-b"])
+def test_sharpness_examples_refuse_inputs_outside_their_range(example, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        example()
 
 
 def test_sharpness_sparse_values():
@@ -375,6 +395,8 @@ def test_lifting_check_of_a_potential_runs_no_eigensolver(monkeypatch):
 def test_lifting_rejects_negative_perturbation(dirichlet_op):
     with pytest.raises(ParameterError):
         eigenvalue_lifting_check(dirichlet_op, PotentialSpec.const(-1.0), 25.0)
+    with pytest.raises(ParameterError, match="^W must be a set indicator or a PotentialSpec$"):
+        eigenvalue_lifting_check(dirichlet_op, np.eye(dirichlet_op.n), 25.0)
 
 
 def test_calibrated_k5_is_envelope(dirichlet_op, half_interval_set):
