@@ -15,15 +15,7 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import check_gamma, check_ratio
 from .uncertainty import (DEFAULT_CONSTANTS, _check_s, _evaluate, _line_fit, _lookup,
-                          _nonnegative, _smallest_passing, _ucp_exponent)
-
-
-def _exp(x):
-    """``exp`` saturating to inf instead of raising on overflow."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+                          _nonnegative, _saturating, _smallest_passing, _ucp_exponent)
 
 
 def _positive_time(T):
@@ -36,7 +28,7 @@ def _positive_time(T):
 def _thick1(c, T: float, gamma: float, d: int, a):
     T, gamma = _positive_time(T), check_gamma(gamma)
     c1 = (c.K ** d / gamma) ** (c.K * (d + float(np.sum(np.abs(a)))))
-    return math.sqrt(c1) * _exp(c1 / (2.0 * T))
+    return math.sqrt(c1) * math.exp(c1 / (2.0 * T))
 
 
 def _thick2_exponent(c, gamma: float, a):
@@ -45,19 +37,19 @@ def _thick2_exponent(c, gamma: float, a):
 
 def thick2_exponent(params, c):
     """1/T coefficient of the thick-set bound; scales as ``||a||_1**2``."""
-    return _evaluate(_thick2_exponent, "thick2", params, c)
+    return _evaluate(_thick2_exponent, "thick2", params, c, math.inf)
 
 
 def _thick2(c, T: float, gamma: float, a):
     T, gamma = _positive_time(T), check_gamma(gamma)
-    return c.D1 / (gamma ** c.D2 * math.sqrt(T)) * _exp(_thick2_exponent(c, gamma, a) / T)
+    return c.D1 / (gamma ** c.D2 * math.sqrt(T)) * math.exp(_thick2_exponent(c, gamma, a) / T)
 
 
 def _equidistributed_small_time(c, T: float, G: float, delta: float, v_norm: float):
     T, (G, delta), v = _positive_time(T), check_ratio(G, delta), _nonnegative("v_norm", v_norm)
     lead = 2.0 * (G / delta) ** (c.K * _ucp_exponent(G, v))
     expo = v + math.log(delta / G) ** 2 * (c.K * G + 4.0 / math.log(2.0)) ** 2 / T
-    return lead * _exp(expo)
+    return lead * math.exp(expo)
 
 
 def _equidistributed_exponent(c, G: float, delta: float):
@@ -67,13 +59,13 @@ def _equidistributed_exponent(c, G: float, delta: float):
 
 def equidistributed_exponent(params, c):
     """1/T coefficient of the equidistributed bound; scales as ``G**2``."""
-    return _evaluate(_equidistributed_exponent, "equidistributed", params, c)
+    return _evaluate(_equidistributed_exponent, "equidistributed", params, c, math.inf)
 
 
 def _equidistributed(c, T: float, G: float, delta: float, v_norm: float = 0.0):
     T, (G, delta), v = _positive_time(T), check_ratio(G, delta), _nonnegative("v_norm", v_norm)
     lead = c.D1 / math.sqrt(T) * (G / delta) ** (c.D2 * _ucp_exponent(G, v))
-    return lead * _exp(_equidistributed_exponent(c, G, delta) / T)
+    return lead * math.exp(_equidistributed_exponent(c, G, delta) / T)
 
 
 def _abstract_observability(c, T: float, s: float, d0: float, d1: float, B_norm: float,
@@ -86,17 +78,17 @@ def _abstract_observability(c, T: float, s: float, d0: float, d1: float, B_norm:
         raise ParameterError("d0 must be positive, d1 and B_norm non-negative")
     K = 2.0 * d0 * math.exp(-beta) * B_norm + 1.0
     inner = (d1 + (-beta) ** c.C4) / T ** s
-    return (c.C1 * d0 / T) * K ** c.C2 * _exp(c.C3 * inner ** (1.0 / (1.0 - s)))
+    return (c.C1 * d0 / T) * K ** c.C2 * math.exp(c.C3 * inner ** (1.0 / (1.0 - s)))
 
 
 def _tenenbaum_form(c, T: float, s: float):
     T, s = _positive_time(T), _check_s(s)
-    return c.C1 / math.sqrt(T) * _exp(c.C2 / T ** (s / (1.0 - s)))
+    return c.C1 / math.sqrt(T) * math.exp(c.C2 / T ** (s / (1.0 - s)))
 
 
 def _beauchard_form(c, T: float):
     T = _positive_time(T)
-    return c.C1 * _exp(c.C1 / T)
+    return c.C1 * math.exp(c.C1 / T)
 
 
 def _fractional(c, T: float, gamma: float, theta: float, a):
@@ -109,7 +101,7 @@ def _fractional(c, T: float, gamma: float, theta: float, a):
         raise ParameterError("fractional bound needs D4 > gamma")
     p = 2.0 * theta / (2.0 * theta - 1.0)
     expo = c.D3 * (a1 * log_term) ** p / T ** (1.0 / (2.0 * theta - 1.0))
-    return c.D1 / (gamma ** c.D2 * math.sqrt(T)) * _exp(expo)
+    return c.D1 / (gamma ** c.D2 * math.sqrt(T)) * math.exp(expo)
 
 
 _REGISTRY = {
@@ -141,10 +133,12 @@ def cost_bound(name, params=None, constants=None, **kw):
     for an integer) and out-of-range fields, negative norms included, raise
     :class:`ParameterError` naming the bound and the field.
     Note ``abstract_observability`` returns the squared observability constant,
-    the quantity the underlying estimate controls.
+    the quantity the underlying estimate controls.  Every bound is an upper
+    bound, so a value beyond double range saturates to ``inf``, which is
+    trivially one.
     """
     fn, _ = _lookup(_REGISTRY, name)
-    return _evaluate(fn, name, {**(params or {}), **kw}, constants)
+    return _evaluate(fn, name, {**(params or {}), **kw}, constants, math.inf)
 
 
 def miller_root_map(s, beta):
@@ -159,21 +153,21 @@ def miller_cstar(beta: float, b: float, a: float = 0.0, m: float = 0.0):
     double where the left side reaches the right.  With ``b`` taken from the
     root equation, ``c* = [(a+m)(s+beta+1)^(beta+1)/(beta+1)]^(beta+1) /
     beta^(beta^2)`` holds no power of ``s`` that could underflow.  Returns
-    ``(s_root, c_star)``; a ``c*`` beyond double range is refused.
+    ``(s_root, c_star)``; a right side or a ``c*`` beyond double range is
+    refused.
     """
     if beta <= 0 or b <= 0:
         raise ParameterError("beta and b must be positive")
     if a < 0 or m < 0 or a + m <= 0:
         raise ParameterError("a and m must be non-negative with a + m > 0")
-    rhs = (beta + 1.0) * beta ** (beta ** 2 / (beta + 1.0)) * b ** (1.0 / (beta + 1.0)) / (a + m)
-    if not rhs > 0:
-        raise ParameterError("the right side of the root equation underflows")
+    rhs = _saturating(math.inf, lambda: (beta + 1.0) * beta ** (beta ** 2 / (beta + 1.0))
+                      * b ** (1.0 / (beta + 1.0)) / (a + m))
+    if not 0 < rhs < math.inf:
+        side = "underflows" if rhs == 0 else "is beyond double range"
+        raise ParameterError(f"the right side of the root equation {side}")
     s = _smallest_passing(lambda s: miller_root_map(s, beta) >= rhs, 0.0, 1e300)
-    try:
-        c_star = ((a + m) * (s + beta + 1.0) ** (beta + 1.0) / (beta + 1.0)) ** (beta + 1.0) \
-            / beta ** (beta ** 2)
-    except OverflowError:
-        c_star = math.inf
+    c_star = _saturating(math.inf, lambda: ((a + m) * (s + beta + 1.0) ** (beta + 1.0)
+                                            / (beta + 1.0)) ** (beta + 1.0) / beta ** (beta ** 2))
     if not 0 < c_star < math.inf:
         raise ParameterError(f"the cost constant c* is beyond double range (beta={beta})")
     return s, c_star
@@ -188,10 +182,7 @@ def tenenbaum_threshold(s: float, d1: float):
         raise ParameterError("d1 must be non-negative")
     g = s / (1.0 - s)
     h = 1.0 / (1.0 - s)
-    try:
-        value = h ** (g * h) * g ** (-g * g) * d1 ** h
-    except OverflowError:
-        value = math.inf
+    value = _saturating(math.inf, lambda: h ** (g * h) * g ** (-g * g) * d1 ** h)
     if not value < math.inf:
         raise ParameterError(f"the threshold is beyond double range (s={s}, d1={d1})")
     return value

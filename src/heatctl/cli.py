@@ -75,10 +75,10 @@ def run_spectral_ineq(domain, set, e_max: float, e_grid: list[float], potential=
     rows = []
     for E, c_emp in pairs:
         if not specs:
-            rows.append([E, repr(c_emp), None, None, set_hash])
+            rows.append([E, c_emp, None, None, set_hash])
         for name, params in specs:
             val = uc.ucp_bound(name, constants, **{**params, "E": E})
-            rows.append([E, repr(c_emp), name, repr(val), set_hash])
+            rows.append([E, c_emp, name, val, set_hash])
     return {"spectral_ineq.csv":
             runio.csv_text(["E", "C_emp", "bound_name", "bound_value", "set_hash"],
                            rows)}
@@ -93,10 +93,8 @@ def _trajectory_rows(problem, signal, t_points):
         near = np.abs(t_grid[:, None] - edges[None, :]).min(axis=1) <= 1e-12 * problem.T
         t_grid = np.unique(np.concatenate([t_grid[~near], edges]))
     traj = ct.duhamel_solve(problem, signal, t_grid)
-    rows = [[repr(float(t)), repr(float(n)), "state_norm"]
-            for t, n in zip(traj.times, traj.norms)]
-    rows += [[repr(float(t)), repr(ct.control_norm_at(problem, signal, t)), "control_norm"]
-             for t in traj.times]
+    rows = [[t, n, "state_norm"] for t, n in zip(traj.times, traj.norms)]
+    rows += [[t, ct.control_norm_at(problem, signal, t), "control_norm"] for t in traj.times]
     return rows, traj
 
 
@@ -139,7 +137,7 @@ def run_synthesize(domain, e_max: float, T: float, set=None, control_scale: floa
         columns = ["j", "E_j", "T_j", "a_j", "norm_sq", "norm_bound", "bound_ok",
                    "low_mode_residual", "decay_ratio", "decay_bound"]
         files["phases.csv"] = runio.csv_text(
-            columns, [[repr(r[c]) for c in columns] for r in report.diagnostics["phases"]])
+            columns, [[r[c] for c in columns] for r in report.diagnostics["phases"]])
     rows, traj = _trajectory_rows(problem, signal, t_points)
     report.diagnostics["final_residual"] = traj.final_norm()
     report.constants = asdict(constants)
@@ -164,27 +162,23 @@ def run_bounds(evaluations=None, miller=None, tenenbaum=None, regime=None, *,
     for name, params in specs:
         value = bd.cost_bound(name, params, constants)
         # every bound is a function of T, so an evaluation that passed has one
-        rows.append([name, params["T"], runio.config_hash(params), repr(value),
-                     bd.bound_validity(name)])
+        rows.append([name, params["T"], runio.config_hash(params), value, bd.bound_validity(name)])
     if miller is not None:
         s_root, c_star = runio.call(bd.miller_cstar, miller, "miller")
         h = runio.config_hash(miller)
-        rows.append(["miller_s_root", None, h, repr(s_root), "small_T_only"])
-        rows.append(["miller_cstar", None, h, repr(c_star), "small_T_only"])
+        rows.append(["miller_s_root", None, h, s_root, "small_T_only"])
+        rows.append(["miller_cstar", None, h, c_star, "small_T_only"])
         report["miller"] = {"s_root": s_root, "c_star": c_star}
     if tenenbaum is not None:
         val = runio.call(bd.tenenbaum_threshold, tenenbaum, "tenenbaum")
-        rows.append(["tenenbaum_threshold", None, runio.config_hash(tenenbaum),
-                     repr(val), "all_T"])
+        rows.append(["tenenbaum_threshold", None, runio.config_hash(tenenbaum), val, "all_T"])
         report["tenenbaum_threshold"] = val
     files = {"bounds.csv": runio.csv_text(
         ["name", "T", "params_hash", "value", "validity"], rows)}
     if regime is not None:
-        regime_rows, classifiers = runio.call(_regime, regime, "regime", constants=constants)
-        files["regime.csv"] = runio.csv_text(
-            ["name", "T", "value", "validity", "best"],
-            [[row["name"], repr(row["T"]), repr(row["value"]), row["validity"],
-              row["best"]] for row in regime_rows])
+        table, classifiers = runio.call(_regime, regime, "regime", constants=constants)
+        columns = ["name", "T", "value", "validity", "best"]
+        files["regime.csv"] = runio.csv_text(columns, [[r[c] for c in columns] for r in table])
         report["classifiers"] = classifiers
     if report:
         files["bounds_report.json"] = runio.json_text(report)
@@ -214,8 +208,8 @@ def run_homogenize(domain, gamma: float, period0: float, e_max: float, t_grid: l
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
         slope, intercept = float(coef[1]), float(coef[0])
         for T, c in zip(t_grid, costs):
-            sweep_rows.append([repr(period), repr(T), repr(c)])
-        fit_rows.append([repr(period), repr(slope), repr(intercept), repr(r2)])
+            sweep_rows.append([period, T, c])
+        fit_rows.append([period, slope, intercept, r2])
     return {
         "homogenize.csv": runio.csv_text(["a", "inv_T_slope", "intercept", "r2"],
                                          fit_rows),
@@ -252,8 +246,7 @@ def run_exhaust(t: float, L: list[float], L_ref: float, R: float = 1.0,
     diff = ex.semigroup_difference(run)
     report.update(diff_slope_vs_Lsq=diff.slope_vs_Lsq, diff_intercept=diff.intercept,
                   fidelities=list(diff.fidelities))
-    rows = [[repr(L), repr(diff.differences[i]),
-             fam and repr(fam.control_norms[i]), fam and repr(fam.residuals[i])]
+    rows = [[L, diff.differences[i], fam and fam.control_norms[i], fam and fam.residuals[i]]
             for i, L in enumerate(run.L_list)]
     return {
         "exhaust.csv": runio.csv_text(["L", "difference", "control_norm", "residual"],
@@ -294,9 +287,8 @@ def run_calibrate(target, domain, set, e_max: float, e_grid: list[float] = None,
             cal = bd.calibrate_prefactor(target, pairs, params, constants)
             fitted = {"D1": cal.D1}
     files = {"constants_out.json": runio.json_text(asdict(cal))}
-    files["calibrate.csv"] = runio.csv_text(
-        ["target", "constant", "value"],
-        [[target, k, repr(v)] for k, v in sorted(fitted.items())])
+    files["calibrate.csv"] = runio.csv_text(["target", "constant", "value"],
+                                            [[target, k, v] for k, v in sorted(fitted.items())])
     return files
 
 

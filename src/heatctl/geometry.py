@@ -548,17 +548,19 @@ def make_equidistributed(spec, extent):
     2D each ball is replaced by its inscribed axis-aligned square (half-width
     ``delta/sqrt(2)``), recorded in the metadata, which is itself an
     equidistributed family.  Centers are deterministic given the seed.  An
-    extent that holds no cell is refused.
+    extent with an axis of no width in units of ``G`` (``hi / G <= lo / G``)
+    is refused: its cells would hold balls outside it, or there would be none.
     """
     extent = [[float(a), float(b)] for a, b in extent]
     d = len(extent)
     if d > 2:
         raise ParameterError("equidistributed families support d <= 2")
     G, delta = spec.G, spec.delta
+    for axis, (lo, hi) in enumerate(extent):
+        if not lo / G < hi / G:
+            raise ParameterError(f"extent {extent} has no width on axis {axis}")
     ranges = [range(int(np.floor(lo / G)), int(np.ceil(hi / G))) for lo, hi in extent]
     cells = sorted(itertools.product(*ranges))
-    if not cells:
-        raise ParameterError(f"extent {extent} holds no cell of side G={G}")
     if spec.centers is not None:
         centers = [tuple(map(float, z)) for z in spec.centers]
         if len(centers) != len(cells):

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 
 from .errors import NumericError, ParameterError
@@ -61,7 +62,9 @@ def _is_number(value):
 
 
 def _is_finite(value):
-    return isinstance(value, numbers.Integral) or math.isfinite(value)
+    """Whether the number ``value`` is finite as a double: an integer beyond
+    double range is not, where ``float`` would raise ``OverflowError``."""
+    return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
 
 
 def number(value, where, kind=float):
@@ -148,11 +151,17 @@ def atomic_write_text(path, text):
 
 
 def csv_text(header, rows):
-    """RFC-4180 table (CRLF, minimal quoting) as a string."""
+    """RFC-4180 table (CRLF, minimal quoting) as a string.  ``None`` is an empty
+    cell and a number is written by ``str``, a float in its shortest round-trip
+    form.  As in :func:`json_text`, a number that is not finite is refused with
+    :class:`NumericError`, naming its column and the first cell of its row."""
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(header)
     for row in rows:
+        for column, v in zip(header, row):
+            if _is_number(v) and not _is_finite(v):
+                raise NumericError(f"a table is not finite: {column} is {v} in row {row[0]}")
         writer.writerow(["" if v is None else v for v in row])
     return buf.getvalue()
 

@@ -407,12 +407,15 @@ def _cosine_galerkin_block(basis, kvec):
     return _trig.separable_sum(tables, index, index)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def galerkin_matrix(basis, potential):
     """Symmetrized Galerkin matrix of ``-Laplace + V`` in ``basis``.
 
     Indicator and cosine terms are integrated in closed form.  A box without
     one ``(lo, hi)`` pair with ``lo < hi`` per axis of the domain, or a
-    cosine without one frequency per axis, raises :class:`ParameterError`.
+    cosine without one frequency per axis, raises :class:`ParameterError`;
+    a matrix whose sums or symmetrization leave double range raises
+    :class:`NumericError`, and numpy warns of nothing on the way.
     """
     d = basis.domain.dimension
     M = np.diag(basis.eigenvalues + potential.constant)
@@ -424,9 +427,10 @@ def galerkin_matrix(basis, potential):
         if len(kvec) != d:
             raise ParameterError(f"cosine term {kvec} needs one frequency per axis")
         M += coeff * _cosine_galerkin_block(basis, kvec)
+    M = symmetrize(M)
     if not np.all(np.isfinite(M)):
-        raise NumericError("Galerkin matrix has non-finite entries")
-    return symmetrize(M)
+        raise NumericError(f"Galerkin matrix is not finite (sup_norm={potential.sup_norm})")
+    return M
 
 
 def galerkin_schrodinger(basis, potential=None):

@@ -183,6 +183,14 @@ def spectral_ineq_sweep(op, S, e_grid, gram=None):
     return list(zip(grid, _constants(op, S, grid, gram)))
 
 
+def _check_positive(pairs):
+    """Refuse ``(E, C_emp)`` pairs with a ``C_emp`` that is not positive, naming
+    the first such ``E``: no closed form fits a vanishing constant."""
+    for E, c in pairs:
+        if not c > 0:
+            raise DegenerateSetError(f"C_emp vanishes on the fit grid at E={E}: C_emp={c}")
+
+
 def fit_uncertainty_form(pairs, s):
     """Least-squares fit of ``-ln C_emp ~ ln d0 + d1 E^s``, then envelope.
 
@@ -193,8 +201,7 @@ def fit_uncertainty_form(pairs, s):
     pairs = [(float(E), float(c)) for E, c in pairs]
     if len(pairs) < 3:
         raise ParameterError("need at least three (E, C_emp) pairs")
-    if any(c <= 0 for _, c in pairs):
-        raise DegenerateSetError("C_emp vanishes on the fit grid")
+    _check_positive(pairs)
     E = np.array([p[0] for p in pairs])
     y = -np.log([p[1] for p in pairs])
     coef, A = _line_fit(np.maximum(E, 0.0) ** s, y)
@@ -214,14 +221,26 @@ def _lookup(registry, name):
     return registry[key]
 
 
-def _evaluate(form, name, params, constants):
+def _saturating(trivial, fn, *args, **kw):
+    """``fn(*args, **kw)``, or ``trivial`` where its float arithmetic leaves double
+    range: a power or ``math.exp`` that overflows, or a divisor that underflows to 0."""
+    try:
+        return fn(*args, **kw)
+    except (OverflowError, ZeroDivisionError):
+        return trivial
+
+
+def _evaluate(form, name, params, constants, trivial):
     """``form(constants, **params)`` on the entries of ``params`` that ``form`` takes,
     a ``None`` one counting as missing, each read by the annotation of its parameter
-    (see :func:`heatctl.runio.call`); a refusal names the bound and the key."""
+    (see :func:`heatctl.runio.call`); a refusal names the bound and the key.  A value
+    beyond double range saturates to ``trivial``, the side on which the form's
+    statement holds for any value: ``inf`` for an upper bound, ``0.0`` for a lower one."""
     taken = list(runio.signature_of(form).parameters)[1:]
     given = {key: params[key] for key in taken if params.get(key) is not None}
     try:
-        return runio.call(form, given, "params", c=constants or DEFAULT_CONSTANTS)
+        return _saturating(trivial, runio.call, form, given, "params",
+                           c=constants or DEFAULT_CONSTANTS)
     except ParameterError as exc:
         raise ParameterError(f"{name}: {exc}") from exc
 
@@ -354,8 +373,10 @@ def ucp_bound(name, constants=None, **p):
     ``delta`` in (0, G/2), norms and ``E`` under a square root non-negative,
     ``2 v_norm + E >= 0``) raises :class:`ParameterError` that names the
     bound and the parameter, as :func:`heatctl.bounds.cost_bound` does.
+    Every form is a lower bound, so a value beyond double range saturates to
+    ``0.0``, which is trivially one.
     """
-    return _evaluate(_lookup(_UCP_FORMS, name), name, p, constants)
+    return _evaluate(_lookup(_UCP_FORMS, name), name, p, constants, 0.0)
 
 
 def _sin_power_integral(power, x):
@@ -473,10 +494,13 @@ def calibrate_spectral_cube(pairs, gamma, a, d, constants=None):
     """Smallest ``K5 >= 1`` whose bound stays below every empirical pair.
 
     The ``spectral_cube`` value is strictly decreasing in ``K5`` for
-    ``gamma <= 1``, so the envelope constant is found by bisection.
+    ``gamma <= 1``, so the envelope constant is found by bisection.  A pair
+    whose ``C_emp`` is not positive is refused, as :func:`fit_uncertainty_form`
+    refuses it: no positive bound lies below it.
     """
     if not pairs:
         raise ParameterError("need at least one (E, C_emp) pair")
+    _check_positive(pairs)
     c = constants or DEFAULT_CONSTANTS
 
     def ok(k5):

@@ -268,8 +268,10 @@ ABSTRACT = {"T": 1.0, "s": 0.5, "d0": 1.0, "d1": 0.0, "B_norm": 0.0}
     (lambda: regime_table(["thick1"], THICK1, []), "T grid is empty"),
     (lambda: calibrate_prefactor("thick1", [(1.0, 1.0)], THICK1),
      "thick1 has no prefactor calibration"),
+    (lambda: cost_bound("thick1", THICK1, T=10 ** 400),
+     f"thick1: params: T must be finite, not {10 ** 400}"),
 ], ids=["T", "beta", "d0", "B_norm", "D4", "miller-beta", "miller-b", "miller-a+m",
-        "miller-a", "tenenbaum-d1", "regime-grid", "prefactor-name"])
+        "miller-a", "tenenbaum-d1", "regime-grid", "prefactor-name", "T-beyond-double-range"])
 def test_bounds_refuse_inputs_outside_their_formulas(evaluate, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
         evaluate()
@@ -282,3 +284,99 @@ def test_calibrations_refuse_empty_pairs():
                       lambda: calibrate_spectral_cube([], 0.5, [1.0], 1)):
         with pytest.raises(ParameterError, match="at least one"):
             calibrate()
+
+
+# every closed form at one input or more, the cost bounds at those of
+# configs/bounds_catalog.json, with the bits of the value that the code gave
+# before a bound beyond double range saturated (recorded on x86-64 Linux)
+FORM_VALUES = [
+    ("thick1", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 1.0}, "0x1.d8e64b8d4ddaep+3"),
+    ("thick2", {"gamma": 0.5, "a": [1.0], "T": 1.0}, "0x1.9de70ac53b8a9p+1"),
+    ("equidistributed", {"G": 1.0, "delta": 0.25, "v_norm": 0.0, "T": 1.0}, "0x1.b55545cdfea8cp+4"),
+    ("fractional", {"gamma": 0.5, "a": [1.0], "theta": 1.0, "T": 1.0}, "0x1.9de70ac53b8a9p+1"),
+    ("abstract_observability", {"d0": 1.0, "d1": 1.0, "s": 0.5, "beta": 0.0, "B_norm": 1.0,
+                                "T": 1.0}, "0x1.04f47e84f418fp+3"),
+    ("thick1", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 0.125}, "0x1.0f2ebd0a80020p+24"),
+    ("thick1", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 0.25}, "0x1.749ea7d470c6ep+12"),
+    ("thick1", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 0.5}, "0x1.b4c902e273a58p+6"),
+    ("thick1", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 1.0}, "0x1.d8e64b8d4ddaep+3"),
+    ("thick1", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 2.0}, "0x1.5bf0a8b145769p+2"),
+    ("thick1", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 4.0}, "0x1.a61298e1e069cp+1"),
+    ("thick1", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 8.0}, "0x1.48b5e3c3e8186p+1"),
+    ("thick2", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 0.125}, "0x1.0824b4918441fp+8"),
+    ("thick2", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 0.25}, "0x1.b55545cdfea8cp+4"),
+    ("thick2", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 0.5}, "0x1.d932335a5ad9cp+2"),
+    ("thick2", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 1.0}, "0x1.9de70ac53b8a9p+1"),
+    ("thick2", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 2.0}, "0x1.cc587a255c232p+0"),
+    ("thick2", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 4.0}, "0x1.20ac00abf1244p+0"),
+    ("thick2", {"gamma": 0.5, "a": [1.0], "d": 1, "T": 8.0}, "0x1.80729a0373847p-1"),
+    ("equidistributed_small_time", {"G": 1.0, "delta": 0.25, "v_norm": 1.0, "T": 1.0},
+     "0x1.7639e1d76ac8fp+133"),
+    ("tenenbaum_form", {"s": 0.5, "T": 0.3}, "0x1.996d97231d573p+5"),
+    ("beauchard_form", {"T": 0.3}, "0x1.c081891afbaaep+4"),
+    ("kovrijkine", {"gamma": 0.3, "a": [3.141592653589793], "b": [2.0], "d": 1},
+     "0x1.46246d000de63p-13"),
+    ("kovrijkine_multi", {"gamma": 0.3, "a": [1.0], "b": [1.5], "d": 1, "n": 2, "p": 2.0},
+     "0x1.5c86d089d1c0fp-32"),
+    ("ls_torus", {"gamma": 0.3, "a": [1.0], "b": [2.0], "d": 1, "p": 2.0}, "0x1.5ce79a95e7ba8p-10"),
+    ("ls_torus_multi", {"gamma": 0.3, "a": [1.0], "b": [1.0], "d": 1, "n": 1, "p": 1.5},
+     "0x1.096bb98c7e27dp-7"),
+    ("spectral_cube", {"gamma": 0.5, "a": [3.141592653589793], "d": 1, "E": 9.0},
+     "0x1.0db3b1bb4d803p-13"),
+    ("spectral_fullspace", {"gamma": 0.5, "a": [3.141592653589793], "d": 1, "E": 9.0},
+     "0x1.1c2321a5a8324p-20"),
+    ("eigenfunction", {"G": 1.0, "delta": 0.3, "v_minus_e_norm": 8.0}, "0x1.3e81450efdc9bp-9"),
+    ("klein_gamma", {"G": 1.0, "delta": 0.3, "E": 2.0, "v_norm": 1.0}, "0x1.d92687f1b2c7dp-8"),
+    ("spectral_projector", {"G": 1.0, "delta": 0.3, "E": 4.0, "v_norm": 1.0},
+     "0x1.096bb98c7e282p-7"),
+    ("spectral_projector_shifted", {"G": 1.0, "delta": 0.3, "E": 4.0, "v_lo": -1.0, "v_hi": 3.0},
+     "0x1.22d8cf818d9cbp-7"),
+]
+
+
+def test_form_values_cover_every_form():
+    assert {name for name, _, _ in FORM_VALUES} == set(_REGISTRY) | set(_UCP_FORMS)
+
+
+@pytest.mark.parametrize("name,params,bits", FORM_VALUES,
+                         ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(FORM_VALUES)])
+def test_finite_bound_keeps_its_bits(name, params, bits):
+    value = ucp_bound(name, **params) if name in _UCP_FORMS else cost_bound(name, params)
+    assert value == float.fromhex(bits)
+
+
+# closed forms whose float arithmetic leaves double range: an upper bound (or
+# the 1/T coefficient of one) saturates to inf, a lower bound to 0
+SATURATING = [
+    (lambda: cost_bound("thick1", T=1.0, gamma=1e-300, d=1, a=[1.0]), math.inf),
+    (lambda: cost_bound("thick2", T=1.0, gamma=1e-300, a=[1.0]), math.inf),
+    (lambda: cost_bound("tenenbaum_form", T=1e-300, s=0.99), math.inf),
+    (lambda: cost_bound("fractional", {"T": 1.0, "gamma": 0.5, "theta": 0.5000001, "a": [100.0]},
+                        UniversalConstants(D4=2.0)), math.inf),
+    (lambda: cost_bound("thick1", {"T": 1e-3, "gamma": 0.5, "a": [1.0], "d": 1},
+                        UniversalConstants(K=1000.0)), math.inf),
+    (lambda: thick2_exponent({"gamma": 0.5, "a": [1e200]}, UniversalConstants()), math.inf),
+    (lambda: equidistributed_exponent({"G": 1e300, "delta": 1.0}, UniversalConstants()),
+     math.inf),
+    (lambda: ucp_bound("kovrijkine_multi", gamma=1e-300, d=1, n=2, p=2, a=[1.0], b=[1.0]), 0.0),
+    (lambda: ucp_bound("eigenfunction", G=1e300, delta=1.0, v_minus_e_norm=1.0), 0.0),
+]
+
+
+@pytest.mark.parametrize("evaluate,trivial", SATURATING, ids=[
+    "thick1", "thick2", "tenenbaum_form", "fractional", "thick1_large_K", "thick2_exponent",
+    "equidistributed_exponent", "kovrijkine_multi", "eigenfunction"])
+def test_bound_beyond_double_range_saturates_to_its_trivial_side(evaluate, trivial):
+    assert evaluate() == trivial
+
+
+def test_calibrations_keep_monotone_predicates_past_double_range():
+    # thick1 overflows already at K = 1, so K = 1 covers every pair
+    pairs = [(0.5, 3.0), (1.0, 2.0)]
+    assert calibrate_thick1(pairs, {"gamma": 1e-300, "a": [1.0], "d": 1}).K == 1.0
+
+
+def test_miller_right_side_beyond_double_range_refused():
+    with pytest.raises(ParameterError,
+                       match="^the right side of the root equation is beyond double range$"):
+        miller_cstar(0.01, 1e308, 1e-300)

@@ -907,6 +907,15 @@ def test_json_text_is_the_report_format_and_refuses_non_finite_numbers():
             runio.json_text({"a": [value]})
 
 
+def test_csv_text_writes_shortest_floats_and_refuses_non_finite_numbers():
+    rows = [["x", 0.1, np.float64(1e-5)], [2, None, True]]
+    assert runio.csv_text(["a", "b", "c"], rows) == "a,b,c\r\nx,0.1,1e-05\r\n2,,True\r\n"
+    for value in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(NumericError) as err:
+            runio.csv_text(["name", "value"], [["thick1", 1.0], ["thick2", value]])
+        assert str(err.value) == f"a table is not finite: value is {value} in row thick2"
+
+
 def test_exhaust_without_a_fit_writes_null(tmp_path):
     cfg = base("exhaust", t=0.1, L=[2.0], L_ref=8.0)
     out = tmp_path / "out"
@@ -974,6 +983,13 @@ def _no_cell(extent):
 
 NO_CELL = {"domain": {"interval": [0.0, 3.0], "boundary": "dirichlet"}, "e_max": 10.0,
            "e_grid": [4.0]}
+BAND = {"domain": {"interval": [0.0, math.pi]},
+        "set": {"band": {"period": math.pi, "gamma": 0.5}}, "e_max": 10.0, "e_grid": [4.0]}
+
+
+def _evaluation(name, **params):
+    return {"evaluations": [{"name": name, "params": params}]}
+
 
 # (experiment, config keys, the whole error line) of outside input that is
 # refused with exit 2
@@ -1010,9 +1026,45 @@ REFUSED = {
     "unknown_calibration_target": ("calibrate", {**CUBE, "target": "thick3"},
                                    "unknown calibration target 'thick3'"),
     "extent_of_no_width": ("spectral-ineq", {**NO_CELL, "set": _no_cell([[1.0, 1.0]])},
-                           "extent [[1.0, 1.0]] holds no cell of side G=1.0"),
+                           "extent [[1.0, 1.0]] has no width on axis 0"),
     "reversed_extent": ("spectral-ineq", {**NO_CELL, "set": _no_cell([[2.0, 1.0]])},
-                        "extent [[2.0, 1.0]] holds no cell of side G=1.0"),
+                        "extent [[2.0, 1.0]] has no width on axis 0"),
+    "extent_of_no_width_inside_a_cell": (
+        "spectral-ineq", {**NO_CELL, "set": _no_cell([[1.5, 1.5]])},
+        "extent [[1.5, 1.5]] has no width on axis 0"),
+    # an upper bound beyond double range saturates to inf, which no table holds
+    "thick1_beyond_double_range": (
+        "bounds", _evaluation("thick1", T=1.0, gamma=1e-300, d=1, a=[1.0]),
+        "a table is not finite: value is inf in row thick1"),
+    "thick2_beyond_double_range": (
+        "bounds", _evaluation("thick2", T=1.0, gamma=1e-300, a=[1.0]),
+        "a table is not finite: value is inf in row thick2"),
+    "tenenbaum_form_at_a_vanishing_time": (
+        "bounds", _evaluation("tenenbaum_form", T=1e-300, s=0.99),
+        "a table is not finite: value is inf in row tenenbaum_form"),
+    "fractional_beyond_double_range": (
+        "bounds", {**_evaluation("fractional", T=1.0, gamma=0.5, theta=0.5000001, a=[100.0]),
+                   "constants": {"D4": 2.0}},
+        "a table is not finite: value is inf in row fractional"),
+    "regime_beyond_double_range": (
+        "bounds", {"regime": {"names": ["thick1", "thick2"],
+                              "params": {"gamma": 0.5, "a": [1.0], "d": 1},
+                              "t_grid": [1e-3, 1.0]}, "constants": {"K": 1000.0}},
+        "bound thick1 at T=0.001 is inf, not a finite number"),
+    "miller_right_side_beyond_double_range": (
+        "bounds", {"miller": {"beta": 0.01, "b": 1e308, "a": 1e-300}},
+        "the right side of the root equation is beyond double range"),
+    # the Galerkin sums and the symmetrization overflow; numpy warns of neither
+    "potential_sums_beyond_double_range": (
+        "spectral-ineq", {**BAND, "potential": {"constant": 1.5e308,
+                                                "boxes": [[1.5e308, [[0.0, 1.0]]]]}},
+        "Galerkin matrix is not finite (sup_norm=inf)"),
+    "potential_symmetrization_beyond_double_range": (
+        "spectral-ineq", {**BAND, "potential": {"constant": 1e308}},
+        "Galerkin matrix is not finite (sup_norm=1e+308)"),
+    "integer_beyond_double_range": (
+        "bounds", _evaluation("thick2", T=10 ** 400, gamma=0.5, a=[1.0]),
+        f"evaluations[0]: params: T must be finite, not {10 ** 400}"),
 }
 
 
@@ -1022,6 +1074,44 @@ def test_refused_input_exits_2_without_files(tmp_path, capsys, case):
     assert run_case(tmp_path, experiment, keys, None) == 2
     assert not (tmp_path / "out").exists()
     assert capsys.readouterr().err == f"heatctl: error: {message}\n"
+
+
+# (experiment, config keys, the table it writes, its rows) of closed forms
+# beyond double range that saturate to a trivially true value: a lower bound
+# to 0, and a thick1 bound that overflows at K = 1 to the smallest K
+SATURATED = {
+    "kovrijkine_multi": (
+        "spectral-ineq", {**BAND, "bounds": [{"name": "kovrijkine_multi", "params": {
+            "gamma": 1e-300, "d": 1, "n": 2, "p": 2, "a": [1.0], "b": [1.0]}}]},
+        "spectral_ineq.csv", [["4.0", "0.5", "kovrijkine_multi", "0.0", "7d17e224fc83677c"]]),
+    "eigenfunction": (
+        "spectral-ineq", {**BAND, "bounds": [{"name": "eigenfunction", "params": {
+            "G": 1e300, "delta": 1.0, "v_minus_e_norm": 1.0}}]},
+        "spectral_ineq.csv", [["4.0", "0.5", "eigenfunction", "0.0", "7d17e224fc83677c"]]),
+    "calibrate_thick1": (
+        "calibrate", {**BAND, "target": "thick1", "e_max": 30.0, "e_grid": None,
+                      "t_grid": [0.5, 1.0], "params": {"gamma": 1e-300, "d": 1, "a": [1.0]}},
+        "calibrate.csv", [["thick1", "K", "1.0"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SATURATED))
+def test_bound_beyond_double_range_saturates_to_its_trivial_side(tmp_path, case):
+    experiment, keys, table, rows = SATURATED[case]
+    assert run_case(tmp_path, experiment, keys, None) == 0
+    assert read_csv(tmp_path / "out" / table)[1:] == rows
+
+
+def test_calibrate_spectral_cube_refuses_a_constant_that_is_not_positive(tmp_path, capsys):
+    # the constants at E = 4, 64 and 256 are 6.4e-7 and two rounding-noise
+    # negatives; no positive bound lies below them
+    keys = {"target": "spectral_cube", "domain": {"interval": [0.0, math.pi]},
+            "set": _set_record([[0.0, 0.3]]), "e_max": 300.0, "e_grid": [4.0, 64.0, 256.0],
+            "thick": {"gamma": 0.3 / math.pi, "a": [math.pi]}}
+    assert run_case(tmp_path, "calibrate", keys, None) == 2
+    assert not (tmp_path / "out").exists()
+    assert re.fullmatch(r"heatctl: error: C_emp vanishes on the fit grid at E=64\.0: "
+                        r"C_emp=-\S+\n", capsys.readouterr().err)
 
 
 def test_semigroup_difference_under_its_rounding_floor_exits_2_without_files(tmp_path, capsys):

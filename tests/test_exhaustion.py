@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heatctl import (ExhaustionRun, FidelityError, NumericError, ParameterError, PotentialSpec,
-                     box_basis, bump_state, embed_zero_extension,
+                     box_basis, build_basis, bump_state, embed_zero_extension,
                      nested_control_family, overlap_matrix, periodic_band,
                      semigroup_difference)
 from heatctl.exhaustion import centered_box, cross_gram
@@ -70,6 +70,15 @@ def test_bump_state_is_projection():
     basis = box_basis(4.0, 50.0)
     c = bump_state(basis, 1.0)
     assert 0.999 < np.linalg.norm(c) <= 1.0 + 1e-12
+
+
+def test_bump_state_is_the_lowest_mode_where_its_cut_admits_a_second():
+    # at R = 2e5 the cut 1e-9 above (pi/R)^2 admits the mode of (2 pi/R)^2 too
+    R = 2e5
+    basis = build_basis(centered_box(4e5), 1e-9)
+    lowest = build_basis(centered_box(R), 1.5 * (math.pi / R) ** 2)
+    assert lowest.n == 1 and build_basis(centered_box(R), (math.pi / R) ** 2 + 1e-9).n == 2
+    assert np.array_equal(bump_state(basis, R), overlap_matrix(basis, lowest)[:, 0])
 
 
 def test_run_validation():

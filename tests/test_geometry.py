@@ -517,12 +517,14 @@ def test_equidistributed_spec_and_family_refusals():
         EquidistributedSpec(G=1.0, delta=0.2, mode="random")
     with pytest.raises(ParameterError, match="d <= 2"):
         make_equidistributed(EquidistributedSpec(G=1.0, delta=0.2, seed=1), [(0.0, 1.0)] * 3)
-    # an extent that holds no cell would give a family with no box and no dimension
-    for extent in ([(1.0, 1.0)], [(2.0, 1.0)], [(0.0, 2.0), (3.0, 3.0)]):
+    # an axis of no width holds no cell, or, inside a cell, one whose ball lies
+    # outside the extent
+    for extent, axis in (([(1.0, 1.0)], 0), ([(2.0, 1.0)], 0), ([(0.0, 2.0), (3.0, 3.0)], 1),
+                         ([(1.5, 1.5)], 0), ([(0.0, 2.0), (1.5, 1.5)], 1)):
         with pytest.raises(ParameterError) as err:
             make_equidistributed(EquidistributedSpec(G=1.0, delta=0.2, seed=1), extent)
-        assert str(err.value) == (f"extent {[list(e) for e in extent]} holds no cell "
-                                  "of side G=1.0")
+        assert str(err.value) == (f"extent {[list(e) for e in extent]} has no width "
+                                  f"on axis {axis}")
 
 
 @pytest.mark.parametrize("build, message", [

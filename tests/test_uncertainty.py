@@ -114,6 +114,15 @@ def test_fit_envelope_property(dirichlet_op, half_interval_set):
     assert fit.residual < 0.1 * (max(ys) - min(ys))
 
 
+def test_fit_and_cube_calibration_refuse_a_constant_that_is_not_positive():
+    pairs = [(1.0, 0.5), (4.0, 0.0), (9.0, -1e-17)]
+    for refuse in (lambda: fit_uncertainty_form(pairs, 0.5),
+                   lambda: calibrate_spectral_cube(pairs, 0.5, [1.0], 1)):
+        with pytest.raises(DegenerateSetError,
+                           match=r"^C_emp vanishes on the fit grid at E=4\.0: C_emp=0\.0$"):
+            refuse()
+
+
 def test_fit_rejects_degenerate():
     with pytest.raises(DegenerateSetError):
         fit_uncertainty_form([(1.0, 0.5), (4.0, 0.0), (9.0, 0.1)], 0.5)
