@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import check_gamma, check_ratio
-from .uncertainty import (DEFAULT_CONSTANTS, _check_s, _evaluate, _line_fit, _lookup,
+from .uncertainty import (DEFAULT_CONSTANTS, _a_term, _check_s, _evaluate, _line_fit, _lookup,
                           _nonnegative, _saturating, _smallest_passing, _ucp_exponent)
 
 
@@ -27,12 +27,12 @@ def _positive_time(T):
 
 def _thick1(c, T: float, gamma: float, d: int, a):
     T, gamma = _positive_time(T), check_gamma(gamma)
-    c1 = (c.K ** d / gamma) ** (c.K * (d + float(np.sum(np.abs(a)))))
+    c1 = (c.K ** d / gamma) ** (c.K * (d + _a_term(a)))
     return math.sqrt(c1) * math.exp(c1 / (2.0 * T))
 
 
 def _thick2_exponent(c, gamma: float, a):
-    return c.D3 * float(np.sum(np.abs(a))) ** 2 * math.log(c.D4 * check_gamma(gamma)) ** 2
+    return c.D3 * _a_term(a) ** 2 * math.log(c.D4 * check_gamma(gamma)) ** 2
 
 
 def thick2_exponent(params, c):
@@ -95,7 +95,7 @@ def _fractional(c, T: float, gamma: float, theta: float, a):
     T, gamma = _positive_time(T), check_gamma(gamma)
     if theta <= 0.5:
         raise ParameterError("theta must exceed 1/2")
-    a1 = float(np.sum(np.abs(a)))
+    a1 = _a_term(a)
     log_term = math.log(c.D4 / gamma)
     if log_term <= 0:
         raise ParameterError("fractional bound needs D4 > gamma")

@@ -82,7 +82,8 @@ def _merge_intervals(intervals):
 
 
 def _canonicalize_boxes(boxes, cell):
-    """Wrap boxes into [0, cell) per axis and merge overlaps exactly."""
+    """Wrap boxes into [0, cell) per axis and decompose their union into the
+    disjoint boxes of :func:`_disjoint_boxes`, in any dimension."""
     d = len(cell)
     pieces = []
     for box in boxes:
@@ -103,33 +104,39 @@ def _canonicalize_boxes(boxes, cell):
                 axis_parts.append([(a_mod, c), (0.0, b_mod - c)])
         for combo in itertools.product(*axis_parts):
             pieces.append(tuple(combo))
-    if d == 1:
-        return tuple(((a, b),) for a, b in _merge_intervals([p[0] for p in pieces]))
-    if d == 2:
-        return _canonicalize_boxes_2d(pieces)
-    raise ParameterError("box sets support dimensions 1 and 2 only")
+    return _disjoint_boxes(pieces)
 
 
-def _canonicalize_boxes_2d(pieces):
-    """Slab decomposition of a 2D box union into disjoint boxes."""
+def _disjoint_boxes(pieces):
+    """Disjoint boxes covering the union of the boxes ``pieces``, each a tuple of
+    ``(lo, hi)`` edges, one per axis.
+
+    The first axis is cut into slabs at the distinct edges, each slab's
+    cross-section (the pieces that cover its midpoint, less their first axis)
+    is decomposed by this same function, and slabs that touch and share a
+    cross-section box merge into one box.  The boxes come sorted by their
+    cross-section box, then by their first edge; in one dimension they are the
+    merged intervals of :func:`_merge_intervals`.  Up to edges within ``_EPS``
+    of each other, the result depends on the union alone, not on how
+    ``pieces`` cut it, so decomposing it again returns it.
+    """
+    if not pieces or len(pieces[0]) == 1:
+        return tuple((iv,) for iv in _merge_intervals(p[0] for p in pieces))
     xs = sorted({e for p in pieces for e in p[0]})
-    out = []
+    slabs = []
     for x0, x1 in zip(xs[:-1], xs[1:]):
         if x1 - x0 <= _EPS:
             continue
         mid = 0.5 * (x0 + x1)
-        ys = _merge_intervals([p[1] for p in pieces if p[0][0] <= mid <= p[0][1]])
-        for y0, y1 in ys:
-            out.append(((x0, x1), (y0, y1)))
-    # coalesce x-adjacent slabs with identical y-interval
-    out.sort(key=lambda b: (b[1], b[0]))
+        cross = _disjoint_boxes([p[1:] for p in pieces if p[0][0] <= mid <= p[0][1]])
+        slabs.extend((box, (x0, x1)) for box in cross)
     merged = []
-    for box in out:
-        if merged and merged[-1][1] == box[1] and abs(merged[-1][0][1] - box[0][0]) <= _EPS:
-            merged[-1] = ((merged[-1][0][0], box[0][1]), box[1])
+    for cross, (x0, x1) in sorted(slabs):
+        if merged and merged[-1][1:] == cross and abs(merged[-1][0][1] - x0) <= _EPS:
+            merged[-1] = ((merged[-1][0][0], x1),) + cross
         else:
-            merged.append(box)
-    return tuple(tuple(b) for b in merged)
+            merged.append(((x0, x1),) + cross)
+    return tuple(merged)
 
 
 @dataclass(frozen=True)
@@ -156,8 +163,9 @@ class ObservabilitySet:
             except (TypeError, ValueError) as exc:
                 raise ParameterError("a periodic_boxes set needs a cell, a list of side "
                                      f"lengths, not {self.cell!r}") from exc
-            if any(c <= 0 for c in cell):
-                raise ParameterError("cell lengths must be positive")
+            if not cell or any(c <= 0 for c in cell):
+                raise ParameterError(f"cell lengths must be positive, one or more, "
+                                     f"not {list(cell)}")
             object.__setattr__(self, "cell", cell)
             object.__setattr__(self, "boxes", _canonicalize_boxes(self.boxes, cell))
 
@@ -508,7 +516,8 @@ def beta_complement(S, radii, grid=64):
 
     The 1D case takes interval measures from the window scan; the 2D case
     sums closed-form disk/box areas over every translate of every box, one
-    row of centers at a time so that memory stays at one row.  Returns a
+    row of centers at a time so that memory stays at one row.  Those areas
+    are planar, so a set of three or more dimensions is refused.  Returns a
     list of ``(r, beta_est)`` pairs in the order given.
     """
     radii = [float(r) for r in np.atleast_1d(radii)]
@@ -522,6 +531,8 @@ def beta_complement(S, radii, grid=64):
         return [(r, 1.0) for r in radii]
     if S.kind != "periodic_boxes":
         raise ParameterError("complement density needs a periodic set")
+    if S.dimension > 2:
+        raise ParameterError(f"complement density covers 1D and 2D sets, not {S.dimension}D ones")
     centers = [np.linspace(0.0, c, grid, endpoint=False) for c in S.cell]
     out = []
     for r in radii:
@@ -544,17 +555,19 @@ def beta_complement(S, radii, grid=64):
 def make_equidistributed(spec, extent):
     """Materialize the ball family of ``spec`` over ``extent`` as boxes.
 
-    Cells are ``[jG, (j+1)G)^d``.  In 1D the balls are exact intervals; in
-    2D each ball is replaced by its inscribed axis-aligned square (half-width
-    ``delta/sqrt(2)``), recorded in the metadata, which is itself an
-    equidistributed family.  Centers are deterministic given the seed.  An
-    extent with an axis of no width in units of ``G`` (``hi / G <= lo / G``)
-    is refused: its cells would hold balls outside it, or there would be none.
+    Cells are ``[jG, (j+1)G)^d``, in any dimension ``d``.  Each ball is
+    replaced by its inscribed axis-aligned cube of half-width
+    ``delta/sqrt(d)``, itself an equidistributed family, and the substitution
+    is recorded in the metadata: the exact interval in 1D, the inscribed
+    square in 2D, the inscribed cube beyond.  Centers are deterministic given
+    the seed.  An extent with no axis, or with an axis of no width in units of
+    ``G`` (``hi / G <= lo / G``), is refused: its cells would hold balls
+    outside it, or there would be none.
     """
     extent = [[float(a), float(b)] for a, b in extent]
+    if not extent:
+        raise ParameterError("an extent needs at least one axis")
     d = len(extent)
-    if d > 2:
-        raise ParameterError("equidistributed families support d <= 2")
     G, delta = spec.G, spec.delta
     for axis, (lo, hi) in enumerate(extent):
         if not lo / G < hi / G:
@@ -575,7 +588,7 @@ def make_equidistributed(spec, extent):
         rng = np.random.default_rng(spec.seed)
         centers = [tuple(rng.uniform(ji * G + delta, (ji + 1) * G - delta)
                          for ji in j) for j in cells]
-    half = delta if d == 1 else delta / np.sqrt(2.0)
+    half = delta / np.sqrt(d)
     boxes = tuple(tuple((zi - half, zi + half) for zi in z) for z in centers)
     meta = {
         "G": G,
@@ -583,7 +596,8 @@ def make_equidistributed(spec, extent):
         "seed": spec.seed,
         "mode": spec.mode,
         "centers": [list(z) for z in centers],
-        "substitution": "exact interval" if d == 1 else "inscribed square, half-width delta/sqrt(2)",
+        "substitution": {1: "exact interval", 2: "inscribed square, half-width delta/sqrt(2)"}.get(
+            d, f"inscribed cube, half-width delta/sqrt({d})"),
     }
     return ObservabilitySet(kind="equidistributed_balls", boxes=boxes, meta=meta)
 

@@ -257,15 +257,29 @@ def _ucp_exponent(G, v, e=0.0):
     return 1.0 + G ** (4.0 / 3.0) * v ** (2.0 / 3.0) + G * math.sqrt(e)
 
 
+def _a_term(a, b=None):
+    """``||a||_1``, or ``a . b`` when ``b`` is given, as a float.  numpy only warns
+    when the sum leaves double range, so that is refused here, naming ``a``, as
+    is a ``b`` whose shape is not that of ``a``."""
+    if b is not None and np.shape(a) != np.shape(b):
+        raise ParameterError(f"a and b must be of equal length, not a = {a} and b = {b}")
+    with np.errstate(over="ignore"):
+        value = float(np.sum(np.abs(a)) if b is None else np.dot(a, b))
+    if not math.isfinite(value):
+        raise ParameterError(f"{'||a||_1' if b is None else 'a . b'} is not finite ({value}) "
+                             f"for a = {a}")
+    return value
+
+
 def _kovrijkine(c, gamma: float, d: int, a, b):
     gamma = check_gamma(gamma)
-    return (gamma / c.K1 ** d) ** (c.K1 * (float(np.dot(a, b)) + d))
+    return (gamma / c.K1 ** d) ** (c.K1 * (_a_term(a, b) + d))
 
 
 def _parallelepiped(K, gamma, d, n, p, a, b):
     """n-parallelepiped form ``(gamma/K^d)^((K^d/gamma)^n a.b + n - (p-1)/p)``."""
     gamma = check_gamma(gamma)
-    return (gamma / K ** d) ** ((K ** d / gamma) ** n * float(np.dot(a, b)) + n - (p - 1.0) / p)
+    return (gamma / K ** d) ** ((K ** d / gamma) ** n * _a_term(a, b) + n - (p - 1.0) / p)
 
 
 def _kovrijkine_multi(c, gamma: float, d: int, n: int, p: float, a, b):
@@ -274,7 +288,7 @@ def _kovrijkine_multi(c, gamma: float, d: int, n: int, p: float, a, b):
 
 def _ls_torus(c, gamma: float, d: int, p: float, a, b):
     gamma = check_gamma(gamma)
-    return (gamma / c.K3 ** d) ** (c.K3 * float(np.dot(a, b)) + (6.0 * d + 1.0) / p)
+    return (gamma / c.K3 ** d) ** (c.K3 * _a_term(a, b) + (6.0 * d + 1.0) / p)
 
 
 def _ls_torus_multi(c, gamma: float, d: int, n: int, p: float, a, b):
@@ -283,13 +297,12 @@ def _ls_torus_multi(c, gamma: float, d: int, n: int, p: float, a, b):
 
 def _spectral_cube(c, gamma: float, d: int, E: float, a):
     gamma, E = check_gamma(gamma), _nonnegative("E", E)
-    return (gamma / c.K5 ** d) ** (c.K5 * math.sqrt(E) * float(np.sum(np.abs(a)))
-                                   + (6.0 * d + 1.0) / 2.0)
+    return (gamma / c.K5 ** d) ** (c.K5 * math.sqrt(E) * _a_term(a) + (6.0 * d + 1.0) / 2.0)
 
 
 def _spectral_fullspace(c, gamma: float, d: int, E: float, a):
     gamma, E = check_gamma(gamma), _nonnegative("E", E)
-    return (gamma / c.K1 ** d) ** (c.K1 * (2.0 * math.sqrt(E) * float(np.sum(np.abs(a))) + d))
+    return (gamma / c.K1 ** d) ** (c.K1 * (2.0 * math.sqrt(E) * _a_term(a) + d))
 
 
 def _eigenfunction(c, G: float, delta: float, v_minus_e_norm: float):

@@ -370,6 +370,32 @@ def test_bound_beyond_double_range_saturates_to_its_trivial_side(evaluate, trivi
     assert evaluate() == trivial
 
 
+def _ucp(name, params):
+    return ucp_bound(name, **params)
+
+
+# every form that sums over ``a``: ||a||_1 or a . b beyond double range is refused,
+# naming ``a``, where numpy only warned of the overflow
+A_SUMS = [
+    (cost_bound, "thick1", {"T": 1.0, "gamma": 0.5, "d": 2}, "||a||_1"),
+    (cost_bound, "thick2", {"T": 1.0, "gamma": 0.5}, "||a||_1"),
+    (cost_bound, "fractional", {"T": 1.0, "gamma": 0.5, "theta": 1.0}, "||a||_1"),
+    (_ucp, "spectral_cube", {"gamma": 0.5, "d": 2, "E": 1.0}, "||a||_1"),
+    (_ucp, "spectral_fullspace", {"gamma": 0.5, "d": 2, "E": 1.0}, "||a||_1"),
+    (_ucp, "kovrijkine", {"gamma": 0.5, "d": 2, "b": [1.0, 1.0]}, "a . b"),
+    (_ucp, "kovrijkine_multi", {"gamma": 0.5, "d": 2, "n": 1, "p": 2.0, "b": [1.0, 1.0]},
+     "a . b"),
+    (_ucp, "ls_torus", {"gamma": 0.5, "d": 2, "p": 2.0, "b": [1.0, 1.0]}, "a . b"),
+]
+
+
+@pytest.mark.parametrize("evaluate,name,params,term", A_SUMS, ids=[c[1] for c in A_SUMS])
+def test_a_sum_beyond_double_range_is_refused_naming_a(evaluate, name, params, term):
+    with pytest.raises(ParameterError) as err:
+        evaluate(name, {**params, "a": [1e308, 1e308]})
+    assert str(err.value) == f"{name}: {term} is not finite (inf) for a = [1e+308, 1e+308]"
+
+
 def test_calibrations_keep_monotone_predicates_past_double_range():
     # thick1 overflows already at K = 1, so K = 1 covers every pair
     pairs = [(0.5, 3.0), (1.0, 2.0)]

@@ -14,7 +14,7 @@ import pytest
 
 from heatctl import bounds as bd
 from heatctl import (ControlProblem, UniversalConstants, build_basis, cost_bound, empirical_cost,
-                     galerkin_schrodinger, runio)
+                     galerkin_schrodinger, gram_matrix, runio)
 from heatctl.cli import RUNNERS, main
 from heatctl.errors import NumericError, ParameterError
 
@@ -765,6 +765,10 @@ ARTIFACT_DIGESTS = {
         "run_meta.json": "e3475738584d42f4f37aef71245a5aa13bb9acb829c93cd746fe68d9ddab136c",
         "spectral_ineq.csv": "d4b82b6499eb2cd3c806d174bb49f7e64995623a479d8d91157d270159c87770",
     },
+    "spectral_ineq_torus3d": {
+        "run_meta.json": "71a64e6aaa790c4c6081bb5f4761834e96475ffeaecfe9efb6d8f75987f59f6a",
+        "spectral_ineq.csv": "dff53c7710fbb29c72ef52d32a1a4e47ddffcc9929fbcc6595adcfb1781d60b0",
+    },
     "synthesize_active_passive": {
         "phases.csv": "0ba8aafcb428e689d6a199d71fd01b7c9ac3be14d77f5a6b836e9c857abd152a",
         "report.json": "4da8dc95b16b214ee8929fcc776e2f08cdfcdcdeb67db8e8acafdf23c9d4508e",
@@ -792,6 +796,24 @@ def test_shipped_config_writes_the_recorded_bytes(tmp_path, config):
     assert main([experiment, "--config", str(path), "--out", str(out)]) == 0
     written = {p.name: runio.sha256_of(p) for p in out.iterdir()}
     assert written == ARTIFACT_DIGESTS[config]
+
+
+def test_every_shipped_config_is_pinned_and_every_pin_is_shipped():
+    assert sorted(p.stem for p in (ROOT / "configs").glob("*.json")) == sorted(ARTIFACT_DIGESTS)
+
+
+def test_3d_config_constants_are_the_dense_gram_eigenvalues(tmp_path):
+    path = ROOT / "configs" / "spectral_ineq_torus3d.json"
+    assert main(["spectral-ineq", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "spectral_ineq.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    config = json.loads(path.read_text())
+    basis = build_basis(runio.parse_domain(config["domain"]), config["e_max"])
+    M = gram_matrix(basis, runio.parse_set(config["set"]))
+    assert basis.n == 389 and len(rows) == len(config["e_grid"])
+    for row in rows:
+        kept = basis.eigenvalues <= float(row["E"])
+        assert abs(float(row["C_emp"]) - np.linalg.eigvalsh(M[np.ix_(kept, kept)])[0]) <= 1e-15
 
 
 @pytest.mark.parametrize("config", [c for c in sorted(ARTIFACT_DIGESTS) if "synthesize" in c])
@@ -1062,6 +1084,13 @@ REFUSED = {
     "potential_symmetrization_beyond_double_range": (
         "spectral-ineq", {**BAND, "potential": {"constant": 1e308}},
         "Galerkin matrix is not finite (sup_norm=1e+308)"),
+    "a_norm_beyond_double_range": (
+        "bounds", _evaluation("thick2", T=1.0, gamma=0.5, a=[1e308, 1e308]),
+        "thick2: ||a||_1 is not finite (inf) for a = [1e+308, 1e+308]"),
+    "a_and_b_of_unequal_length": (
+        "spectral-ineq", {**BAND, "bounds": [{"name": "kovrijkine", "params": {
+            "gamma": 0.5, "d": 1, "a": [1.0, 2.0], "b": [1.0]}}]},
+        "kovrijkine: a and b must be of equal length, not a = [1.0, 2.0] and b = [1.0]"),
     "integer_beyond_double_range": (
         "bounds", _evaluation("thick2", T=10 ** 400, gamma=0.5, a=[1.0]),
         f"evaluations[0]: params: T must be finite, not {10 ** 400}"),

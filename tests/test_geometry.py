@@ -360,16 +360,27 @@ def test_equidistributed_tangent_limit():
 
 def test_equidistributed_2d_inscribed_square():
     spec = EquidistributedSpec(G=1.0, delta=0.3, seed=5)
-    S = make_equidistributed(spec, [(0.0, 2.0), (0.0, 1.0)])
-    assert len(S.boxes) == 2
-    half = 0.3 / math.sqrt(2.0)
-    for box, z in zip(S.boxes, S.meta["centers"]):
-        for ax in range(2):
-            assert abs((box[ax][1] - box[ax][0]) / 2 - half) < 1e-12
-            # inscribed square inside the ball inside the cell
-            assert box[ax][0] >= math.floor(z[ax]) - 1e-9
-            assert box[ax][1] <= math.floor(z[ax]) + 1 + 1e-9
-    assert "inscribed" in S.meta["substitution"]
+    for extent, label in (([(0.0, 2.0), (0.0, 1.0)], "inscribed square, half-width delta/sqrt(2)"),
+                          ([(0.0, 2.0), (0.0, 1.0), (0.0, 2.0)],
+                           "inscribed cube, half-width delta/sqrt(3)")):
+        S = make_equidistributed(spec, extent)
+        d = len(extent)
+        assert len(S.boxes) == 2 * 2 ** (d - 2) and S.dimension == d
+        half = 0.3 / math.sqrt(d)
+        # inscribed square (cube) inside the ball: centred on it, its corners
+        # on the sphere
+        assert half * math.sqrt(d) <= 0.3 + 1e-12
+        for box, z in zip(S.boxes, S.meta["centers"]):
+            assert math.dist([b for b, _ in box], z) <= 0.3 + 1e-12
+            assert math.dist([b for _, b in box], z) <= 0.3 + 1e-12
+            for ax in range(d):
+                assert box[ax] == pytest.approx((z[ax] - half, z[ax] + half), abs=1e-12)
+                # the ball, and so the box, inside the cell
+                assert z[ax] - 0.3 >= math.floor(z[ax]) - 1e-9
+                assert z[ax] + 0.3 <= math.floor(z[ax]) + 1 + 1e-9
+                assert math.floor(z[ax]) - 1e-9 <= box[ax][0]
+                assert box[ax][1] <= math.floor(z[ax]) + 1 + 1e-9
+        assert S.meta["substitution"] == label
 
 
 def test_equidistributed_rejects_large_delta():
@@ -478,8 +489,11 @@ def test_set_records_refuse_unknown_kinds_and_non_positive_cells():
         ObservabilitySet(kind="balls")
     with pytest.raises(ParameterError, match="cell lengths must be positive"):
         ObservabilitySet.periodic((1.0, 0.0), [((0.1, 0.2), (0.1, 0.2))])
-    with pytest.raises(ParameterError, match="box sets support dimensions 1 and 2 only"):
-        ObservabilitySet.periodic((1.0,) * 3, [((0.1, 0.2),) * 3])
+    with pytest.raises(ParameterError,
+                       match=r"^cell lengths must be positive, one or more, not \[\]$"):
+        ObservabilitySet.periodic((), [])
+    # a 3D box set is taken as it is
+    assert ObservabilitySet.periodic((1.0,) * 3, [((0.1, 0.2),) * 3]).boxes == (((0.1, 0.2),) * 3,)
 
 
 def test_union_measure_and_density_need_periodic_sets_of_one_cell():
@@ -506,6 +520,10 @@ def test_beta_complement_refuses_bad_radii_and_finite_families():
     family = make_equidistributed(EquidistributedSpec(G=1.0, delta=0.2, seed=1), [(0.0, 2.0)])
     with pytest.raises(ParameterError, match="complement density needs a periodic set"):
         beta_complement(family, [0.5])
+    # its disk areas are planar
+    with pytest.raises(ParameterError,
+                       match="^complement density covers 1D and 2D sets, not 3D ones$"):
+        beta_complement(periodic_band(1.0, 0.5, d=3), [0.25])
 
 
 def test_equidistributed_spec_and_family_refusals():
@@ -515,8 +533,11 @@ def test_equidistributed_spec_and_family_refusals():
         EquidistributedSpec(G=-1.0, delta=0.1)
     with pytest.raises(ParameterError, match="mode must be 'uniform' or 'centered'"):
         EquidistributedSpec(G=1.0, delta=0.2, mode="random")
-    with pytest.raises(ParameterError, match="d <= 2"):
-        make_equidistributed(EquidistributedSpec(G=1.0, delta=0.2, seed=1), [(0.0, 1.0)] * 3)
+    with pytest.raises(ParameterError, match="^an extent needs at least one axis$"):
+        make_equidistributed(EquidistributedSpec(G=1.0, delta=0.2, seed=1), [])
+    # a 3D family is made, one inscribed cube per cell
+    cube = make_equidistributed(EquidistributedSpec(G=1.0, delta=0.2, seed=1), [(0.0, 1.0)] * 3)
+    assert len(cube.boxes) == 1 and cube.dimension == 3
     # an axis of no width holds no cell, or, inside a cell, one whose ball lies
     # outside the extent
     for extent, axis in (([(1.0, 1.0)], 0), ([(2.0, 1.0)], 0), ([(0.0, 2.0), (3.0, 3.0)], 1),
@@ -583,3 +604,54 @@ def test_region_boxes_are_products_of_per_axis_translates(dom, S, count):
     assert sorted(boxes) == sorted(b for product in products for b in product)
     for product in products:
         assert set(product) <= set(boxes)
+
+
+def _random_union(rng, cell):
+    """Up to five boxes over ``cell``: most start anywhere in two cells either
+    side of the origin, so that they wrap, and some span a whole cell."""
+    boxes = []
+    for _ in range(rng.integers(0, 6)):
+        lo = rng.uniform(-2.0, 2.0, len(cell)) * cell
+        part = rng.uniform(0.01, 0.9, len(cell)) * cell
+        width = np.where(rng.random(len(cell)) < 0.15, cell, part)
+        boxes.append(tuple(zip(lo.tolist(), (lo + width).tolist())))
+    return boxes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_canonical_boxes_are_disjoint_cover_the_wrapped_union_and_are_fixed(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(60):
+        cell = rng.uniform(0.5, 3.0, d)
+        boxes = _random_union(rng, cell)
+        S = ObservabilitySet.periodic(cell.tolist(), boxes)
+        canon = np.array(S.boxes).reshape(-1, d, 2)
+        lo, hi = canon[..., 0], canon[..., 1]
+        for i, j in itertools.combinations(range(len(canon)), 2):
+            # disjoint: apart along some axis
+            assert np.any((hi[i] <= lo[j] + 1e-12) | (hi[j] <= lo[i] + 1e-12))
+        pts = rng.uniform(0.0, 1.0, (4000, d)) * cell
+        count = np.all((lo[:, None] <= pts) & (pts <= hi[:, None]), axis=2).sum(axis=0)
+        # a point is in the wrapped union when, read from some box's lower
+        # corner modulo the cell, it lies within that box's widths
+        inside = np.zeros(len(pts), dtype=bool)
+        for box in boxes:
+            a, b = np.array(box).T
+            inside |= np.all((pts - a) % cell <= b - a, axis=1)
+        assert np.array_equal(count, inside.astype(int))
+        assert ObservabilitySet.periodic(cell.tolist(), S.boxes).boxes == S.boxes
+
+
+def test_3d_product_set_gram_is_the_kronecker_product_of_1d_grams():
+    box = ((0.0, math.pi / 2), (0.0, math.pi / 3), (math.pi / 4, math.pi))
+    basis = build_basis(DomainSpec("dirichlet", (math.pi,) * 3), 30.0)
+    assert basis.n == 60
+    M = gram_matrix(basis, ObservabilitySet.periodic((math.pi,) * 3, [box]))
+    K = np.ones_like(M)
+    for ax, edge in enumerate(box):
+        k = basis.mode_indices[:, ax]
+        line = build_basis(DomainSpec.interval(0.0, math.pi), float(k.max()) ** 2)
+        G = gram_matrix(line, ObservabilitySet.periodic((math.pi,), [(edge,)]))
+        # the Dirichlet modes of the line are k = 1, 2, ... in order
+        K *= G[np.ix_(k - 1, k - 1)]
+    assert np.max(np.abs(M - K)) <= 1e-15
