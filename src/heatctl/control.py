@@ -7,6 +7,11 @@ which is exact for the truncated Galerkin system.  Controls are closed-form
 analytically.  One kernel ``M o Phi_h`` and one phase end
 ``exp(-h A) u - (M o Phi_h) v`` serve every Gramian, every exact time step
 of a trajectory, every active/passive phase and the exhaustion replay.
+Inside a problem, :func:`_phase_kernels` alone forms the kernels, one per
+class and phase length on the class's rows and only the columns the phase
+steers; an unmasked phase of length ``T`` reuses the cached ``Q_T``
+kernels, and the steps of a trajectory whose lengths differ by a few ulps
+share one kernel.
 
 On a torus tiled by a periodic set, a diagonal handle splits the modes into
 Bloch-Floquet classes (:func:`heatctl.geometry.mode_classes`) that the
@@ -19,7 +24,8 @@ what it derives once, as cached properties: each class's block of the
 control Gram (:attr:`ControlProblem.class_blocks`, by
 :func:`heatctl.geometry.class_block`, the projection that forms the blocks
 of a spectral constant), the Gramian factor and the cost blocks.  Those
-blocks, and every kernel built from them, are exactly symmetric, so nothing
+blocks, every kernel on all of a class's columns and the leading square of
+every kernel on a leading run of them are exactly symmetric, so nothing
 here symmetrizes or writes them.  Its initial state is read only through
 :meth:`ControlProblem.initial_state`.
 """
@@ -122,7 +128,7 @@ class ControlProblem:
         problem family by :func:`heatctl.geometry.class_block`, as the blocks
         of a spectral constant are, and shared by :meth:`with_time`.
 
-        Every block is exactly symmetric, and so is every kernel
+        Every block is exactly symmetric, and so is every square kernel
         ``M o Phi_h`` built from one: a dense handle's projection symmetrizes
         it, and a diagonal handle's is a principal block of the control
         Gram, which is refused with :class:`ParameterError` unless it is
@@ -136,8 +142,10 @@ class ControlProblem:
     @cached_property
     def gramian_factor(self):
         """The :class:`_Factor` of ``Q_T``, measured once per problem (see
-        :func:`_factor_blocks`)."""
-        return _factor_blocks(_class_kernels(self, self.T))
+        :func:`_factor_blocks`); its blocks are the ``Q_T`` kernels that
+        :func:`_phase_kernels` hands every later unmasked phase of length
+        ``T``."""
+        return _factor_blocks([K for _, K in _phase_kernels(self, self.T)])
 
     @cached_property
     def cost_blocks(self):
@@ -241,17 +249,41 @@ def _steer(blocks, modes, y):
     return v, max(cost_sq, 0.0)
 
 
-def _class_kernels(problem, h):
-    """Per class, the kernel ``M o Phi_h`` of its block."""
-    return [_kernel(M, mu, mu, h) for _, mu, M in problem.class_blocks]
+def _steered(mask, c):
+    """The columns of class ``c`` that a phase with mode mask ``mask`` steers:
+    all of them without a mask, the slice of its first ``k`` modes when the
+    mask keeps a leading run of the class (as every energy cutoff does, the
+    modes of a class being sorted by eigenvalue), else their indices."""
+    if mask is None:
+        return slice(None)
+    m = mask[c]
+    k = int(np.count_nonzero(m))
+    return slice(0, k) if m[:k].all() else np.flatnonzero(m)
+
+
+def _phase_kernels(problem, h, mask=None):
+    """Per class ``(cols, K)``: the columns ``cols`` of the class that a phase
+    of length ``h`` with mode mask ``mask`` steers (see :func:`_steered`),
+    and ``K = M o Phi_h`` on the class's rows and those columns only.
+
+    An unmasked phase of length ``T`` takes the ``Q_T`` kernels of the
+    problem's Gramian factor once that is formed; a leading run of columns
+    takes a view ``M[:, :k]`` of the class block, any other mask a gather."""
+    if mask is None and h == problem.T and "gramian_factor" in vars(problem):
+        return [(slice(None), Q) for Q in problem.gramian_factor.blocks]
+    kernels = []
+    for c, mu, M in problem.class_blocks:
+        cols = _steered(mask, c)
+        kernels.append((cols, _kernel(M[:, cols], mu, mu[cols], h)))
+    return kernels
 
 
 def _phase_end(problem, u, v, h, kernels):
     """``_forced_end`` of a phase of length ``h`` in ``problem``, class by
-    class, given the classes' kernels of length ``h``."""
+    class, given the classes' kernels of :func:`_phase_kernels`."""
     end = np.empty_like(u)
-    for (c, mu, _), K in zip(problem.class_blocks, kernels):
-        end[c] = np.exp(-h * mu) * u[c] - K @ v[c]
+    for (c, mu, _), (cols, K) in zip(problem.class_blocks, kernels):
+        end[c] = np.exp(-h * mu) * u[c] - K @ v[c][cols]
     return end
 
 
@@ -272,6 +304,22 @@ def min_norm_control(problem):
     return ControlSignal(phases=(phase,)), math.sqrt(cost_sq)
 
 
+def _tril_inverse(L):
+    """The inverse of the lower-triangular ``L``, exactly lower triangular, by
+    the 2 x 2 block recursion ``[[A, 0], [B, C]]^{-1} = [[A^{-1}, 0],
+    [-C^{-1} B A^{-1}, C^{-1}]]``: GEMMs, with ``np.linalg.inv`` and
+    ``np.tril`` on leaves of at most 64 rows."""
+    n = L.shape[0]
+    if n <= 64:
+        return np.tril(np.linalg.inv(L))
+    m = n // 2
+    inv = np.zeros_like(L)
+    inv[:m, :m] = _tril_inverse(L[:m, :m])
+    inv[m:, m:] = _tril_inverse(L[m:, m:])
+    inv[m:, :m] = -inv[m:, m:] @ (L[m:, :m] @ inv[:m, :m])
+    return inv
+
+
 def _cost_operator(problem):
     """Per class, its leading modes that carry ``C_T``, last first, and the
     block of ``A = exp(-TA) Q_T^{-1} exp(-TA)`` on them in that order;
@@ -281,7 +329,8 @@ def _cost_operator(problem):
     reversed, serves every cut: the trailing k x k block ``L_22`` factors
     the Schur complement on the class's first k modes, so the block of
     ``Q_T^{-1}`` on them is ``L_22^{-T} L_22^{-1}`` and that of ``A`` is
-    ``X^T X`` with ``X = L_22^{-1} E_k``.
+    ``X^T X`` with ``X = L_22^{-1} E_k``: the columns of the triangular
+    inverse (:func:`_tril_inverse`) scaled by ``e``.
 
     With ``e = exp(-T mu)``, ``e_0 = max e``, ``lambda_min`` the smallest
     eigenvalue of ``Q_T`` and ``lam_hat`` the largest over the classes of
@@ -315,7 +364,7 @@ def _cost_operator(problem):
                               >= np.finfo(float).eps * lam_hat)
         if kept.size:
             k = kept[-1] + 1
-            X = np.linalg.solve(L[-k:, -k:], np.diag(e_c[k - 1::-1]))
+            X = _tril_inverse(L[-k:, -k:]) * e_c[k - 1::-1]
             blocks.append((c[k - 1::-1], X.T @ X))
     return blocks
 
@@ -364,30 +413,43 @@ class Trajectory:
         return float(np.linalg.norm(self.states[-1]))
 
 
+def _merged_steps(h, tol):
+    """The step lengths of ``h`` merged into groups, with the index of its
+    group per step: each group holds the steps within ``tol`` of its
+    smallest, which stands for the group, and the next group starts at the
+    first step beyond that (no chaining)."""
+    steps, where = np.unique(h, return_inverse=True)
+    lead = [steps[0]]
+    for step in steps[1:]:
+        if step - lead[-1] > tol:
+            lead.append(step)
+    lead = np.array(lead)
+    return lead, (np.searchsorted(lead, steps, side="right") - 1)[where]
+
+
 def _step_through_phase(problem, state, phase, times):
     """States at the ascending ``times`` inside ``phase``, from ``state`` at t_start.
 
     The exact step from ``t`` to ``t + h`` subtracts
     ``(mtil o Phi_h) exp(-(t_end - t - h) A) v`` from the decayed state; its
-    kernel depends on ``h`` alone, so the steps of one length share one
-    kernel per class (rows: the class, columns: its modes that the phase
-    steers) and one GEMM.
+    kernel depends on ``h`` alone.  Step lengths within
+    ``4 * np.spacing(t_end)`` of their group's smallest merge into that
+    smallest (:func:`_merged_steps`), a move of a few ulps of ``t_end``, the
+    order of the rounding that ``np.diff`` of the grid times carries, so a
+    uniform grid takes one kernel per class: rows the class, columns its
+    modes that the phase steers (:func:`_phase_kernels`), applied to all its
+    steps by one GEMM.
     """
     mu = problem.op.eigvals
-    h = np.diff(times, prepend=phase.t_start)
-    steps, group = np.unique(h, return_inverse=True)
-    forced = np.zeros((mu.size, times.size))
-    for c, mu_c, M in problem.class_blocks:
-        k = slice(None) if phase.mode_mask is None else phase.mode_mask[c]
-        mu_k, M_k = mu_c[k], M[:, k]
-        if not mu_k.size:
-            continue
-        rhs = np.exp(-(phase.t_end - times)[None, :] * mu_k[:, None]) * phase.v[c][k][:, None]
-        part = np.empty((c.size, times.size))
-        for g, step in enumerate(steps):
-            cols = group == g
-            part[:, cols] = _kernel(M_k, mu_c, mu_k, step) @ rhs[:, cols]
-        forced[c] = part
+    steps, group = _merged_steps(np.diff(times, prepend=phase.t_start),
+                                 4.0 * np.spacing(phase.t_end))
+    forced = np.empty((mu.size, times.size))
+    for g, step in enumerate(steps):
+        at = np.flatnonzero(group == g)
+        for (c, mu_c, _), (cols, K) in zip(problem.class_blocks,
+                                           _phase_kernels(problem, step, phase.mode_mask)):
+            rhs = np.exp(-(phase.t_end - times[at]) * mu_c[cols][:, None]) * phase.v[c][cols][:, None]
+            forced[c[:, None], at] = K @ rhs
     decay = np.exp(-steps[:, None] * mu[None, :])
     states = np.empty((times.size, mu.size))
     w = np.zeros_like(mu)
@@ -401,8 +463,11 @@ def duhamel_solve(problem, signal, t_grid):
     """Mild solution under a phase signal, stepped exactly in time per mode.
 
     States at 0 and at every phase boundary come from each phase's closed
-    form; inside a phase the grid is walked by exact steps, with one kernel
-    per distinct step length and class.
+    form, on the kernels of :func:`_phase_kernels`: the problem's cached
+    ``Q_T`` kernels for an unmasked phase of length ``T``, else one kernel
+    per class on the columns the phase steers.  Inside a phase the grid is
+    walked by exact steps, with one kernel per class and merged step length
+    (:func:`_step_through_phase`).
     """
     mu = problem.op.eigvals
     for ph in signal.phases:
@@ -422,7 +487,7 @@ def duhamel_solve(problem, signal, t_grid):
         u_start = np.exp(-(ph.t_start - t_prev) * mu) * u_prev
         anchors.append((ph.t_start, u_start))
         h = ph.t_end - ph.t_start
-        u_end = _phase_end(problem, u_start, ph.v, h, _class_kernels(problem, h))
+        u_end = _phase_end(problem, u_start, ph.v, h, _phase_kernels(problem, h, ph.mode_mask))
         anchors.append((ph.t_end, u_end))
 
     # each time continues from the last anchor at or before it; phases may
@@ -444,11 +509,16 @@ def duhamel_solve(problem, signal, t_grid):
 
 
 def control_norm_at(problem, signal, s):
-    """Pointwise control norm ``||f(s)||_U`` (zero on passive stretches)."""
+    """Pointwise control norm ``||f(s)||_U`` (zero on passive stretches), from
+    each class block on the columns the phase steers only."""
     for ph in signal.phases:
         if ph.t_start - 1e-15 <= s <= ph.t_end + 1e-15:
             w = np.exp(-(ph.t_end - s) * problem.op.eigvals) * ph.v
-            norm_sq = sum(float(w[c] @ (M @ w[c])) for c, _, M in problem.class_blocks)
+            norm_sq = 0.0
+            for c, _, M in problem.class_blocks:
+                cols = _steered(ph.mode_mask, c)
+                w_c = w[c][cols]
+                norm_sq += float(w_c @ (M[cols][:, cols] @ w_c))
             return math.sqrt(max(norm_sq, 0.0))
     return 0.0
 
@@ -528,16 +598,16 @@ def active_passive_synthesize(problem, fit):
         norm_in = float(np.linalg.norm(state))
         v = np.zeros_like(state)
         norm_sq = 0.0
-        # one kernel per class gives the phase end and the phase Gramian:
-        # the modes with mu <= E_j lead every class, so it steers the
-        # leading view of each kernel
-        kernels = _class_kernels(problem, h)
+        # one kernel per class, on its rows and the k modes with mu <= E_j
+        # that lead it, gives the phase end and the phase Gramian, its
+        # leading view K[:k, :k]
+        kernels = _phase_kernels(problem, h, mask)
         # a cutoff below the lowest eigenvalue has no modes to steer: the
         # phase carries the zero control and only the free decay acts
         if mask.any():
-            modes, blocks = zip(*[(c[:k], K[:k, :k]) for (c, mu_c, _), K
+            modes, blocks = zip(*[(c[:k], K[:k, :k]) for (c, _, _), (_, K)
                                   in zip(problem.class_blocks, kernels)
-                                  if (k := np.count_nonzero(mu_c <= E_j))])
+                                  if (k := K.shape[1])])
             factor = _factor_blocks(blocks)
             what = f"Gramian of active phase j={j} (E_j={E_j}, {int(mask.sum())} modes)"
             v, norm_sq = _steer(_checked(factor, what), modes, np.exp(-h * mu) * state)

@@ -735,10 +735,12 @@ def test_valid_form_writes_the_recorded_bytes(tmp_path, form):
 
 
 # the SHA-256 of every artifact of every shipped config (recorded with numpy
-# 2.4.6 on x86-64 Linux); the synthesize reports, phases.csv and the scalar
-# trajectory.csv keep the bytes that the per-time closed form wrote, except
-# that active/passive phases evolve over their rounded lengths; homogenize
-# (2, 4 and 8 cells on its torus) carries the bits of the per-class costs
+# 2.4.6 on x86-64 Linux); the scalar trajectory.csv keeps the bytes that the
+# per-time closed form wrote.  The interval synthesize artifacts carry the
+# bits of the costs from the triangular inverse, of active/passive phase
+# ends and control norms on the steered columns only, and of trajectories
+# stepped over merged step lengths; homogenize (2, 4 and 8 cells on its
+# torus) carries the bits of the per-class costs from the triangular inverse
 ARTIFACT_DIGESTS = {
     "bounds_catalog": {
         "bounds.csv": "2c003ef509c2c3f41c9e795737702da9227fda86560de22d4aaf7d8edced2904",
@@ -757,9 +759,9 @@ ARTIFACT_DIGESTS = {
         "run_meta.json": "6bdcbd52d0b5805d41a5a75794851b1edce67f04b55b2710c06cd8789ff129ca",
     },
     "homogenize": {
-        "homogenize.csv": "00abff53155a9c0a715c5f2c493dff60e609720c452674c18c61558e25481b2f",
-        "homogenize_sweep.csv": "af943bcb52cc20688b319307f53912c3aa4dc55409d48dccdb397882ddafedc9",
-        "run_meta.json": "b2733acb39094c8222174561c61217443dcaf88f9dd7caf2af4f0a4430081342",
+        "homogenize.csv": "9b79004a0093855e2b3cceba7dff6ef0bac8455ca5d0256e92e000ac2161e558",
+        "homogenize_sweep.csv": "8fb6f17878247a1b8e9c46c57c06c43010a841fd8bc1a1ba2d16312eb8fbb0c2",
+        "run_meta.json": "ffe48115d8d12f28f293a7c3a3f89a5766f6e4c3102ca1c913c312c6d0e4cf2d",
     },
     "spectral_ineq_half_interval": {
         "run_meta.json": "e3475738584d42f4f37aef71245a5aa13bb9acb829c93cd746fe68d9ddab136c",
@@ -770,15 +772,15 @@ ARTIFACT_DIGESTS = {
         "spectral_ineq.csv": "dff53c7710fbb29c72ef52d32a1a4e47ddffcc9929fbcc6595adcfb1781d60b0",
     },
     "synthesize_active_passive": {
-        "phases.csv": "0ba8aafcb428e689d6a199d71fd01b7c9ac3be14d77f5a6b836e9c857abd152a",
-        "report.json": "4da8dc95b16b214ee8929fcc776e2f08cdfcdcdeb67db8e8acafdf23c9d4508e",
-        "run_meta.json": "3ac984e6f54778d3a396793d478cac30afee3903e37fe01d3e617f32234ef604",
-        "trajectory.csv": "c0123c5573c462ef9c83a22fc5f47983369b49680217f222dc258d0114ec0353",
+        "phases.csv": "817e6458cf6a27748023663669dc621e3c17b424471092cd8629e4a9e17b04f0",
+        "report.json": "8faeffdb29ad7214fce1c85df498b26a59f2a37d15277abcb478227d6e4990d0",
+        "run_meta.json": "df32512aa17af1062e7f363a28f00d4e37b9bceed31b0c97ef2d7dce53212206",
+        "trajectory.csv": "2948dc4caeac914c73195d847bc80d445e431987fd33ad4d8941daed385d0339",
     },
     "synthesize_gramian": {
-        "report.json": "7b98135da081490adee9d43cf1a03b185fc3dc86fc1418c2a2ef82717f540805",
-        "run_meta.json": "c92c1f7cde0bee0e52ad3a5d27cb12f72605759afad93fd9f5070e78a62ecc05",
-        "trajectory.csv": "e6b5246bacb74e7365ea684c6ac1871f09c95de94b78bfc8b6449dfeb6802211",
+        "report.json": "a652fc45df6e0fc9a943441edd78dc8feac42865fc2dffdb17d085a9907dc12e",
+        "run_meta.json": "cf787810bc722caa9bab48005773413a390c9837e6f5b20a667bef59d7a5c17e",
+        "trajectory.csv": "9806936b44327f431ba38a633ecd158bea6dffe2f1913411fb65da0b681c2e78",
     },
     "synthesize_scalar": {
         "report.json": "7046e3ec5101f3b0ee1fc4dd0686c783b55bb9a3b866039b54ee62f16ead80c7",

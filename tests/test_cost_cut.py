@@ -6,7 +6,8 @@ the modes whose ``exp(-T mu)`` cannot move its top eigenvalue by more than
 machine epsilon.  On every problem below both are checked against the uncut
 operator, formed whole from the same reversed Cholesky factor and decomposed
 whole, and ``C_T`` against the generalized eigensolver of
-``(exp(-2TA), Q_T)``.
+``(exp(-2TA), Q_T)``.  The triangular inverse that forms the kept blocks is
+checked against an LU solve at sizes around its 64-row leaves.
 """
 
 import math
@@ -18,6 +19,7 @@ import scipy.linalg
 from heatctl import (ControlProblem, DomainSpec, ObservabilitySet, PotentialSpec,
                      build_basis, empirical_cost, galerkin_schrodinger, gramian,
                      worst_initial_state)
+from heatctl.control import _tril_inverse
 
 TWO_PI = 2.0 * math.pi
 # four boxes, one per quarter of the 2pi-torus, as in the synthesis benchmark
@@ -189,3 +191,15 @@ def test_kept_modes_contain_those_of_the_diagonal_lam_hat(
         kept, by_diagonal = _kept(problem), _kept_by_diagonal_lam_hat(problem)
         assert by_diagonal.any()
         assert np.all(kept[by_diagonal])
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 241, 421])
+def test_triangular_inverse_is_lower_triangular_and_matches_a_solve(k):
+    # a trailing block of a Cholesky factor, a strided view as in the cost path
+    rng = np.random.default_rng(k)
+    G = rng.standard_normal((k + 3, k + 3))
+    L = np.linalg.cholesky(G @ G.T / k + np.eye(k + 3))[-k:, -k:]
+    X = _tril_inverse(L)
+    assert np.array_equal(X, np.tril(X))
+    expected = np.linalg.solve(L, np.eye(k))
+    assert np.max(np.abs(X - expected)) <= 1e-14 * np.max(np.abs(expected))

@@ -1,9 +1,10 @@
 """Exact time stepping of Duhamel trajectories inside control phases.
 
 States are checked against a 50-digit per-mode closed form
-(``oracles.duhamel_mp``); the kernel count against the distinct step
-lengths; and the rows at 0, at phase boundaries and at T against the direct
-closed form bit for bit.
+(``oracles.duhamel_mp``); the kernels against one per class and merged step
+length, on the columns each phase steers; and the rows at 0, at phase
+boundaries and at T against the direct closed form on those columns, bit for
+bit.
 """
 
 import math
@@ -172,116 +173,173 @@ def _phase_rows(traj, signal):
     return [t[(t > ph.t_start) & (t + 1e-15 < ph.t_end)] for ph in signal.phases]
 
 
-@pytest.mark.parametrize("kind", ["min-norm", "active-passive"])
-def test_one_kernel_per_distinct_step_length(monkeypatch, kind):
-    problem = _bench_like_problem()
-    signal = _signal(problem, kind)
-    times = _with_edges(problem, signal, 65)
+def _merged(h, t_end):
+    """The step lengths of ``h`` as the stepping merges them: each group
+    stands for the steps within ``4 * np.spacing(t_end)`` of its smallest."""
+    lead = []
+    for step in np.unique(h):
+        if not lead or step - lead[-1] > 4.0 * np.spacing(t_end):
+            lead.append(float(step))
+    return lead
+
+
+def _steered_cols(ph, c):
+    return len(c) if ph.mode_mask is None else int(ph.mode_mask[c].sum())
+
+
+def _counted_kernels(monkeypatch, problem, signal, times):
+    """``(trajectory, [(h, shape)] of every kernel formed by duhamel_solve)``."""
     calls = []
     phi = control._phi
 
     def counting(alpha, s):
-        calls.append((alpha, np.shape(s)))
+        calls.append((float(alpha), np.shape(s)))
         return phi(alpha, s)
 
     monkeypatch.setattr(control, "_phi", counting)
-    traj = duhamel_solve(problem, signal, times)
-    n, phases = problem.op.n, signal.phases
-    anchors, stepped = calls[:len(phases)], calls[len(phases):]
-    assert anchors == [(ph.t_end - ph.t_start, (n, n)) for ph in phases]
-    expected = []
-    for ph, inside in zip(phases, _phase_rows(traj, signal)):
-        steps = np.unique(np.diff(inside, prepend=ph.t_start))
-        cols = n if ph.mode_mask is None else int(ph.mode_mask.sum())
-        expected += [(float(h), (n, cols)) for h in steps]
-    # one kernel per exact step length, on the phase's masked columns only
-    assert sorted((float(a), shape) for a, shape in stepped) == sorted(expected)
-    # fewer kernels than grid times inside the phases
-    per_time = sum(inside.size for inside in _phase_rows(traj, signal))
-    assert len(calls) <= len(phases) + len(expected) < len(phases) + per_time
-    if kind == "active-passive":
-        assert any(shape[1] < n for _, shape in stepped)
+    return duhamel_solve(problem, signal, times), calls
 
 
+def _expected_kernels(problem, signal, traj):
+    """The kernels of the phase ends, then of the merged steps: per class, on
+    its rows and the columns the phase steers; an unmasked phase of length T
+    reuses the cached Q_T kernels and forms no phase-end kernel."""
+    anchors, stepped = [], []
+    for ph, inside in zip(signal.phases, _phase_rows(traj, signal)):
+        h = ph.t_end - ph.t_start
+        if ph.mode_mask is not None or h != problem.T:
+            anchors += [(h, (len(c), _steered_cols(ph, c))) for c in problem.classes]
+        for step in _merged(np.diff(inside, prepend=ph.t_start), ph.t_end):
+            stepped += [(step, (len(c), _steered_cols(ph, c))) for c in problem.classes]
+    return anchors, stepped
+
+
+@pytest.mark.parametrize("tiled", [False, True], ids=["one_class", "four_classes"])
 @pytest.mark.parametrize("kind", ["min-norm", "active-passive"])
-def test_one_kernel_per_class_and_distinct_step_length(monkeypatch, kind):
-    problem = _bench_like_problem(tiled=True)
+def test_one_kernel_per_class_and_merged_step_length(monkeypatch, kind, tiled):
+    problem = _bench_like_problem(tiled)
     signal = _signal(problem, kind)
-    times = _with_edges(problem, signal, 65)
-    calls = []
-    phi = control._phi
+    traj, calls = _counted_kernels(monkeypatch, problem, signal,
+                                   _with_edges(problem, signal, 65))
+    anchors, stepped = _expected_kernels(problem, signal, traj)
+    assert calls == anchors + stepped
+    merged = [_merged(np.diff(inside, prepend=ph.t_start), ph.t_end)
+              for ph, inside in zip(signal.phases, _phase_rows(traj, signal))]
+    if kind == "min-norm":
+        # the uniform grid walks the one full-horizon phase with one kernel
+        # per class, and its end is the cached Q_T kernels
+        assert anchors == [] and len(merged) == 1 and len(merged[0]) == 1
+        assert len(calls) == len(problem.classes)
+    else:
+        # a phase's first step and its uniform steps: at most two lengths
+        assert all(1 <= len(steps) <= 2 for steps in merged)
+        assert any(cols < rows for _, (rows, cols) in calls)
+    if tiled:
+        assert max(rows for _, (rows, _) in calls) < problem.op.n
 
-    def counting(alpha, s):
-        calls.append((alpha, np.shape(s)))
-        return phi(alpha, s)
 
-    monkeypatch.setattr(control, "_phi", counting)
-    traj = duhamel_solve(problem, signal, times)
-    sizes = [len(c) for c in problem.classes]
-    phases = signal.phases
-    # every phase end: one kernel per class, rows and columns the class
-    anchors, stepped = calls[:len(phases) * len(sizes)], calls[len(phases) * len(sizes):]
-    assert anchors == [(ph.t_end - ph.t_start, (k, k)) for ph in phases for k in sizes]
-    expected = []
-    for ph, inside in zip(phases, _phase_rows(traj, signal)):
-        steps = np.unique(np.diff(inside, prepend=ph.t_start))
-        for c in problem.classes:
-            cols = len(c) if ph.mode_mask is None else int(ph.mode_mask[c].sum())
-            expected += [(float(h), (len(c), cols)) for h in steps if cols]
-    # one kernel per class and exact step length, on the class's masked columns
-    assert sorted((float(a), shape) for a, shape in stepped) == sorted(expected)
-    assert max(shape[0] for _, shape in calls) < problem.op.n
-    if kind == "active-passive":
-        assert any(shape[1] < shape[0] for _, shape in stepped)
+def test_steps_jittered_by_ulps_share_one_kernel_per_class(monkeypatch):
+    problem = _problem("torus")
+    signal = _signal(problem, "min-norm")
+    rng = np.random.default_rng(7)
+    steps = np.diff(np.linspace(0.0, problem.T, 65))
+    for i, (count, sign) in enumerate(zip(rng.integers(1, 4, steps.size),
+                                          rng.choice([-1.0, 1.0], steps.size))):
+        for _ in range(count):
+            steps[i] = np.nextafter(steps[i], sign * math.inf)
+    times = np.concatenate([[0.0], np.cumsum(steps)[:-1], [problem.T]])
+    h = np.diff(times[:-1])
+    assert np.unique(h).size > 1
+    traj, calls = _counted_kernels(monkeypatch, problem, signal, times)
+    assert len(problem.classes) == 4
+    assert calls == [(h.min(), (len(c), len(c))) for c in problem.classes]
+    monkeypatch.undo()
+    _assert_matches_oracle(problem, signal, times)
+
+
+def test_steps_1e12_apart_keep_separate_kernels(monkeypatch):
+    problem = _problem("torus")
+    signal = _signal(problem, "min-norm")
+    h = problem.T / 64
+    steps = np.tile([h, h + 1e-12], 32)[:-1]
+    times = np.concatenate([[0.0], np.cumsum(steps), [problem.T]])
+    traj, calls = _counted_kernels(monkeypatch, problem, signal, times)
+    assert sorted({a for a, _ in calls}) == _merged(np.diff(times[:-1]), problem.T)
+    assert len(calls) == 2 * len(problem.classes)
+    monkeypatch.undo()
+    _assert_matches_oracle(problem, signal, times)
+
+
+def test_merged_steps_do_not_chain():
+    tol = 4.0 * np.spacing(1.0)
+    h = np.array([0.5, 0.5 + 0.6 * tol, 0.5 + 1.2 * tol, 0.5 + 0.6 * tol, 0.5])
+    steps, group = control._merged_steps(h, tol)
+    assert steps.tolist() == [0.5, 0.5 + 1.2 * tol]
+    assert group.tolist() == [0, 0, 1, 0, 0]
+
+
+def test_phase_with_a_mask_that_is_no_leading_run(monkeypatch):
+    """A user-built phase may steer any modes: its kernels gather the columns
+    it steers, and its states and control norms match the closed forms."""
+    problem = _problem("interval")
+    mtil, mu = problem.mtil(), problem.op.eigvals
+    mask = np.arange(problem.op.n) % 2 == 0
+    assert not mask[1] and mask[2]
+    v = np.where(mask, np.random.default_rng(9).standard_normal(problem.op.n), 0.0)
+    signal = ControlSignal(phases=(Phase(0.1, 0.7, v, mask, 0.0),))
+    times = np.linspace(0.0, problem.T, 49)
+    traj, calls = _counted_kernels(monkeypatch, problem, signal, times)
+    assert {shape for _, shape in calls} == {(problem.op.n, int(mask.sum()))}
+    monkeypatch.undo()
+    _assert_matches_oracle(problem, signal, times)
+    for s in (0.1, 0.4, 0.7):
+        w = np.exp(-(0.7 - s) * mu) * v
+        assert math.isclose(control.control_norm_at(problem, signal, s),
+                            math.sqrt(w @ mtil @ w), rel_tol=1e-14)
+    assert control.control_norm_at(problem, signal, 0.8) == 0.0
+
+
+def _phase_end_closed_form(problem, u, ph):
+    """The state at ``ph.t_end`` from ``u`` at its start, per class, with the
+    kernel on the columns the phase steers."""
+    mu, mtil = problem.op.eigvals, problem.mtil()
+    beta = ph.t_end - ph.t_start
+    u = u.copy()
+    for c in problem.classes:
+        cols = c if ph.mode_mask is None else c[ph.mode_mask[c]]
+        kernel = mtil[np.ix_(c, cols)] * control._phi(beta, mu[c][:, None] + mu[cols][None, :])
+        u[c] = np.exp(-beta * mu[c]) * u[c] - kernel @ ph.v[cols]
+    return u
+
+
+def _assert_edge_rows_keep_the_closed_form_bits(problem, kind):
+    signal = _signal(problem, kind)
+    traj = duhamel_solve(problem, signal, _with_edges(problem, signal, 65))
+    mu = problem.op.eigvals
+    u = problem.op.to_eigenbasis(problem.u0)
+    expected = {0.0: u}
+    t_prev = 0.0
+    for ph in signal.phases:
+        u = np.exp(-(ph.t_start - t_prev) * mu) * u
+        expected[ph.t_start] = u
+        u = _phase_end_closed_form(problem, u, ph)
+        expected[ph.t_end] = u
+        t_prev = ph.t_end
+    if problem.T not in expected:
+        expected[problem.T] = np.exp(-(problem.T - t_prev) * mu) * u
+    rows = {float(t): s for t, s in zip(traj.times, traj.states)}
+    for t, state in expected.items():
+        assert np.array_equal(rows[t], state), t
 
 
 @pytest.mark.parametrize("kind", ["min-norm", "active-passive"])
 def test_rows_at_phase_edges_keep_the_closed_form_bits_per_class(kind):
-    problem = _bench_like_problem(tiled=True)
-    signal = _signal(problem, kind)
-    traj = duhamel_solve(problem, signal, _with_edges(problem, signal, 65))
-    mu, mtil = problem.op.eigvals, problem.mtil()
-    u = problem.op.to_eigenbasis(problem.u0)
-    expected = {0.0: u}
-    t_prev = 0.0
-    for ph in signal.phases:
-        u = np.exp(-(ph.t_start - t_prev) * mu) * u
-        expected[ph.t_start] = u
-        beta = ph.t_end - ph.t_start
-        u = u.copy()
-        for c in problem.classes:
-            kernel = mtil[np.ix_(c, c)] * control._phi(beta, mu[c][:, None] + mu[c][None, :])
-            u[c] = np.exp(-beta * mu[c]) * u[c] - kernel @ ph.v[c]
-        expected[ph.t_end] = u
-        t_prev = ph.t_end
-    if problem.T not in expected:
-        expected[problem.T] = np.exp(-(problem.T - t_prev) * mu) * u
-    rows = {float(t): s for t, s in zip(traj.times, traj.states)}
-    for t, state in expected.items():
-        assert np.array_equal(rows[t], state), t
+    _assert_edge_rows_keep_the_closed_form_bits(_bench_like_problem(tiled=True), kind)
 
 
 @pytest.mark.parametrize("kind", ["min-norm", "active-passive"])
 def test_rows_at_zero_boundaries_and_horizon_keep_the_closed_form_bits(kind):
-    problem = _bench_like_problem()
-    signal = _signal(problem, kind)
-    traj = duhamel_solve(problem, signal, _with_edges(problem, signal, 65))
-    mu, mtil = problem.op.eigvals, problem.mtil()
-    u = problem.op.to_eigenbasis(problem.u0)
-    expected = {0.0: u}
-    t_prev = 0.0
-    for ph in signal.phases:
-        u = np.exp(-(ph.t_start - t_prev) * mu) * u
-        expected[ph.t_start] = u
-        beta = ph.t_end - ph.t_start
-        u = np.exp(-beta * mu) * u - (mtil * control._phi(beta, mu[:, None] + mu[None, :])) @ ph.v
-        expected[ph.t_end] = u
-        t_prev = ph.t_end
-    if problem.T not in expected:
-        expected[problem.T] = np.exp(-(problem.T - t_prev) * mu) * u
-    rows = {float(t): s for t, s in zip(traj.times, traj.states)}
-    for t, state in expected.items():
-        assert np.array_equal(rows[t], state), t
+    _assert_edge_rows_keep_the_closed_form_bits(_bench_like_problem(), kind)
 
 
 @pytest.mark.parametrize("grid", [[], [0.1, math.nan], [math.inf], [[0.1, 0.2]]],

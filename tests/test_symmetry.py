@@ -5,7 +5,8 @@ dense handle's projected blocks by :meth:`OperatorHandle.project`.  Every
 block of :meth:`ControlProblem.class_blocks` and of
 :func:`heatctl.geometry.set_blocks`, and every kernel ``M o Phi_h``, is then
 exactly symmetric, so the Gramian factor reads its blocks without writing
-them and active/passive synthesis steers leading views of its kernels.
+them and active/passive synthesis steers leading views of its phase
+kernels (:func:`heatctl.control._phase_kernels`).
 """
 
 import math
@@ -60,7 +61,7 @@ def test_class_blocks_set_blocks_and_kernels_are_exactly_symmetric(name):
     assert len(blocks) == (4 if name == "tiled" else 1)
     assert all(_symmetric(M) for _, _, M in blocks)
     for h in (1.0, 0.3, 1e-3):
-        assert all(_symmetric(K) for K in control._class_kernels(problem, h))
+        assert all(_symmetric(K) for _, K in control._phase_kernels(problem, h))
     for E in (4.0, float(op.eigvals[-1])):
         assert all(_symmetric(B) for _, _, B in set_blocks(op, S, E))
     assert _symmetric(control.gramian(problem))
@@ -69,7 +70,7 @@ def test_class_blocks_set_blocks_and_kernels_are_exactly_symmetric(name):
 @pytest.mark.parametrize("name", ["tiled", "potential"])
 def test_factor_reads_read_only_blocks_and_leaves_them_unchanged(name):
     op, S = _case(name)
-    kernels = control._class_kernels(ControlProblem.from_set(op, S, 1.0), 1.0)
+    kernels = [K for _, K in control._phase_kernels(ControlProblem.from_set(op, S, 1.0), 1.0)]
     before = [K.copy() for K in kernels]
     for K in kernels:
         K.flags.writeable = False
@@ -85,8 +86,8 @@ def test_active_passive_steers_leading_views_of_its_phase_kernels(name, monkeypa
     problem = ControlProblem.from_set(op, S, 1.5)
     problem.u0 = worst_initial_state(problem)
     events = []
-    kernels, factor, ix_ = control._class_kernels, control._factor_blocks, np.ix_
-    monkeypatch.setattr(control, "_class_kernels",
+    kernels, factor, ix_ = control._phase_kernels, control._factor_blocks, np.ix_
+    monkeypatch.setattr(control, "_phase_kernels",
                         lambda *a: events.append(("kernels", kernels(*a))) or events[-1][1])
     monkeypatch.setattr(control, "_factor_blocks",
                         lambda blocks: events.append(("factor", blocks)) or factor(blocks))
@@ -100,9 +101,11 @@ def test_active_passive_steers_leading_views_of_its_phase_kernels(name, monkeypa
     for (kind, phase_kernels), blocks in steered:
         assert kind == "kernels"
         for Q in blocks:
-            K, = [K for K in phase_kernels if Q.base is K]
+            (cols, K), = [(cols, K) for cols, K in phase_kernels if Q.base is K]
             k = Q.shape[0]
             assert np.shares_memory(Q, K) and Q.shape == (k, k) and _symmetric(Q)
+            # the kernel holds the k steered columns only, a leading run
+            assert cols == slice(0, k) and K.shape[1] == k
             assert np.array_equal(Q, K[:k, :k])
 
 
