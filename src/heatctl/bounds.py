@@ -148,9 +148,11 @@ def miller_root_map(s, beta):
 def miller_cstar(beta: float, b: float, a: float = 0.0, m: float = 0.0):
     """Root of ``s (s + beta + 1)^beta = rhs`` and the implied cost constant.
 
-    The left side is strictly increasing in ``s`` and vanishes at 0, so the
-    root is bracketed between powers of two and bisected to the smallest
-    double where the left side reaches the right.  With ``b`` taken from the
+    The left side is strictly increasing in ``s``, vanishes at 0 and is at
+    least ``s``, so the root lies in ``(0, rhs]``: it is bracketed between
+    powers of two, the last one clipped to ``rhs``, and bisected to the
+    smallest double where the left side reaches the right, for every finite
+    right side.  With ``b`` taken from the
     root equation, ``c* = [(a+m)(s+beta+1)^(beta+1)/(beta+1)]^(beta+1) /
     beta^(beta^2)`` holds no power of ``s`` that could underflow.  Returns
     ``(s_root, c_star)``; a right side or a ``c*`` beyond double range is
@@ -165,7 +167,7 @@ def miller_cstar(beta: float, b: float, a: float = 0.0, m: float = 0.0):
     if not 0 < rhs < math.inf:
         side = "underflows" if rhs == 0 else "is beyond double range"
         raise ParameterError(f"the right side of the root equation {side}")
-    s = _smallest_passing(lambda s: miller_root_map(s, beta) >= rhs, 0.0, 1e300)
+    s = _smallest_passing(lambda s: miller_root_map(s, beta) >= rhs, 0.0, rhs)
     c_star = _saturating(math.inf, lambda: ((a + m) * (s + beta + 1.0) ** (beta + 1.0)
                                             / (beta + 1.0)) ** (beta + 1.0) / beta ** (beta ** 2))
     if not 0 < c_star < math.inf:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._trig import cross_integrals, separable_sum
 from .errors import ParameterError
-from .spectral import _axis_atom, box_integrals, group_modes, symmetrize
+from .spectral import _centred_atoms, _gather_block, box_integrals, group_modes, symmetrize
 
 _EPS = 1e-12
 
@@ -371,7 +371,7 @@ def _centred_table(side, lo, hi, ks):
     """Read-only table of ``int_lo^hi f_i f_j`` over the atoms ``f`` of the
     torus indices ``ks`` on an axis of length ``side``, centred at the
     midpoint of ``(lo, hi)``; kept for the next blocks of the same box."""
-    atoms = np.array([_axis_atom("periodic", side, 0.5 * (lo + hi), k) for k in ks]).T
+    atoms = _centred_atoms(side, 0.5 * (lo + hi), ks)
     table = cross_integrals(atoms, atoms, [lo], [hi])[0]
     table.flags.writeable = False
     return table
@@ -407,15 +407,7 @@ def set_blocks(op, S, E, gram=None):
         return [class_block(op, M, modes) for modes in kept]
     tables = [_centred_table(side, lo, hi, tuple(distinct.tolist()))
               for side, (lo, hi), (distinct, _) in zip(dom.sides, box, basis.axis_indices)]
-    out = []
-    for modes in kept:
-        block = None
-        for table, (_, index) in zip(tables, basis.axis_indices):
-            at = index[modes]
-            factor = np.take(table, at[:, None] * len(table) + at)
-            block = factor if block is None else np.multiply(block, factor, out=block)
-        out.append((modes, op.eigvals[modes], block))
-    return out
+    return [(modes, op.eigvals[modes], _gather_block(tables, basis, modes)) for modes in kept]
 
 
 def _axis_offsets(S, a_len, axis, grid):

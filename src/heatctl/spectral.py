@@ -7,6 +7,7 @@ operators (Schrodinger Galerkin matrices, semigroups, fractional powers)
 act in this basis.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -171,6 +172,17 @@ class SpectralBasis:
         parity under the reflections through ``c``.
         """
         return group_modes((self.mode_indices < 0) @ (1 << np.arange(self.domain.dimension)))
+
+    @cached_property
+    def axis_partners(self):
+        """Per axis, ``partner[i]``, the mode whose index on that axis is that
+        of mode ``i`` negated (``i`` itself where it is 0), built once per
+        basis; ``None`` when some mode has no partner in the basis, which
+        :func:`build_basis` never leaves on a torus."""
+        where = {m: i for i, m in enumerate(self.modes)}
+        partners = [[where.get(m[:ax] + (-m[ax],) + m[ax + 1:]) for m in self.modes]
+                    for ax in range(self.domain.dimension)]
+        return None if any(None in p for p in partners) else tuple(map(np.array, partners))
 
     def evaluate(self, points):
         """Values of all modes at ``points`` (shape (npts, d), any other shape
@@ -389,22 +401,59 @@ def symmetrize(M):
     return M
 
 
-def _cosine_galerkin_block(basis, kvec):
-    """``int phi_i phi_j prod_ax cos(w0_ax (x_ax - o_ax))`` over the domain."""
-    dom = basis.domain
+def _centred_atoms(side, centre, ks):
+    """``(amps, freqs, phases)`` of the atoms of the torus indices ``ks`` on an
+    axis of length ``side``, centred at ``centre``: ``cos(w (x - centre))``
+    for ``k >= 0`` and ``sin(w (x - centre))`` for ``k < 0``."""
+    return np.array([_axis_atom("periodic", side, centre, k) for k in ks]).T
+
+
+def _gather_block(tables, basis, modes):
+    """``prod_ax table_ax[a_i, a_j]`` over the modes ``i, j`` of the index array
+    ``modes``, ``a`` their distinct atoms per axis: one flat ``np.take`` from
+    each axis's table over the distinct atoms, multiplied in place."""
+    block = None
+    for table, (_, index) in zip(tables, basis.axis_indices):
+        at = index[modes]
+        factor = np.take(table, at[:, None] * len(table) + at)
+        block = factor if block is None else np.multiply(block, factor, out=block)
+    return block
+
+
+def _cosine_tables(dom, atoms, kvec):
+    """Per axis, ``int f_i f_j cos(w0 (x - o))`` over the axis of the domain
+    ``dom`` for the atoms ``atoms[ax]``, ``o`` the domain's origin, as a
+    ``(1, m, m)`` table."""
     unit = (2.0 * np.pi if dom.boundary == "periodic" else np.pi)
-    tables, index = [], []
+    tables = []
     for ax, (a, b) in enumerate(dom.box()):
-        atoms, idx = basis.axis_atoms[ax]
-        amps, freqs, phases = atoms
+        amps, freqs, phases = atoms[ax]
         w0 = kvec[ax] * unit / dom.sides[ax]
         p0 = -w0 * a
-        # phi_j cos(w0 x + p0) is the sum of the half-amplitude atoms at w_j -+ w0
+        # f_j cos(w0 x + p0) is the sum of the half-amplitude atoms at w_j -+ w0
         tables.append(sum(_trig.cross_integrals(
-            atoms, (0.5 * amps, freqs + s * w0, phases + s * p0), [a], [b])
+            atoms[ax], (0.5 * amps, freqs + s * w0, phases + s * p0), [a], [b])
             for s in (-1.0, 1.0)))
-        index.append(idx)
-    return _trig.separable_sum(tables, index, index)
+    return tables
+
+
+def _cosine_galerkin_block(basis, kvec):
+    """``int phi_i phi_j prod_ax cos(w0_ax (x_ax - o_ax))`` over the domain."""
+    index = [idx for _, idx in basis.axis_atoms]
+    return _trig.separable_sum(_cosine_tables(basis.domain, [a for a, _ in basis.axis_atoms],
+                                              kvec), index, index)
+
+
+def _check_terms(basis, potential):
+    """Refuse a box without one ``(lo, hi)`` pair with ``lo < hi`` per axis of
+    the domain of ``basis``, or a cosine without one frequency per axis."""
+    d = basis.domain.dimension
+    for _, box in potential.boxes:
+        if len(box) != d or any(len(e) != 2 or not e[0] < e[1] for e in box):
+            raise ParameterError(f"box {box} needs a (lo, hi) pair with lo < hi per axis")
+    for _, kvec in potential.cosines:
+        if len(kvec) != d:
+            raise ParameterError(f"cosine term {kvec} needs one frequency per axis")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -417,15 +466,11 @@ def galerkin_matrix(basis, potential):
     a matrix whose sums or symmetrization leave double range raises
     :class:`NumericError`, and numpy warns of nothing on the way.
     """
-    d = basis.domain.dimension
+    _check_terms(basis, potential)
     M = np.diag(basis.eigenvalues + potential.constant)
     for coeff, box in potential.boxes:
-        if len(box) != d or any(len(e) != 2 or not e[0] < e[1] for e in box):
-            raise ParameterError(f"box {box} needs a (lo, hi) pair with lo < hi per axis")
         M += coeff * box_integrals(basis, basis, [box])
     for coeff, kvec in potential.cosines:
-        if len(kvec) != d:
-            raise ParameterError(f"cosine term {kvec} needs one frequency per axis")
         M += coeff * _cosine_galerkin_block(basis, kvec)
     M = symmetrize(M)
     if not np.all(np.isfinite(M)):
@@ -433,18 +478,119 @@ def galerkin_matrix(basis, potential):
     return M
 
 
+def _even_centre(basis, potential):
+    """A point ``c`` about which every term of ``potential`` is even on every
+    axis of the torus of ``basis``, or ``None``.
+
+    A box is even about its midpoint, a cosine about the domain's origin on
+    each axis where its frequency is not 0, and the constant, or a cosine
+    axis of frequency 0, about any point.  On a torus the reflection through
+    ``c`` is that through ``c + side/2``, so the centres asked for must agree
+    modulo ``side/2`` on every axis, to a few ulps of the side, and ``c``
+    is taken within ``side/4`` of the origin; an axis that asks for none
+    takes the origin itself.  Any other domain, or a basis in which
+    some mode has no partner (:attr:`SpectralBasis.axis_partners`), has none.
+    """
+    dom = basis.domain
+    if dom.boundary != "periodic" or basis.axis_partners is None:
+        return None
+    centre = []
+    for ax, (side, origin) in enumerate(zip(dom.sides, dom.origin)):
+        points = [0.5 * (box[ax][0] + box[ax][1]) for _, box in potential.boxes]
+        points += [origin for _, kvec in potential.cosines if kvec[ax]]
+        c = points[0] if points else origin
+        if any(abs(math.remainder(p - c, 0.5 * side)) > 4.0 * np.spacing(side) for p in points):
+            return None
+        centre.append(origin + math.remainder(c - origin, 0.5 * side))
+    return centre
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _eigh_by_sign_class(basis, potential, centre):
+    """Eigenpairs of the Galerkin matrix of ``-Laplace + V`` for a ``V`` even
+    about ``centre`` (:func:`_even_centre`), one sign class at a time.
+
+    In the atoms centred at ``centre`` the matrix couples no two sign classes
+    (:attr:`SpectralBasis.sign_classes`): each class block is gathered from
+    per-axis tables over the distinct atoms (symmetrized, so every block is
+    exactly symmetric) and solved by its own ``eigh``, and its eigenvectors
+    go straight into their columns of the eigenvalue-sorted result.  Back in
+    the basis's own atoms, centred at the origin ``o``, the coefficient of a
+    mode ``i`` is ``cos(w d) u[i] - sign(k) sin(w d) u[partner]`` per axis,
+    ``d = c - o``, ``w`` the mode's frequency and ``partner`` the mode with
+    ``k`` negated on that axis; an axis with ``d = 0`` is not touched.  A
+    block whose sums leave double range raises :class:`NumericError`.
+    """
+    dom = basis.domain
+    atoms = [_centred_atoms(side, c, distinct)
+             for side, c, (distinct, _) in zip(dom.sides, centre, basis.axis_indices)]
+    terms = [(coeff, [_trig.cross_integrals(a, a, [lo], [hi])[0]
+                      for a, (lo, hi) in zip(atoms, box)])
+             for coeff, box in potential.boxes]
+    terms += [(coeff, [t[0] for t in _cosine_tables(dom, atoms, kvec)])
+              for coeff, kvec in potential.cosines]
+    terms = [(coeff, [0.5 * (t + t.T) for t in tables]) for coeff, tables in terms]
+    solved = []
+    for modes in basis.sign_classes:
+        B = np.diag(basis.eigenvalues[modes] + potential.constant)
+        for coeff, tables in terms:
+            B += coeff * _gather_block(tables, basis, modes)
+        if not np.all(np.isfinite(B)):
+            raise NumericError(f"Galerkin matrix is not finite (sup_norm={potential.sup_norm})")
+        solved.append(np.linalg.eigh(B))
+    eigvals = np.concatenate([w for w, _ in solved])
+    order = np.argsort(eigvals, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    # per rotated axis, the coefficients of a mode and of its partner
+    k = basis.mode_indices
+    turns = []
+    for ax, ((_, freqs, _), index) in enumerate(basis.axis_atoms):
+        delta = centre[ax] - dom.origin[ax]
+        if delta:
+            w = freqs[index] * delta
+            turns.append((ax, np.cos(w), -np.sign(k[:, ax]) * np.sin(w)))
+    eigvecs = np.zeros((basis.n, basis.n))
+    first = 0
+    for modes, (_, Y) in zip(basis.sign_classes, solved):
+        cols = column[first:first + modes.size]
+        first += modes.size
+        # the partners across each subset of the rotated axes, from the modes
+        # whose index on those axes is not 0
+        for flips in itertools.product((False, True), repeat=len(turns)):
+            src, dst = np.arange(modes.size), modes
+            for flip, (ax, _, _) in zip(flips, turns):
+                if flip:
+                    keep = k[dst, ax] != 0
+                    src, dst = src[keep], basis.axis_partners[ax][dst[keep]]
+            block = Y[src]
+            for flip, (_, cos, sin) in zip(flips, turns):
+                block *= (sin if flip else cos)[dst][:, None]
+            eigvecs[np.ix_(dst, cols)] = block
+    return eigvals[order], eigvecs
+
+
 def galerkin_schrodinger(basis, potential=None):
     """Handle of the eigenpairs of ``-Laplace + V`` in ``basis``.
 
     With ``potential=None`` the handle is exactly diagonal; otherwise its
-    eigenpairs are those of :func:`galerkin_matrix`, which is not kept.
+    eigenpairs are those of :func:`galerkin_matrix`, which is not kept.  On
+    a torus where every term of the potential is even about one centre
+    (:func:`_even_centre`) they come from one ``eigh`` per sign class
+    (:func:`_eigh_by_sign_class`), about ``2^d`` times smaller each; every
+    other potential or domain takes one ``eigh`` of the whole matrix.  A
+    malformed term is refused before any centre is sought.
     """
     if basis.n == 0:
         raise ParameterError("basis is empty")
     if potential is None:
         return OperatorHandle(basis=basis, eigvals=basis.eigenvalues.copy())
-    M = galerkin_matrix(basis, potential)
-    eigvals, eigvecs = np.linalg.eigh(M)
+    _check_terms(basis, potential)
+    centre = _even_centre(basis, potential)
+    if centre is None:
+        eigvals, eigvecs = np.linalg.eigh(galerkin_matrix(basis, potential))
+    else:
+        eigvals, eigvecs = _eigh_by_sign_class(basis, potential, centre)
     return OperatorHandle(basis=basis, eigvals=eigvals, potential=potential, eigvecs=eigvecs)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import _trig, runio
 from .errors import DegenerateSetError, ParameterError
 from .geometry import ObservabilitySet, check_gamma, check_ratio, gram_matrix, set_blocks
-from .spectral import PotentialSpec, galerkin_matrix
+from .spectral import PotentialSpec, galerkin_matrix, galerkin_schrodinger
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,11 @@ def _smallest_passing(ok, k_min, k_max):
     below a threshold and true above it, and ``k_min`` 0 or a power of two
     at most 1.
 
-    Brackets the threshold between neighbouring powers of two from ``k = 1``,
-    doubling while ``ok`` fails and halving while it passes, and returns
-    ``k_min`` when the halving reaches it; then halves the bracket 80 times
-    and returns its passing end.  Raises :class:`ParameterError` when the
-    doubling passes ``k_max``.
+    Brackets the threshold from ``k = 1``: halving while ``ok`` passes, and
+    returning ``k_min`` when the halving reaches it, or doubling while it
+    fails, the last step clipped to ``k_max``; then halves the bracket 80
+    times and returns its passing end.  Raises :class:`ParameterError` when
+    ``ok(k_max)`` fails too.
     """
     hi = 1.0
     if ok(hi):
@@ -94,14 +94,14 @@ def _smallest_passing(ok, k_min, k_max):
             hi /= 2.0
         if hi <= k_min:
             return hi
+        lo = hi / 2.0
     else:
         while True:
-            hi *= 2.0
-            if hi > k_max:
-                raise ParameterError("monotone search did not converge")
+            lo, hi = hi, min(2.0 * hi, k_max)
             if ok(hi):
                 break
-    lo = hi / 2.0
+            if hi >= k_max:
+                raise ParameterError(f"monotone search found no passing value up to {k_max}")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if ok(mid):
@@ -139,17 +139,32 @@ def _check_operands(op, S, gram):
 
 def _constants(op, S, grid, gram):
     """The constant at each energy of ``grid``, from the leading blocks of
-    one :func:`heatctl.geometry.set_blocks` at the largest of them."""
+    one :func:`heatctl.geometry.set_blocks` at the largest of them.
+
+    On a dense handle an energy at or above its top eigenvalue keeps every
+    mode, and the eigenbasis is an orthogonal change of basis, so there the
+    constant is the smallest eigenvalue of the set Gram itself: the smallest
+    over the blocks of the diagonal handle on the same basis, with no
+    projection.  The blocks below it are formed at the largest energy below
+    it, and both read one assembled Gram."""
     _check_operands(op, S, gram)
     for E in grid:
         subspace_indices(op, E)  # refuses an E below the spectrum
     if S is not None and S.kind in ("full", "empty"):
         return [float(S.kind == "full") for _ in grid]
-    blocks = set_blocks(op, S, max(grid), gram) if grid else []
+    top = math.inf if op.is_diagonal else op.eigvals[-1]
+    below = [E for E in grid if E < top]
+    whole = None
+    if len(below) < len(grid):
+        if below and gram is None:
+            gram = gram_matrix(op.basis, S)
+        whole = min(float(np.linalg.eigvalsh(B)[0]) for _, _, B in
+                    set_blocks(galerkin_schrodinger(op.basis), S, math.inf, gram))
+    blocks = set_blocks(op, S, max(below), gram) if below else []
     out = []
     for E in grid:
         leading = [B[:k, :k] for _, mu, B in blocks if (k := np.count_nonzero(mu <= E))]
-        out.append(min(float(np.linalg.eigvalsh(B)[0]) for B in leading))
+        out.append(min(float(np.linalg.eigvalsh(B)[0]) for B in leading) if E < top else whole)
     return out
 
 
@@ -164,7 +179,11 @@ def spectral_ineq_constant(op, S, E, gram=None):
     a set that meets a torus in one box, Bloch classes of a tiled one, or
     the one class of all modes.  ``gram``, the set Gram if the caller holds
     it, must be an ``(n, n)`` array; without a set (``S=None``) it is
-    required, and the parity blocks do not read it.  An ``E`` below the
+    required, and the parity blocks do not read it.  On a handle with a
+    potential an ``E`` at or above its top eigenvalue keeps every mode, so
+    the constant is the smallest eigenvalue of the set Gram itself, read
+    from the blocks of the set on the handle's basis (as without a
+    potential) with no projection.  An ``E`` below the
     spectrum is refused; the ``full`` set gives exactly 1 and the ``empty``
     set exactly 0.  The library keeps no basis cutoff to check ``E``
     against: above the ``e_max`` the basis was built to, the result is the

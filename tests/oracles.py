@@ -256,3 +256,29 @@ def control_cost_mp(N, T, a, dps=60):
         A = E * mpmath.inverse(Q) * E
         A = (A + A.T) / 2
         return mpmath.sqrt(max(mpmath.eigsy(A, eigvals_only=True)))
+
+
+def galerkin_cost_mp(G, M, T, dps=50):
+    """``C_T`` of the truncated system with generator matrix ``G`` and control
+    Gram ``M`` (both in one orthonormal function basis, taken as the exact
+    values of their doubles), in ``dps``-digit arithmetic.
+
+    The eigenpairs ``(lam, V)`` of ``G`` come from mpmath's ``eigsy``; with
+    ``Mt = V^T M V`` the Gramian is ``Q_jk = Mt_jk (1 - e^{-(lam_j+lam_k)T}) /
+    (lam_j + lam_k)`` and ``C_T = sqrt(lambda_max(E Q^{-1} E))`` with
+    ``E = diag(e^{-lam T})``, as in :func:`control_cost_mp`.
+    """
+    with mpmath.workdps(dps):
+        n = len(G)
+        lam, V = mpmath.eigsy(mpmath.matrix(np.asarray(G).tolist()))
+        Mt = V.T * mpmath.matrix(np.asarray(M).tolist()) * V
+        T = mpmath.mpf(T)
+        Q = mpmath.matrix(n, n)
+        for i in range(n):
+            for k in range(n):
+                s = lam[i] + lam[k]
+                Q[i, k] = Mt[i, k] * (T if s == 0 else (1 - mpmath.exp(-s * T)) / s)
+        E = mpmath.diag([mpmath.exp(-lam[i] * T) for i in range(n)])
+        A = E * mpmath.inverse(Q) * E
+        A = (A + A.T) / 2
+        return mpmath.sqrt(max(mpmath.eigsy(A, eigvals_only=True)))

@@ -153,6 +153,26 @@ def test_miller_small_roots_match_mpmath(beta, b, a, m):
     assert abs(c_star - c_ref) <= 1e-14 * c_ref
 
 
+def test_miller_root_near_the_top_of_double_range_matches_mpmath():
+    # the root is about 1e305, above every power of two below 1e300: the
+    # bracket is clipped to the right side, which the root never exceeds
+    s, c_star = miller_cstar(1e-10, 1e305, 1.0)
+    s_ref, c_ref = _miller_oracle(1e-10, 1e305, 1.0, 0.0)
+    assert s <= 1e305
+    # b ** (1 / (beta + 1)) rounds to within about |ln b| = 702 ulps, and s
+    # and c* follow the right side to first order
+    tol = 4.0 * (1.0 + math.log(1e305)) * np.finfo(float).eps
+    assert abs(s - s_ref) <= tol * s_ref
+    assert abs(c_star - c_ref) <= tol * c_ref
+
+
+def test_calibration_with_no_passing_constant_is_refused():
+    # at E = 0 the spectral_cube bound is (gamma / K5)^3.5 for d = 1, about
+    # 4e-44 at the search's cap K5 = 2^40: no K5 puts it below 1e-50
+    with pytest.raises(ParameterError, match="no passing value up to 1099511627776"):
+        calibrate_spectral_cube([(0.0, 1e-50)], 0.5, [1.0], 1)
+
+
 def test_miller_shipped_case_matches_closed_forms():
     # beta = b = a + m = 1: s (s + 2) = 2, so s = sqrt(3) - 1 and c* = 4 / s^4 = 7 + 4 sqrt(3)
     s, c_star = miller_cstar(1.0, 1.0, 0.0, 1.0)

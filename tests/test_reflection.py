@@ -19,7 +19,7 @@ from heatctl import (ControlProblem, DomainSpec, EquidistributedSpec, Observabil
                      ParameterError, PotentialSpec, build_basis, galerkin_schrodinger,
                      gram_matrix, make_equidistributed, spectral_ineq_constant,
                      spectral_ineq_sweep)
-from heatctl import geometry
+from heatctl import geometry, uncertainty
 from heatctl.geometry import mode_classes, set_blocks
 from heatctl.spectral import OperatorHandle, galerkin_matrix
 
@@ -201,13 +201,22 @@ def test_sweep_projects_each_class_once_at_its_largest_energy(potential, monkeyp
     single = [spectral_ineq_constant(op, S, E) for E in E_GRID]
     grams, projections = [], []
     _count(monkeypatch, geometry, "gram_matrix", grams)
+    _count(monkeypatch, uncertainty, "gram_matrix", grams)
     _count(monkeypatch, OperatorHandle, "project", projections)
     swept = [c for _, c in spectral_ineq_sweep(op, S, E_GRID)]
     assert len(grams) == 1
     classes = mode_classes(op, S)
     assert len(classes) == (1 if potential else 4)
-    assert sorted(B.shape for B in projections) == sorted(
-        (c[op.eigvals[c] <= E_GRID[-1]].size,) * 2 for c in classes)
+    if potential is None:
+        expect = [(c[op.eigvals[c] <= E_GRID[-1]].size,) * 2 for c in classes]
+    else:
+        # the top energy covers the basis: its constant comes from the blocks
+        # of the diagonal handle, with no projection, and the one class is
+        # projected up to the next energy only
+        assert E_GRID[-1] >= op.eigvals[-1] > E_GRID[-2]
+        expect = [(np.count_nonzero(op.eigvals <= E_GRID[-2]),) * 2]
+        expect += [(c.size,) * 2 for c in mode_classes(galerkin_schrodinger(op.basis), S)]
+    assert sorted(B.shape for B in projections) == sorted(expect)
     if potential is None:
         # principal blocks of principal blocks: the same bits
         assert swept == single
