@@ -6,7 +6,6 @@ everything box-shaped makes measures, window densities and Gram matrices
 against a :class:`~heatctl.spectral.SpectralBasis` available in closed form.
 """
 
-import functools
 import hashlib
 import itertools
 import json
@@ -14,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._trig import cross_integrals, separable_sum
+from ._trig import separable_sum
 from .errors import ParameterError
-from .spectral import _centred_atoms, _gather_block, box_integrals, group_modes, symmetrize
+from .spectral import (PotentialSpec, _even_centre, box_integrals, group_modes, symmetrize,
+                       term_blocks)
 
 _EPS = 1e-12
 
@@ -139,6 +139,25 @@ def _disjoint_boxes(pieces):
     return tuple(merged)
 
 
+def _check_family(boxes):
+    """Refuse a finite family whose boxes are not all of one dimension, or two
+    of whose boxes overlap, naming the first such pair: its Gram would count
+    the overlap twice.  Boxes that meet in no more than ``_EPS`` on some axis
+    touch and pass, as do those of :func:`make_equidistributed`."""
+    if len({len(box) for box in boxes}) > 1:
+        raise ParameterError("the boxes of a family must all have the same dimension")
+    if len(boxes) < 2:
+        return
+    edges = np.asarray(boxes, dtype=float)
+    lo, hi = edges[..., 0], edges[..., 1]
+    overlap = (np.minimum(hi[:, None], hi) - np.maximum(lo[:, None], lo) > _EPS).all(axis=2)
+    np.fill_diagonal(overlap, False)
+    if overlap.any():
+        # the first pair in row order has i < j, as overlap is symmetric
+        i, j = np.argwhere(overlap)[0]
+        raise ParameterError(f"the boxes {boxes[i]} and {boxes[j]} of a family overlap")
+
+
 @dataclass(frozen=True)
 class ObservabilitySet:
     """Union of boxes, periodic under ``cell`` or a finite family.
@@ -168,6 +187,8 @@ class ObservabilitySet:
                                      f"not {list(cell)}")
             object.__setattr__(self, "cell", cell)
             object.__setattr__(self, "boxes", _canonicalize_boxes(self.boxes, cell))
+        if self.kind == "equidistributed_balls":
+            _check_family(self.boxes)
 
     @property
     def dimension(self):
@@ -332,8 +353,8 @@ def mode_classes(op, S):
     torus, a handle with a potential (whose eigenvectors mix the classes) or
     a single cell per axis give the one class of all modes,
     ``(np.arange(n),)``, sized without reading the modes.
-    :func:`set_blocks` reads these classes, and splits a set that meets a
-    torus in one box by parity instead.
+    :func:`set_blocks` reads these classes, and splits a set whose region
+    boxes share a centre by parity instead.
     """
     basis = op.basis
     q = None if S is None else _torus_cells(basis.domain, S)
@@ -349,32 +370,21 @@ def class_block(op, M, modes):
     return modes, op.eigvals[modes], op.project(M, modes)
 
 
-def _single_box(dom, S):
-    """The box in which ``S`` meets the torus ``dom`` when that is one box,
-    else ``None``.
-
-    Only a periodic set with one cell per axis (as :func:`_torus_cells`
-    counts them) or a finite family that stores one box can qualify, so a
-    tiled set or a family of several boxes is turned away without building
-    its boxes, even a family whose other boxes all miss the domain.
-    """
-    if S is None or S.kind not in ("periodic_boxes", "equidistributed_balls") or len(S.boxes) != 1:
+def _parity_boxes(op, S):
+    """``(boxes, centre)`` when the set ``S`` splits by reflection parity under
+    handle ``op``, else ``None``: the handle is diagonal, its domain a torus,
+    ``S`` a periodic set of one cell per torus axis (as :func:`_torus_cells`
+    counts them) or a finite family, and its region boxes share a centre
+    (:func:`heatctl.spectral._even_centre`).  A tiled set is turned away
+    before any box is built."""
+    dom = op.basis.domain
+    if (not op.is_diagonal or dom.boundary != "periodic" or S is None
+            or S.kind not in ("periodic_boxes", "equidistributed_balls")
+            or any(q != 1 for q in _torus_cells(dom, S) or ())):
         return None
-    if any(q != 1 for q in _torus_cells(dom, S) or ()):
-        return None
-    boxes = S.boxes_in_region(dom.box())
-    return boxes[0] if len(boxes) == 1 else None
-
-
-@functools.lru_cache(maxsize=64)
-def _centred_table(side, lo, hi, ks):
-    """Read-only table of ``int_lo^hi f_i f_j`` over the atoms ``f`` of the
-    torus indices ``ks`` on an axis of length ``side``, centred at the
-    midpoint of ``(lo, hi)``; kept for the next blocks of the same box."""
-    atoms = _centred_atoms(side, 0.5 * (lo + hi), ks)
-    table = cross_integrals(atoms, atoms, [lo], [hi])[0]
-    table.flags.writeable = False
-    return table
+    boxes = region_boxes(dom, S)
+    centre = _even_centre(dom, boxes, ())
+    return None if centre is None else (boxes, centre)
 
 
 def set_blocks(op, S, E, gram=None):
@@ -384,30 +394,32 @@ def set_blocks(op, S, E, gram=None):
     on them in the eigenbasis, which couples no two classes.
 
     The modes of a class are sorted by eigenvalue, so the block at a lower
-    energy is the leading block of this one.  A set that meets the torus of
-    a diagonal handle in one box is symmetric under the reflection of every
-    axis through the box's midpoint ``c``.  In the atoms ``cos(w (x - c))``
-    and ``sin(w (x - c))``, which span the same eigenspaces, its Gram splits
-    into ``2^d`` parity blocks, the sign classes of the mode indices
-    (:attr:`heatctl.spectral.SpectralBasis.sign_classes`).  Each block is
-    then gathered by one flat ``np.take`` per axis from a cached table over
-    the axis's distinct atoms, and ``gram`` is not read.  Tiled sets keep
-    their Bloch classes alone: splitting those by parity as well leaves so
-    many tiny blocks that the calls cost more than the smaller blocks save.
-    Every other set takes the blocks of ``gram`` (assembled when ``None``)
-    over :func:`mode_classes`, each by :func:`class_block`.
+    energy is the leading block of this one.  On a diagonal handle, a set of
+    one cell per torus axis, or a finite family, whose region boxes are all
+    even about one centre ``c`` (:func:`_parity_boxes`; every set that meets
+    the torus in one box) is symmetric under the reflection of every axis
+    through ``c``.  In the atoms ``cos(w (x - c))`` and ``sin(w (x - c))``,
+    which span the same eigenspaces, its Gram splits into ``2^d`` parity
+    blocks, the sign classes of the mode indices
+    (:attr:`heatctl.spectral.SpectralBasis.sign_classes`), each gathered by
+    :func:`heatctl.spectral.term_blocks` from cached per-axis tables over the
+    distinct atoms, and ``gram`` is not read.  Tiled sets keep their Bloch
+    classes alone: splitting those by parity as well leaves so many tiny
+    blocks that the calls cost more than the smaller blocks save.  Every
+    other set takes the blocks of ``gram`` (assembled when ``None``) over
+    :func:`mode_classes`, each by :func:`class_block`.
     """
     basis = op.basis
-    dom = basis.domain
-    box = op.is_diagonal and dom.boundary == "periodic" and _single_box(dom, S)
-    classes = basis.sign_classes if box else mode_classes(op, S)
+    parity = _parity_boxes(op, S)
+    classes = basis.sign_classes if parity else mode_classes(op, S)
     kept = [modes for modes in (c[op.eigvals[c] <= E] for c in classes) if modes.size]
-    if not box:
+    if not parity:
         M = gram_matrix(basis, S) if gram is None else gram
         return [class_block(op, M, modes) for modes in kept]
-    tables = [_centred_table(side, lo, hi, tuple(distinct.tolist()))
-              for side, (lo, hi), (distinct, _) in zip(dom.sides, box, basis.axis_indices)]
-    return [(modes, op.eigvals[modes], _gather_block(tables, basis, modes)) for modes in kept]
+    boxes, centre = parity
+    terms = PotentialSpec(boxes=tuple((1.0, box) for box in boxes))
+    return [(modes, op.eigvals[modes], B)
+            for modes, B in zip(kept, term_blocks(basis, terms, kept, centre=centre))]
 
 
 def _axis_offsets(S, a_len, axis, grid):

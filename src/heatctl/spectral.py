@@ -10,7 +10,7 @@ act in this basis.
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -365,15 +365,6 @@ class OperatorHandle:
             return M[modes[0]:modes[-1] + 1, modes[0]:modes[-1] + 1]
         return M[np.ix_(modes, modes)]
 
-    def project_diagonal(self, M, modes):
-        """The diagonal of ``project(M, modes)``, without the rest of the
-        block: ``np.diagonal(M)[modes]`` on a diagonal handle, the column
-        sums of ``V_k * (M V_k)`` on a dense one."""
-        if self.eigvecs is None:
-            return np.diagonal(M)[modes]
-        V = self.eigvecs[:, modes]
-        return np.einsum("ij,ij->j", V, M @ V)
-
     def to_eigenbasis(self, u):
         return u if self.eigvecs is None else self.eigvecs.T @ u
 
@@ -401,11 +392,23 @@ def symmetrize(M):
     return M
 
 
-def _centred_atoms(side, centre, ks):
-    """``(amps, freqs, phases)`` of the atoms of the torus indices ``ks`` on an
-    axis of length ``side``, centred at ``centre``: ``cos(w (x - centre))``
-    for ``k >= 0`` and ``sin(w (x - centre))`` for ``k < 0``."""
-    return np.array([_axis_atom("periodic", side, centre, k) for k in ks]).T
+def _atoms(boundary, side, origin, ks):
+    """``(amps, freqs, phases)`` of the 1D modes ``ks`` of a ``boundary`` axis of
+    length ``side`` whose phases start at ``origin``: the domain's origin for
+    the basis's own atoms, a centre ``c`` of a torus for the atoms
+    ``cos(w (x - c))`` (``k >= 0``) and ``sin(w (x - c))`` (``k < 0``)."""
+    return np.array([_axis_atom(boundary, side, origin, k) for k in ks]).T
+
+
+@lru_cache(maxsize=64)
+def _box_table(boundary, side, origin, lo, hi, ks):
+    """Read-only table of ``int_lo^hi f_i f_j`` over the atoms ``f`` of
+    :func:`_atoms`, exactly symmetric as the cross kernel forms it; kept for
+    the next blocks of the same box, set or potential."""
+    atoms = _atoms(boundary, side, origin, ks)
+    table = _trig.cross_integrals(atoms, atoms, [lo], [hi])[0]
+    table.flags.writeable = False
+    return table
 
 
 def _gather_block(tables, basis, modes):
@@ -422,8 +425,8 @@ def _gather_block(tables, basis, modes):
 
 def _cosine_tables(dom, atoms, kvec):
     """Per axis, ``int f_i f_j cos(w0 (x - o))`` over the axis of the domain
-    ``dom`` for the atoms ``atoms[ax]``, ``o`` the domain's origin, as a
-    ``(1, m, m)`` table."""
+    ``dom`` for the atoms ``atoms[ax]``, ``o`` the domain's origin,
+    symmetrized."""
     unit = (2.0 * np.pi if dom.boundary == "periodic" else np.pi)
     tables = []
     for ax, (a, b) in enumerate(dom.box()):
@@ -431,73 +434,110 @@ def _cosine_tables(dom, atoms, kvec):
         w0 = kvec[ax] * unit / dom.sides[ax]
         p0 = -w0 * a
         # f_j cos(w0 x + p0) is the sum of the half-amplitude atoms at w_j -+ w0
-        tables.append(sum(_trig.cross_integrals(
-            atoms[ax], (0.5 * amps, freqs + s * w0, phases + s * p0), [a], [b])
-            for s in (-1.0, 1.0)))
+        t = sum(_trig.cross_integrals(atoms[ax], (0.5 * amps, freqs + s * w0, phases + s * p0),
+                                      [a], [b])[0] for s in (-1.0, 1.0))
+        tables.append(0.5 * (t + t.T))
     return tables
 
 
-def _cosine_galerkin_block(basis, kvec):
-    """``int phi_i phi_j prod_ax cos(w0_ax (x_ax - o_ax))`` over the domain."""
-    index = [idx for _, idx in basis.axis_atoms]
-    return _trig.separable_sum(_cosine_tables(basis.domain, [a for a, _ in basis.axis_atoms],
-                                              kvec), index, index)
+@np.errstate(over="ignore", invalid="ignore")
+def term_blocks(basis, terms, classes, diagonal=None, centre=None):
+    """Per ascending index array of ``classes``, the block on those modes of
+    ``diag(diagonal + c) + sum_box coeff 1_box + sum_cos coeff cos`` for the
+    :class:`PotentialSpec` ``terms`` of constant ``c``: the one assembler of
+    Galerkin matrices and of the parity blocks of sets.  With no
+    ``diagonal`` the constant is not read, and the blocks start from the
+    first term, with no zero matrix beneath.
+
+    The atoms are the basis's own, or those centred at ``centre`` on a torus
+    (:func:`_even_centre`), in which the terms couple no two sign classes.
+    Each block is ``diag + sum coeff * gather``: one gather per axis and term
+    (:func:`_gather_block`) from the cached box tables of :func:`_box_table`
+    or the symmetrized cosine tables, so every block is exactly symmetric.
+    On a box domain each box is clipped to the domain, and a box it misses
+    adds nothing; a torus wraps.  A block with a diagonal (a Galerkin matrix
+    or a potential's) whose sums leave double range raises
+    :class:`NumericError`, and numpy warns of nothing on the way; a set's
+    blocks, sums of products of table entries, are not scanned again.
+    """
+    dom = basis.domain
+    origins = dom.origin if centre is None else centre
+    distinct = [tuple(d.tolist()) for d, _ in basis.axis_indices]
+    tables = []
+    for coeff, box in terms.boxes:
+        if dom.boundary != "periodic":
+            box = [(max(lo, a), min(hi, b)) for (lo, hi), (a, b) in zip(box, dom.box())]
+            if any(lo >= hi for lo, hi in box):
+                continue
+        tables.append((coeff, [_box_table(dom.boundary, side, o, lo, hi, ks)
+                               for side, o, (lo, hi), ks in zip(dom.sides, origins, box, distinct)]))
+    if terms.cosines:
+        atoms = [_atoms(dom.boundary, side, o, ks)
+                 for side, o, ks in zip(dom.sides, origins, distinct)]
+        tables += [(coeff, _cosine_tables(dom, atoms, kvec)) for coeff, kvec in terms.cosines]
+    blocks = []
+    for modes in classes:
+        B = None if diagonal is None else np.diag(diagonal[modes] + terms.constant)
+        for coeff, t in tables:
+            term = _gather_block(t, basis, modes)
+            if coeff != 1.0:
+                term *= coeff
+            B = term if B is None else np.add(B, term, out=B)
+            # freed before the next gather: at most three blocks' worth live
+            del term
+        if diagonal is not None and not np.all(np.isfinite(B)):
+            raise NumericError(f"Galerkin matrix is not finite (sup_norm={terms.sup_norm})")
+        blocks.append(np.zeros((modes.size, modes.size)) if B is None else B)
+    return blocks
 
 
 def _check_terms(basis, potential):
     """Refuse a box without one ``(lo, hi)`` pair with ``lo < hi`` per axis of
-    the domain of ``basis``, or a cosine without one frequency per axis."""
+    the domain of ``basis``, or a cosine without one integer frequency per
+    axis."""
     d = basis.domain.dimension
     for _, box in potential.boxes:
         if len(box) != d or any(len(e) != 2 or not e[0] < e[1] for e in box):
             raise ParameterError(f"box {box} needs a (lo, hi) pair with lo < hi per axis")
     for _, kvec in potential.cosines:
-        if len(kvec) != d:
-            raise ParameterError(f"cosine term {kvec} needs one frequency per axis")
+        if len(kvec) != d or not all(float(k).is_integer() for k in kvec):
+            raise ParameterError(f"cosine term {kvec} needs one integer frequency per axis")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def galerkin_matrix(basis, potential):
-    """Symmetrized Galerkin matrix of ``-Laplace + V`` in ``basis``.
+    """Galerkin matrix of ``-Laplace + V`` in ``basis``: the one-class case of
+    :func:`term_blocks` in the basis's own atoms, exactly symmetric.
 
-    Indicator and cosine terms are integrated in closed form.  A box without
-    one ``(lo, hi)`` pair with ``lo < hi`` per axis of the domain, or a
-    cosine without one frequency per axis, raises :class:`ParameterError`;
-    a matrix whose sums or symmetrization leave double range raises
-    :class:`NumericError`, and numpy warns of nothing on the way.
+    Indicator and cosine terms are integrated in closed form, each box
+    clipped to a box domain.  A box without one ``(lo, hi)`` pair with
+    ``lo < hi`` per axis of the domain, or a cosine without one integer
+    frequency per axis, raises :class:`ParameterError`; a matrix whose sums
+    leave double range raises :class:`NumericError`, and numpy warns of
+    nothing on the way.
     """
     _check_terms(basis, potential)
-    M = np.diag(basis.eigenvalues + potential.constant)
-    for coeff, box in potential.boxes:
-        M += coeff * box_integrals(basis, basis, [box])
-    for coeff, kvec in potential.cosines:
-        M += coeff * _cosine_galerkin_block(basis, kvec)
-    M = symmetrize(M)
-    if not np.all(np.isfinite(M)):
-        raise NumericError(f"Galerkin matrix is not finite (sup_norm={potential.sup_norm})")
-    return M
+    return term_blocks(basis, potential, (np.arange(basis.n),), basis.eigenvalues)[0]
 
 
-def _even_centre(basis, potential):
-    """A point ``c`` about which every term of ``potential`` is even on every
-    axis of the torus of ``basis``, or ``None``.
+def _even_centre(dom, boxes, cosines):
+    """A point ``c`` about which every box of ``boxes`` and every cosine of the
+    frequency vectors ``cosines`` is even on every axis of the torus ``dom``,
+    or ``None``: the one rule of reflection parity, for sets and potentials.
 
     A box is even about its midpoint, a cosine about the domain's origin on
-    each axis where its frequency is not 0, and the constant, or a cosine
+    each axis where its frequency is not 0, and a constant, or a cosine
     axis of frequency 0, about any point.  On a torus the reflection through
     ``c`` is that through ``c + side/2``, so the centres asked for must agree
     modulo ``side/2`` on every axis, to a few ulps of the side, and ``c``
     is taken within ``side/4`` of the origin; an axis that asks for none
-    takes the origin itself.  Any other domain, or a basis in which
-    some mode has no partner (:attr:`SpectralBasis.axis_partners`), has none.
+    takes the origin itself.  Any other domain has none.
     """
-    dom = basis.domain
-    if dom.boundary != "periodic" or basis.axis_partners is None:
+    if dom.boundary != "periodic":
         return None
     centre = []
     for ax, (side, origin) in enumerate(zip(dom.sides, dom.origin)):
-        points = [0.5 * (box[ax][0] + box[ax][1]) for _, box in potential.boxes]
-        points += [origin for _, kvec in potential.cosines if kvec[ax]]
+        points = [0.5 * (box[ax][0] + box[ax][1]) for box in boxes]
+        points += [origin for kvec in cosines if kvec[ax]]
         c = points[0] if points else origin
         if any(abs(math.remainder(p - c, 0.5 * side)) > 4.0 * np.spacing(side) for p in points):
             return None
@@ -505,48 +545,27 @@ def _even_centre(basis, potential):
     return centre
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _eigh_by_sign_class(basis, potential, centre):
-    """Eigenpairs of the Galerkin matrix of ``-Laplace + V`` for a ``V`` even
-    about ``centre`` (:func:`_even_centre`), one sign class at a time.
+def _rotated(basis, solved, centre):
+    """Eigenvalues and eigenvectors in the basis's own atoms of the eigenpairs
+    ``solved`` of the sign-class blocks in the atoms centred at ``centre``.
 
-    In the atoms centred at ``centre`` the matrix couples no two sign classes
-    (:attr:`SpectralBasis.sign_classes`): each class block is gathered from
-    per-axis tables over the distinct atoms (symmetrized, so every block is
-    exactly symmetric) and solved by its own ``eigh``, and its eigenvectors
-    go straight into their columns of the eigenvalue-sorted result.  Back in
-    the basis's own atoms, centred at the origin ``o``, the coefficient of a
-    mode ``i`` is ``cos(w d) u[i] - sign(k) sin(w d) u[partner]`` per axis,
-    ``d = c - o``, ``w`` the mode's frequency and ``partner`` the mode with
-    ``k`` negated on that axis; an axis with ``d = 0`` is not touched.  A
-    block whose sums leave double range raises :class:`NumericError`.
+    Each class's eigenvectors go straight into their columns of the
+    eigenvalue-sorted result.  Back in the basis's own atoms, centred at the
+    origin ``o``, the coefficient of a mode ``i`` is
+    ``cos(w d) u[i] - sign(k) sin(w d) u[partner]`` per axis, ``d = c - o``,
+    ``w`` the mode's frequency and ``partner`` the mode with ``k`` negated on
+    that axis (:attr:`SpectralBasis.axis_partners`); an axis with ``d = 0``
+    is not touched.
     """
-    dom = basis.domain
-    atoms = [_centred_atoms(side, c, distinct)
-             for side, c, (distinct, _) in zip(dom.sides, centre, basis.axis_indices)]
-    terms = [(coeff, [_trig.cross_integrals(a, a, [lo], [hi])[0]
-                      for a, (lo, hi) in zip(atoms, box)])
-             for coeff, box in potential.boxes]
-    terms += [(coeff, [t[0] for t in _cosine_tables(dom, atoms, kvec)])
-              for coeff, kvec in potential.cosines]
-    terms = [(coeff, [0.5 * (t + t.T) for t in tables]) for coeff, tables in terms]
-    solved = []
-    for modes in basis.sign_classes:
-        B = np.diag(basis.eigenvalues[modes] + potential.constant)
-        for coeff, tables in terms:
-            B += coeff * _gather_block(tables, basis, modes)
-        if not np.all(np.isfinite(B)):
-            raise NumericError(f"Galerkin matrix is not finite (sup_norm={potential.sup_norm})")
-        solved.append(np.linalg.eigh(B))
     eigvals = np.concatenate([w for w, _ in solved])
     order = np.argsort(eigvals, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(order.size)
+    # each eigenvalue's column in the sorted result: the inverse permutation
+    column = np.argsort(order)
     # per rotated axis, the coefficients of a mode and of its partner
     k = basis.mode_indices
     turns = []
     for ax, ((_, freqs, _), index) in enumerate(basis.axis_atoms):
-        delta = centre[ax] - dom.origin[ax]
+        delta = centre[ax] - basis.domain.origin[ax]
         if delta:
             w = freqs[index] * delta
             turns.append((ax, np.cos(w), -np.sign(k[:, ax]) * np.sin(w)))
@@ -573,24 +592,31 @@ def _eigh_by_sign_class(basis, potential, centre):
 def galerkin_schrodinger(basis, potential=None):
     """Handle of the eigenpairs of ``-Laplace + V`` in ``basis``.
 
-    With ``potential=None`` the handle is exactly diagonal; otherwise its
-    eigenpairs are those of :func:`galerkin_matrix`, which is not kept.  On
-    a torus where every term of the potential is even about one centre
-    (:func:`_even_centre`) they come from one ``eigh`` per sign class
-    (:func:`_eigh_by_sign_class`), about ``2^d`` times smaller each; every
-    other potential or domain takes one ``eigh`` of the whole matrix.  A
-    malformed term is refused before any centre is sought.
+    With ``potential=None`` the handle is exactly diagonal.  Otherwise a
+    malformed term is refused (as by :func:`galerkin_matrix`) before any
+    centre is sought, and the blocks of :func:`term_blocks` are solved by one
+    ``eigh`` each.  On a torus where every term is even about one centre
+    (:func:`_even_centre`) and every mode has its partners
+    (:attr:`SpectralBasis.axis_partners`), which the rotation back reads,
+    the blocks are the ``2^d`` sign classes in the atoms centred there, about
+    ``2^d`` times smaller each, and the eigenvectors are rotated back
+    (:func:`_rotated`).  Any other potential or domain solves the one class
+    of all modes, the Galerkin matrix itself, which is not kept.  A block
+    whose sums leave double range raises :class:`NumericError`.
     """
     if basis.n == 0:
         raise ParameterError("basis is empty")
     if potential is None:
         return OperatorHandle(basis=basis, eigvals=basis.eigenvalues.copy())
     _check_terms(basis, potential)
-    centre = _even_centre(basis, potential)
-    if centre is None:
-        eigvals, eigvecs = np.linalg.eigh(galerkin_matrix(basis, potential))
-    else:
-        eigvals, eigvecs = _eigh_by_sign_class(basis, potential, centre)
+    centre = _even_centre(basis.domain, [box for _, box in potential.boxes],
+                          [kvec for _, kvec in potential.cosines])
+    if centre is not None and basis.axis_partners is None:
+        centre = None
+    classes = (np.arange(basis.n),) if centre is None else basis.sign_classes
+    solved = [np.linalg.eigh(B)
+              for B in term_blocks(basis, potential, classes, basis.eigenvalues, centre)]
+    eigvals, eigvecs = solved[0] if centre is None else _rotated(basis, solved, centre)
     return OperatorHandle(basis=basis, eigvals=eigvals, potential=potential, eigvecs=eigvecs)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import _trig, runio
 from .errors import DegenerateSetError, ParameterError
 from .geometry import ObservabilitySet, check_gamma, check_ratio, gram_matrix, set_blocks
-from .spectral import PotentialSpec, galerkin_matrix, galerkin_schrodinger
+from .spectral import PotentialSpec, _check_terms, galerkin_schrodinger, term_blocks
 
 
 @dataclass(frozen=True)
@@ -505,11 +505,12 @@ def eigenvalue_lifting_check(op, W, E, support=None):
     elif isinstance(W, PotentialSpec):
         if W.inf_value < 0:
             raise ParameterError("perturbation must be non-negative")
-        Mw = galerkin_matrix(op.basis, W) - np.diag(op.basis.eigenvalues)
+        _check_terms(op.basis, W)
+        Mw = term_blocks(op.basis, W, (np.arange(op.n),), np.zeros(op.n))[0]
     else:
         raise ParameterError("W must be a set indicator or a PotentialSpec")
     idx = subspace_indices(op, E)
-    derivs = op.project_diagonal(Mw, idx)
+    derivs = np.diagonal(op.project(Mw, idx))
     if support is None:
         ref = 0.0
     else:

@@ -72,6 +72,23 @@ def test_spectral_ineq_half_interval_row(tmp_path):
     assert float(row_e4[3]) > 0
 
 
+def test_spectral_ineq_clips_a_potential_box_to_the_domain(tmp_path):
+    """A potential box reaching beyond a Dirichlet interval acts as the box
+    clipped to it, number for number."""
+    rows = []
+    for hi in (4.0, math.pi):
+        cfg = base("spectral-ineq",
+                   domain={"interval": [0.0, math.pi], "boundary": "dirichlet"},
+                   set={"kind": "periodic_boxes", "cell": [math.pi], "boxes": [[[0.3, 1.9]]]},
+                   potential={"boxes": [[2.0, [[2.5, hi]]]]},
+                   e_max=100.0, e_grid=[2.0, 16.0, 100.0])
+        out = tmp_path / f"out_{hi}"
+        assert main(["spectral-ineq", "--config", write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == 0
+        rows.append(read_csv(out / "spectral_ineq.csv"))
+    assert rows[0] == rows[1] and len(rows[0]) == 4
+
+
 def test_malformed_config_exits_2_without_files(tmp_path, capsys):
     cfg = base("spectral-ineq", bogus_key=1,
                domain={"interval": [0.0, 1.0]}, set="full",
@@ -1037,6 +1054,15 @@ REFUSED = {
     "box_of_no_extent": ("spectral-ineq", {**SI, "set": _set_record([[1.0, 1.0]])},
                          "box has non-positive extent"),
     "empty_potential": ("spectral-ineq", {**SI, "potential": {}}, "potential spec is empty"),
+    # a Gram over these boxes would count (1.0, 2.0) twice
+    "family_boxes_overlap": (
+        "spectral-ineq", {**SI, "set": {"kind": "equidistributed_balls",
+                                        "boxes": [[[0.5, 2.0]], [[2.0, 2.5]], [[1.0, 2.5]]]}},
+        "the boxes ((0.5, 2.0),) and ((1.0, 2.5),) of a family overlap"),
+    "family_boxes_of_two_dimensions": (
+        "spectral-ineq", {**SI, "set": {"kind": "equidistributed_balls",
+                                        "boxes": [[[0.5, 1.0]], [[2.0, 2.5], [0.0, 1.0]]]}},
+        "the boxes of a family must all have the same dimension"),
     "zero_horizon": ("synthesize", {**SYNTH, "T": 0.0}, "horizon T must be positive"),
     "zero_time": ("exhaust", {**EXHAUST, "t": 0.0}, "t must be positive"),
     "energy_above_e_max": ("spectral-ineq", {**SI, "e_grid": [1.0, 4.0, 9.0]},
@@ -1087,14 +1113,16 @@ REFUSED = {
     "miller_right_side_beyond_double_range": (
         "bounds", {"miller": {"beta": 0.01, "b": 1e308, "a": 1e-300}},
         "the right side of the root equation is beyond double range"),
-    # the Galerkin sums and the symmetrization overflow; numpy warns of neither
+    # the Galerkin sums overflow; numpy warns of nothing
     "potential_sums_beyond_double_range": (
         "spectral-ineq", {**BAND, "potential": {"constant": 1.5e308,
                                                 "boxes": [[1.5e308, [[0.0, 1.0]]]]}},
         "Galerkin matrix is not finite (sup_norm=inf)"),
+    # no matrix is symmetrized, so a constant of 1e308 stays finite, and every
+    # eigenvalue lies above the grid
     "potential_symmetrization_beyond_double_range": (
         "spectral-ineq", {**BAND, "potential": {"constant": 1e308}},
-        "Galerkin matrix is not finite (sup_norm=1e+308)"),
+        "no eigenvalue below E=4.0"),
     "a_norm_beyond_double_range": (
         "bounds", _evaluation("thick2", T=1.0, gamma=0.5, a=[1e308, 1e308]),
         "thick2: ||a||_1 is not finite (inf) for a = [1e+308, 1e+308]"),

@@ -5,12 +5,15 @@ no two sign classes in the atoms centred there, so ``galerkin_schrodinger``
 solves one small ``eigh`` per class and rotates the eigenvectors back to the
 basis's own atoms.  Its eigenpairs are checked against the dense ``eigh`` of
 ``galerkin_matrix`` and its ``C_T`` against a 50-digit oracle; every other
-potential or domain keeps the dense path bit for bit.  On a dense handle the
+potential or domain solves the one class of all modes, the Galerkin matrix,
+whose box terms keep the bits of the former box-sum assembly, and whose
+boxes are clipped to a box domain.  On a dense handle the
 spectral constant at an energy that keeps every mode is read from the set's
 own blocks, which is checked against the projected Gram.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,10 +23,17 @@ from heatctl import (ControlProblem, DomainSpec, EquidistributedSpec, NumericErr
                      build_basis, empirical_cost,
                      galerkin_schrodinger, gram_matrix, make_equidistributed,
                      spectral_ineq_constant, spectral_ineq_sweep)
-from heatctl.spectral import OperatorHandle, _even_centre, galerkin_matrix
+from heatctl.spectral import (OperatorHandle, _even_centre, box_integrals, galerkin_matrix,
+                              symmetrize)
 from oracles import galerkin_cost_mp
 
 TWO_PI = 2.0 * math.pi
+
+
+def _centre(basis, potential):
+    """The centre that ``galerkin_schrodinger`` reads for ``potential``."""
+    return _even_centre(basis.domain, [box for _, box in potential.boxes],
+                        [kvec for _, kvec in potential.cosines])
 
 # name: (domain, e_max, potential), each potential even about one centre
 CENTRED = {
@@ -68,7 +78,7 @@ def _counted_eigh(monkeypatch):
 def test_centred_potential_is_solved_per_sign_class(monkeypatch, name):
     dom, e_max, potential = CENTRED[name]
     basis = build_basis(dom, e_max)
-    assert _even_centre(basis, potential) is not None
+    assert _centre(basis, potential) is not None
     sizes = _counted_eigh(monkeypatch)
     op = galerkin_schrodinger(basis, potential)
     monkeypatch.undo()
@@ -93,7 +103,7 @@ def test_centred_potential_is_solved_per_sign_class(monkeypatch, name):
 ], ids=["1d", "2d"])
 def test_cost_of_a_centred_potential_matches_the_50_digit_oracle(dom, e_max, S, potential, T):
     basis = build_basis(dom, e_max)
-    assert _even_centre(basis, potential) is not None
+    assert _centre(basis, potential) is not None
     c_T = empirical_cost(ControlProblem.from_set(galerkin_schrodinger(basis, potential), S, T))
     exact = galerkin_cost_mp(galerkin_matrix(basis, potential), gram_matrix(basis, S), T)
     # the Gramians are conditioned below 1e3
@@ -113,7 +123,7 @@ def test_cost_of_a_centred_potential_matches_the_50_digit_oracle(dom, e_max, S, 
 ], ids=["1d_box_and_cosine", "2d_two_boxes", "dirichlet", "neumann"])
 def test_potential_without_a_centre_keeps_the_dense_bits(dom, potential):
     basis = build_basis(dom, 40.0)
-    assert _even_centre(basis, potential) is None
+    assert _centre(basis, potential) is None
     op = galerkin_schrodinger(basis, potential)
     eigvals, eigvecs = np.linalg.eigh(galerkin_matrix(basis, potential))
     assert np.array_equal(op.eigvals, eigvals) and np.array_equal(op.eigvecs, eigvecs)
@@ -126,14 +136,72 @@ def test_malformed_box_is_refused_before_any_centre(box):
         galerkin_schrodinger(basis, PotentialSpec(boxes=((1.0, box),)))
 
 
-def test_basis_whose_modes_lack_partners_keeps_the_dense_path():
+def test_box_only_galerkin_matrix_keeps_the_former_bits():
+    """Box terms inside the domain give the bits of the former assembly: the
+    diagonal plus each box's one-box sum, symmetrized."""
+    for dom, potential in [
+            (DomainSpec.torus(TWO_PI, TWO_PI),
+             PotentialSpec(constant=0.5, boxes=((1.0, ((0.5, 2.5), (1.0, 3.0))),
+                                                (2.0, ((1.0, 2.0), (0.0, 3.0)))))),
+            (DomainSpec.interval(0.0, math.pi, "dirichlet"),
+             PotentialSpec.indicator([(0.5, 1.5)], 2.0)),
+            (DomainSpec("neumann", (math.pi, 2.0)),
+             PotentialSpec.indicator([(0.5, 1.5), (0.0, 1.0)])),
+            (DomainSpec.torus(TWO_PI, TWO_PI, TWO_PI),
+             PotentialSpec.indicator([(0.5, 2.5), (1.0, 3.0), (2.0, 2.5)], 4.0))]:
+        basis = build_basis(dom, 14.0)
+        former = np.diag(basis.eigenvalues + potential.constant)
+        for coeff, box in potential.boxes:
+            former += coeff * box_integrals(basis, basis, [box])
+        assert np.array_equal(galerkin_matrix(basis, potential), symmetrize(former))
+
+
+@pytest.mark.parametrize("dom", [DomainSpec.interval(0.0, math.pi, "dirichlet"),
+                                 DomainSpec.interval(0.0, math.pi, "neumann")])
+def test_box_beyond_a_box_domain_is_clipped(dom):
+    basis = build_basis(dom, 100.0)
+    clipped = galerkin_schrodinger(basis, PotentialSpec.indicator([(2.5, math.pi)], 3.0))
+    op = galerkin_schrodinger(basis, PotentialSpec.indicator([(2.5, 4.0)], 3.0))
+    assert np.array_equal(op.eigvals, clipped.eigvals)
+    assert np.array_equal(op.eigvecs, clipped.eigvecs)
+    # a box wholly outside adds nothing: the free spectrum
+    outside = PotentialSpec(constant=0.5, boxes=((3.0, ((4.0, 5.0),)), (2.0, ((-1.0, 0.0),))))
+    assert np.array_equal(galerkin_matrix(basis, outside), np.diag(basis.eigenvalues + 0.5))
+    free = galerkin_schrodinger(basis, outside)
+    assert np.max(np.abs(free.eigvals - basis.eigenvalues - 0.5)) <= 1e-12
+
+
+def test_box_beyond_a_torus_wraps():
+    basis = build_basis(DomainSpec.torus(math.pi), 100.0)
+    wrapped = galerkin_matrix(basis, PotentialSpec.indicator([(2.5, 4.0)], 3.0))
+    pieces = galerkin_matrix(basis, PotentialSpec(boxes=((3.0, ((2.5, math.pi),)),
+                                                         (3.0, ((0.0, 4.0 - math.pi),)))))
+    assert np.max(np.abs(wrapped - pieces)) <= 1e-13
+
+
+@pytest.mark.parametrize("kvec", [(1.5,), (2, 0.5), (math.inf, 1)])
+def test_non_integer_cosine_frequency_is_refused(kvec):
+    dom = DomainSpec.torus(*(TWO_PI,) * len(kvec))
+    basis = build_basis(dom, 16.0)
+    potential = PotentialSpec(cosines=((2.0, kvec),))
+    message = f"^cosine term {re.escape(str(kvec))} needs one integer frequency per axis$"
+    for build in (galerkin_schrodinger, galerkin_matrix):
+        with pytest.raises(ParameterError, match=message):
+            build(basis, potential)
+
+
+def test_basis_whose_modes_lack_partners_solves_one_class(monkeypatch):
     # a hand-built torus basis holding the cosine of frequency 1 without its sine
     dom = DomainSpec.torus(TWO_PI)
     basis = SpectralBasis(domain=dom, modes=((0,), (1,), (2,), (-2,)),
                           eigenvalues=np.array([0.0, 1.0, 4.0, 4.0]))
     potential = PotentialSpec.indicator([(1.0, 2.0)], 2.0)
-    assert basis.axis_partners is None and _even_centre(basis, potential) is None
+    # the potential is even about a centre, but no rotation could go back
+    assert basis.axis_partners is None and _centre(basis, potential) is not None
+    sizes = _counted_eigh(monkeypatch)
     op = galerkin_schrodinger(basis, potential)
+    monkeypatch.undo()
+    assert sizes == [basis.n]
     eigvals, eigvecs = np.linalg.eigh(galerkin_matrix(basis, potential))
     assert np.array_equal(op.eigvals, eigvals) and np.array_equal(op.eigvecs, eigvecs)
 
@@ -142,7 +210,7 @@ def test_class_block_beyond_double_range_is_refused():
     # the box covers most of the torus: on the diagonal, 1.5e308 (1 + 6/(2 pi))
     basis = build_basis(DomainSpec.torus(TWO_PI), 9.0)
     potential = PotentialSpec(constant=1.5e308, boxes=((1.5e308, ((0.0, 6.0),)),))
-    assert _even_centre(basis, potential) is not None
+    assert _centre(basis, potential) is not None
     with np.errstate(all="raise"):
         with pytest.raises(NumericError, match="Galerkin matrix is not finite"):
             galerkin_schrodinger(basis, potential)
@@ -182,7 +250,7 @@ def test_whole_basis_constant_comes_from_the_set_blocks(monkeypatch, name, centr
                  PotentialSpec(boxes=((1.0, ((0.5, 2.5), (1.0, 3.0))),
                                       (2.0, ((1.0, 2.0), (0.0, 3.0))))))
     op = galerkin_schrodinger(basis, potential)
-    assert (_even_centre(basis, potential) is not None) == centred
+    assert (_centre(basis, potential) is not None) == centred
     S = _sets()[name]
     M = gram_matrix(basis, S)
     projected = float(np.linalg.eigvalsh(op.project(M))[0])

@@ -1,7 +1,8 @@
 """The class blocks of ``geometry.set_blocks`` and the constants read from them.
 
-A set that meets a torus in one box is symmetric under the reflection of
-every axis through the box's midpoint, so in the atoms centred there its
+A set whose region boxes on a torus are all even about one centre (every
+one-box set, and for example a centred 2x2 family) is symmetric under the
+reflection of every axis through it, so in the atoms centred there its
 Gram splits into ``2^d`` blocks by the sign pattern of the mode indices.
 The constants of these blocks are checked against the dense path, the sets
 that must keep the classes of ``mode_classes`` are checked to keep them, a
@@ -19,9 +20,9 @@ from heatctl import (ControlProblem, DomainSpec, EquidistributedSpec, Observabil
                      ParameterError, PotentialSpec, build_basis, galerkin_schrodinger,
                      gram_matrix, make_equidistributed, spectral_ineq_constant,
                      spectral_ineq_sweep)
-from heatctl import geometry, uncertainty
+from heatctl import geometry, spectral, uncertainty
 from heatctl.geometry import mode_classes, set_blocks
-from heatctl.spectral import OperatorHandle, galerkin_matrix
+from heatctl.spectral import OperatorHandle, _even_centre
 
 TWO_PI = 2.0 * math.pi
 E_GRID = (0.5, 1.0, 2.0, 4.0, 9.0, 16.0, 25.0, 40.0)
@@ -178,19 +179,19 @@ def test_sweep_gathers_each_parity_block_once_at_its_largest_energy(monkeypatch)
     S = ObservabilitySet.periodic((4.0, 4.0), [((0.3, 1.1), (2.0, 3.5))])
     expect = [c for _, c in spectral_ineq_sweep(op, S, E_GRID)]
     tables, gathers = [], []
-    _count(monkeypatch, geometry, "_centred_table", tables)
-    _count(monkeypatch, np, "take", gathers)
+    _count(monkeypatch, spectral, "_box_table", tables)
+    _count(monkeypatch, spectral, "_gather_block", gathers)
     pairs = spectral_ineq_sweep(op, S, E_GRID)
     assert [c for _, c in pairs] == expect
-    # one table per axis, one gather per axis and sign class, sized at the top
+    # one table per axis, one gather per sign class, sized at the top
     assert len(tables) == 2
     top = [c[op.eigvals[c] <= E_GRID[-1]] for c in op.basis.sign_classes]
-    assert sorted(g.shape for g in gathers) == sorted((c.size, c.size) for c in top for _ in "xy")
+    assert sorted(g.shape for g in gathers) == sorted((c.size, c.size) for c in top)
     # one energy gathers the modes up to it alone, as a sweep of one
     gathers.clear()
     assert spectral_ineq_constant(op, S, 9.0) == expect[4]
     low = [c[op.eigvals[c] <= 9.0] for c in op.basis.sign_classes]
-    assert sorted(g.shape for g in gathers) == sorted((c.size, c.size) for c in low for _ in "xy")
+    assert sorted(g.shape for g in gathers) == sorted((c.size, c.size) for c in low)
 
 
 @pytest.mark.parametrize("potential", [None, PotentialSpec(constant=0.5,
@@ -248,14 +249,16 @@ def test_control_problem_blocks_are_the_set_blocks():
 
 
 def test_sign_classes_split_the_centred_gram():
-    """In the atoms centred at the box's midpoint the Gram vanishes between
+    """In the atoms centred at the box's centre the Gram vanishes between
     sign classes to rounding, and within them it is the gathered block."""
     op = _op((4.0, 4.0), 30.0)
     box = ((0.9, 2.2), (1.5, 3.8))
     S = ObservabilitySet.periodic((4.0, 4.0), [box])
     basis = op.basis
-    centred = build_basis(DomainSpec("periodic", (4.0, 4.0),
-                                     tuple(0.5 * (lo + hi) for lo, hi in box)), 30.0)
+    # the representative within a quarter side of the origin, not the midpoint
+    centre = _even_centre(basis.domain, [box], ())
+    assert np.allclose(centre, (1.55 - 2.0, 2.65 - 2.0), rtol=0.0, atol=1e-15)
+    centred = build_basis(DomainSpec("periodic", (4.0, 4.0), tuple(centre)), 30.0)
     assert centred.modes == basis.modes
     M = gram_matrix(centred, S)
     classes = basis.sign_classes
@@ -283,32 +286,46 @@ def test_constant_refuses_missing_set_and_malformed_gram(dirichlet_op, half_inte
         spectral_ineq_sweep(dirichlet_op, None, [4.0])
 
 
-@pytest.mark.parametrize("potential", [None, PotentialSpec(constant=0.5,
-                                                           cosines=((0.4, (1, 2)),))])
-def test_project_diagonal_matches_the_former_branches(potential):
-    op = _op((TWO_PI, TWO_PI), 30.0, potential)
-    M = galerkin_matrix(op.basis, PotentialSpec.indicator([(0.5, 2.0), (1.0, 3.0)]))
-    idx = np.flatnonzero(op.eigvals <= 12.0)
-    if op.is_diagonal:
-        expect = np.diagonal(M)[idx]
-    else:
-        V = op.eigvecs[:, idx]
-        expect = np.einsum("ij,ij->j", V, M @ V)
-    assert np.array_equal(op.project_diagonal(M, idx), expect)
-    assert np.allclose(op.project_diagonal(M, idx), np.diagonal(op.project(M, idx)),
-                       rtol=0.0, atol=1e-13)
-
-
-def test_single_box_turns_tiled_sets_and_families_away_without_building_boxes(monkeypatch):
-    dom = DomainSpec.torus(TWO_PI, TWO_PI)
+def test_parity_boxes_turn_tiled_sets_away_without_building_boxes(monkeypatch):
+    op = _op((TWO_PI, TWO_PI), 9.0)
+    dom = op.basis.domain
     box = ((0.4, 2.3), (0.2, 2.0))
     one_cell = ObservabilitySet.periodic((TWO_PI, TWO_PI), [box])
-    tiled = ObservabilitySet.periodic((math.pi, math.pi), [box])
+    assert geometry._parity_boxes(op, one_cell) == ([box], _even_centre(dom, [box], ()))
+    # a family whose boxes ask for different centres splits by no parity
     family = ObservabilitySet(kind="equidistributed_balls", boxes=(box, ((3.0, 3.5),) * 2))
-    assert geometry._single_box(dom, one_cell) == box
+    assert geometry._parity_boxes(op, family) is None
+    potential = galerkin_schrodinger(op.basis, PotentialSpec.const(1.0))
+    dirichlet = galerkin_schrodinger(build_basis(DomainSpec("dirichlet", (TWO_PI,) * 2), 9.0))
     monkeypatch.setattr(ObservabilitySet, "boxes_in_region", None)
-    for S in (tiled, family, ObservabilitySet.full(), None):
-        assert geometry._single_box(dom, S) is None
+    tiled = ObservabilitySet.periodic((math.pi, math.pi), [box])
+    for handle, S in ((op, tiled), (op, ObservabilitySet.full()), (op, None),
+                      (potential, one_cell), (dirichlet, one_cell)):
+        assert geometry._parity_boxes(handle, S) is None
     # a cell that does not tile the torus is refused before any box is built
     with pytest.raises(ParameterError, match="^set period does not tile the torus$"):
-        geometry._single_box(dom, ObservabilitySet.periodic((2.5, 2.5), [box]))
+        geometry._parity_boxes(op, ObservabilitySet.periodic((2.5, 2.5), [box]))
+
+
+@pytest.mark.parametrize("name", ["centred_2x2_family", "one_cell_two_boxes", "family_1d"])
+def test_boxes_that_share_a_centre_take_parity_blocks(name):
+    """Several boxes even about one centre, modulo half a side, split by
+    parity as one box does, and the blocks match the dense Gram."""
+    if name == "centred_2x2_family":
+        sides = (TWO_PI, TWO_PI)
+        S = make_equidistributed(EquidistributedSpec(G=math.pi, delta=1.0, mode="centered"),
+                                 [(0.0, TWO_PI), (0.0, TWO_PI)])
+    elif name == "one_cell_two_boxes":
+        sides = (4.0, 4.0)
+        S = ObservabilitySet.periodic(sides, [((0.5, 1.5), (0.2, 1.8)), ((2.5, 3.5), (2.4, 3.6))])
+    else:
+        sides = (TWO_PI,)
+        S = ObservabilitySet(kind="equidistributed_balls",
+                             boxes=(((0.5, 1.5),), ((math.pi - 0.2, math.pi + 2.2),)))
+    op = _op(sides, 40.0)
+    assert len(S.boxes) == 2 ** len(sides) if name == "centred_2x2_family" else len(S.boxes) == 2
+    blocks = set_blocks(op, S, 40.0)
+    assert _same_classes([modes for modes, _, _ in blocks], op.basis.sign_classes)
+    M = gram_matrix(op.basis, S)
+    for E in E_GRID:
+        assert abs(spectral_ineq_constant(op, S, E) - _dense_constant(op, M, E)) <= 1e-15

@@ -352,7 +352,8 @@ def test_lifting_half_interval(dirichlet_op, half_interval_set):
 def _seed_lifting(op, W, E, support=None):
     """Derivatives and reference constant of ``W`` by the path the
     check took before it shared the Galerkin assembly and the Gram: the
-    Galerkin matrix of a potential, as an eigensolved handle once stored it."""
+    Galerkin matrix of a potential less the Laplacian, as an eigensolved
+    handle once stored it, and the diagonal of the projection by columns."""
     if isinstance(W, ObservabilitySet):
         Mw = gram_matrix(op.basis, W)
         support = W if support is None else support
@@ -381,11 +382,15 @@ _BUMPS = PotentialSpec(constant=0.5, boxes=((1.5, ((0.5, 2.0), (1.0, 3.0))),),
     (_BUMPS, _TORUS_SET, None),
     (_BUMPS, PotentialSpec.indicator([(0.5, 2.0), (1.0, 3.0)], 2.0), _TORUS_SET),
 ])
-def test_lifting_check_matches_the_eigensolved_path_bit_for_bit(potential, W, support):
+def test_lifting_check_matches_the_eigensolved_path(potential, W, support):
     op = galerkin_schrodinger(build_basis(_TORUS, 40.0), potential)
     derivs, ref = _seed_lifting(op, W, 12.0, support)
     report = eigenvalue_lifting_check(op, W, 12.0, support)
-    assert report.derivatives == derivs
+    # the potential's matrix no longer adds the Laplacian (eigenvalues up to
+    # 40, ulp 7e-15) and subtracts it again, and a dense handle's diagonal
+    # comes from its projected block
+    assert len(report.derivatives) == len(derivs)
+    assert max(abs(a - b) for a, b in zip(report.derivatives, derivs)) <= 1e-14
     assert report.reference_constant == ref
     assert report.eigenvalues == tuple(float(op.eigvals[i]) for i in report.indices)
 
