@@ -5,41 +5,93 @@ Every 1D basis function used in this package is a single atom
 into sums of cosines, so integrals over intervals reduce to antiderivatives
 of ``cos``.  All Gram matrices, Galerkin potential entries and cross-basis
 overlaps are assembled from the one cross kernel and the one separable box
-sum below, which keeps them free of quadrature error.  The box sum is a
-BLAS matrix product over the box index, taken for a few output rows at a
-time, so it never holds a table over every pair of distinct-atom tuples.
+sum below, which keeps them free of quadrature error.  The cross kernel
+takes sines and cosines per atom and interval end only, each at the exact
+angle of the float atom, and forms every entry from them by angle
+subtraction and addition, with no transcendental per entry.  The box sum
+is a BLAS matrix product over the box index, taken for a few output rows
+at a time, so it never holds a table over every pair of distinct-atom
+tuples.
 """
 
 import math
 
 import numpy as np
 
-# frequencies in this package are either 0 or bounded below by pi/side,
-# so anything smaller than this is an exact cancellation
-_FREQ_EPS = 1e-12
-
 # entries of one row group's matrix product (256 KiB): the gather reads it
 # back from cache, and inside the benchmark's spectral jobs 1 MiB groups ran
 # slower, their buffers page-faulted afresh on every call
 _GROUP = 1 << 15
 
+# a term whose angle over the longest interval, |w_i -+ v_j| (hi - lo), is
+# under this is carried from the low end by Taylor polynomials: from both
+# ends it would lose eps / |angle| to cancellation
+_NEAR = 0.25
+# Taylor coefficients in x^2 of (cos x - 1) / x^2 and sin x / x, highest
+# first; at |x| = _NEAR the first omitted terms are under 1e-17
+_COSM1 = [(-1) ** (k + 1) / math.factorial(2 * k + 2) for k in range(5, -1, -1)]
+_SINC = [(-1) ** k / math.factorial(2 * k + 1) for k in range(5, -1, -1)]
 
-def _cos_primitive_diff(w, p, a, b):
-    """Vectorized ``int_a^b cos(w x + p) dx``; all four arguments broadcast.
+# Veltkamp's splitter 2^27 + 1: a double times it splits into two halves of
+# at most 26 significant bits each, whose products are exact
+_SPLIT = 134217729.0
 
-    The limit ``cos(p) (b - a)`` at ``w = 0`` is evaluated on the entries
-    with ``|w| < _FREQ_EPS`` alone.
-    """
-    w = np.asarray(w, dtype=float)
-    p = np.asarray(p, dtype=float)
-    small = np.abs(w) < _FREQ_EPS
-    w_safe = np.where(small, 1.0, w)
-    out = np.asarray((np.sin(w_safe * b + p) - np.sin(w_safe * a + p)) / w_safe)
-    if small.any():
-        at = np.broadcast_to(small, out.shape)
-        out[at] = (np.cos(np.broadcast_to(p, out.shape)[at])
-                   * np.broadcast_to(np.subtract(b, a), out.shape)[at])
-    return out
+
+def _two_sum(a, b):
+    """``(s, e)`` with ``s = fl(a + b)`` and ``s + e = a + b`` exactly (Knuth)."""
+    s = a + b
+    back = s - a
+    return s, (a - (s - back)) + (b - back)
+
+
+def _split(x):
+    """Veltkamp's split of ``x`` into two halves of at most 26 significant bits."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_product(a, b):
+    """``(p, e)`` with ``p = fl(a b)`` and ``p + e = a b`` exactly (Dekker)."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _sin_cos(s, e):
+    """``sin`` and ``cos`` of the double-double ``s + e``, ``|e|`` under an ulp
+    of ``s``: ``sin s + e cos s`` and ``cos s - e sin s``, within an ulp of
+    the exact values however large ``s`` is."""
+    sin, cos = np.sin(s), np.cos(s)
+    return sin + e * cos, cos - e * sin
+
+
+def _small_angle(x):
+    """``(cos x - 1) / x`` and ``sin x / x`` for ``|x| <= _NEAR``, by Horner's
+    rule in ``x^2``: odd and even in ``x`` bit for bit."""
+    x2 = x * x
+    cosm1, sinc = _COSM1[0], _SINC[0]
+    for c, s in zip(_COSM1[1:], _SINC[1:]):
+        cosm1 = cosm1 * x2 + c
+        sinc = sinc * x2 + s
+    return x * cosm1, sinc
+
+
+def _carried(sign, i, j, freq, low_ends, pa, pb, length):
+    """``int_lo^hi cos(alpha_i -+ beta_j) dx``, shape (boxes, len(i)), for
+    the terms ``(i, j)`` of ``sign`` and frequency ``freq = w_i -+ v_j``
+    whose angle over the box is under ``_NEAR``: carried from the low end,
+    whose ``sin`` and ``cos`` of the atoms' angles are ``low_ends``."""
+    Sa, Ca, Sb, Cb = low_ends
+    sin = Sa[:, i] * Cb[:, j] + sign * (Ca[:, i] * Sb[:, j])
+    cos = Ca[:, i] * Cb[:, j] - sign * (Sa[:, i] * Sb[:, j])
+    # at equal frequencies the angle is p_i -+ q_j everywhere: its cosine
+    # from the exact phase difference, 1 on a Gram's diagonal
+    zero = freq == 0.0
+    if zero.any():
+        cos[:, zero] = _sin_cos(*_two_sum(pa[i[zero]], sign[zero] * pb[j[zero]]))[1]
+    cosm1, sinc = _small_angle(freq * length)
+    return length * (sin * cosm1 + cos * sinc)
 
 
 def cross_integrals(atoms_a, atoms_b, lo, hi):
@@ -49,17 +101,90 @@ def cross_integrals(atoms_a, atoms_b, lo, hi):
     families.  A Gram table is a family crossed with itself; a product
     ``g_j cos(w0 x + p0)`` is the sum of the two half-amplitude atoms at
     ``w_j -+ w0``, ``p_j -+ p0``.
+
+    With the angles ``alpha_i = w_i x + p_i`` and ``beta_j = v_j x + q_j``
+    of the atoms ``f_i = A_i cos alpha_i`` and ``g_j = B_j cos beta_j``, an
+    entry is ``A_i B_j / 2`` times ``sin(alpha_i - beta_j) / (w_i - v_j) +
+    sin(alpha_i + beta_j) / (w_i + v_j)`` from ``lo`` to ``hi``.  The sines
+    ``S`` and cosines ``C`` of the angles are taken once per atom and
+    interval end, each within an ulp of its value at the exact angle of the
+    float atom: ``w x`` is split into an exact sum of two doubles (Dekker's
+    TwoProduct), ``p`` is added to its leading part without error (Knuth's
+    TwoSum), and only the sum of the two tails is rounded.  Every entry
+    follows from them by angle subtraction and addition,
+    ``(S_i C_j -+ C_i S_j)|_hi - (S_i C_j -+ C_i S_j)|_lo``, elementwise in
+    that order, with no sine or cosine per entry; an entry is then within a
+    few ulps of ``A_i B_j / (2 |w_i -+ v_j|)`` of the exact integral of the
+    same float atoms, however large ``w x + p`` is.
+
+    A term whose angle over the longest interval, ``|w_i -+ v_j| (hi -
+    lo)``, is under ``_NEAR`` would lose its accuracy to the cancellation
+    between the ends, so it is carried from the low end instead:
+    ``(hi - lo) [sin g (cos d - 1) / d + cos g sin d / d]`` for the angle
+    ``g = alpha_i -+ beta_j`` at ``lo`` (from the same ``S`` and ``C``) and
+    ``d = (w_i -+ v_j)(hi - lo)``, both fractions by Taylor polynomials.  At
+    equal frequencies, the diagonal of a Gram among them, ``cos g`` is the
+    cosine of the exact phase difference ``p_i -+ q_j``, one sine and cosine
+    per such entry and call.  Every term is within a few ulps of
+    ``A_i B_j (hi - lo) / 2`` or better, a family crossed with itself gives
+    an exactly symmetric table, and boxes that share an end share that
+    end's values.  The entries are written in groups of at most ``_GROUP``,
+    from four buffers of that size, so no temporary grows with the table.
     """
-    Aa, wa, pa = (np.asarray(x, dtype=float) for x in atoms_a)
-    Ab, wb, pb = (np.asarray(x, dtype=float) for x in atoms_b)
-    lo = np.asarray(lo, dtype=float)[:, None, None]
-    hi = np.asarray(hi, dtype=float)[:, None, None]
-    wd = wa[:, None] - wb[None, :]
-    ws = wa[:, None] + wb[None, :]
-    pd = pa[:, None] - pb[None, :]
-    ps = pa[:, None] + pb[None, :]
-    out = 0.5 * (_cos_primitive_diff(wd, pd, lo, hi) + _cos_primitive_diff(ws, ps, lo, hi))
-    return out * (Aa[:, None] * Ab[None, :])
+    (Aa, wa, pa), (Ab, wb, pb) = ((np.asarray(v, dtype=float) for v in atoms)
+                                  for atoms in (atoms_a, atoms_b))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    boxes, m_a, m_b = len(lo), len(wa), len(wb)
+    # sine and cosine of every angle: rows lo then hi, columns a then b
+    prod, prod_err = _two_product(np.concatenate([wa, wb]), np.concatenate([lo, hi])[:, None])
+    angle, angle_err = _two_sum(prod, np.concatenate([pa, pb]))
+    S, C = _sin_cos(angle, angle_err + prod_err)
+    (Sa_lo, Ca_lo, Sb_lo, Cb_lo), (Sa_hi, Ca_hi, Sb_hi, Cb_hi) = (
+        (S[e, :m_a], C[e, :m_a], S[e, m_a:], C[e, m_a:])
+        for e in (slice(None, boxes), slice(boxes, None)))
+    length = (hi - lo)[:, None]
+    reach = float(np.max(np.abs(length), initial=0.0))
+    out = np.empty((boxes, m_a, m_b))
+    # rows per group, and boxes per group when one group holds every row
+    rows = min(m_a, max(1, _GROUP // m_b))
+    stack = max(1, _GROUP // (rows * m_b))
+    buffers = np.empty((4, min(stack, boxes) * rows * m_b))
+    for r0 in range(0, m_a, rows):
+        r = slice(r0, r0 + rows)
+        half = 0.5 * (Aa[r, None] * Ab)
+        freqs, near = [], []
+        for sign in (-1.0, 1.0):
+            freq = wa[r, None] + sign * wb
+            at = np.nonzero(np.abs(freq) * reach < _NEAR)
+            near.append((np.full(at[0].size, sign), at[0] + r0, at[1], freq[at]))
+            freq[at] = np.inf
+            freqs.append(freq)
+        sign, i, j, freq = (np.concatenate(x) for x in zip(*near))
+        carried = _carried(sign, i, j, freq, (Sa_lo, Ca_lo, Sb_lo, Cb_lo), pa, pb, length)
+        carried *= half[i - r0, j]
+        for b0 in range(0, boxes, stack):
+            b = slice(b0, b0 + stack)
+            block = out[b, r]
+            u, v, d, t = (x[:block.size].reshape(block.shape) for x in buffers)
+            np.multiply(Sa_hi[b, r, None], Cb_hi[b, None], out=u)
+            np.multiply(Ca_hi[b, r, None], Sb_hi[b, None], out=v)
+            np.subtract(u, v, out=d)
+            np.add(u, v, out=u)
+            np.multiply(Sa_lo[b, r, None], Cb_lo[b, None], out=v)
+            np.multiply(Ca_lo[b, r, None], Sb_lo[b, None], out=t)
+            np.subtract(v, t, out=block)
+            np.add(v, t, out=v)
+            d -= block
+            u -= v
+            d /= freqs[0]
+            u /= freqs[1]
+            np.add(d, u, out=block)
+            # the bits of 0.5 (d + u) amp: halving is exact
+            block *= half
+        # each sign apart: a term near in both adds both
+        for part, (_, i, j, _) in zip(np.split(carried, [len(near[0][0])], axis=1), near):
+            out[:, i, j] += part
+    return out
 
 
 def separable_sum(tables, index_a, index_b):

@@ -20,6 +20,11 @@ from .spectral import (PotentialSpec, _even_centre, box_integrals, group_modes, 
 
 _EPS = 1e-12
 
+# entries of one chunk of the 2D complement-density table, centres x
+# translated boxes (512 KiB per temporary): rows of centres are taken as many
+# at a time as fit, so small sets take few passes and large ones one row each
+_CENTRE_ENTRIES = 1 << 16
+
 
 def check_gamma(gamma):
     """``gamma`` as a float; refused unless it is a density in (0, 1]."""
@@ -519,10 +524,13 @@ def beta_complement(S, radii, grid=64):
     """Per radius, ``sup_x |S^c ∩ B(x, r)| / |B(x, r)|`` over a center grid.
 
     The 1D case takes interval measures from the window scan; the 2D case
-    sums closed-form disk/box areas over every translate of every box, one
-    row of centers at a time so that memory stays at one row.  Those areas
-    are planar, so a set of three or more dimensions is refused.  Returns a
-    list of ``(r, beta_est)`` pairs in the order given.
+    sums closed-form disk/box areas over every translate of every box, for
+    as many rows of centers at a time as keep the table of centers x
+    translates within ``_CENTRE_ENTRIES`` entries (at least one row), so
+    memory does not grow with the grid, and each center sums its boxes in
+    the same order whatever the chunk.  Those areas are planar, so a set of
+    three or more dimensions is refused.  Returns a list of ``(r,
+    beta_est)`` pairs in the order given.
     """
     radii = [float(r) for r in np.atleast_1d(radii)]
     if any(r <= 0 for r in radii):
@@ -550,8 +558,11 @@ def beta_complement(S, radii, grid=64):
             sx, sy = (_shifts(c, -r, r) for c in S.cell)
             x, y = np.broadcast_arrays(b[..., 0, :] + sx[:, None, None], b[..., 1, :] + sy[:, None])
             box = (x.reshape(-1, 2).T, y.reshape(-1, 2).T)
-            inter = np.concatenate([disk_box_area((cx, centers[1][:, None]), r, box).sum(axis=1)
-                                    for cx in centers[0]])
+            rows = max(1, _CENTRE_ENTRIES // (len(centers[1]) * box[0].shape[1]))
+            inter = np.concatenate([
+                disk_box_area((centers[0][c0:c0 + rows, None, None], centers[1][:, None]), r,
+                              box).sum(axis=2).ravel()
+                for c0 in range(0, len(centers[0]), rows)])
         out.append((r, float(max(0.0, np.max((ball_measure - inter) / ball_measure)))))
     return out
 

@@ -78,47 +78,29 @@ class DomainSpec:
 
 
 def _axis_modes(boundary, side, e_max):
-    """1D mode indices with eigenvalue <= e_max on one axis.
+    """1D mode indices with eigenvalue <= e_max on one axis, as ``(k, lam)``
+    pairs of Python numbers.
 
     Periodic axes use signed indices: ``k == 0`` is the constant, ``k > 0``
-    the cosine and ``k < 0`` the sine at frequency ``|k|``.
+    the cosine and ``k < 0`` the sine at frequency ``|k|``, each positive
+    index followed by its negative.
     """
-    out = []
-    if boundary == "periodic":
-        unit = 2.0 * np.pi / side
-        out.append((0, 0.0))
-        k = 1
-        while (k * unit) ** 2 <= e_max:
-            lam = (k * unit) ** 2
-            out.append((k, lam))
-            out.append((-k, lam))
-            k += 1
-    else:
-        unit = np.pi / side
-        k0 = 0 if boundary == "neumann" else 1
-        k = k0
-        while (k * unit) ** 2 <= e_max:
-            out.append((k, (k * unit) ** 2))
-            k += 1
-    return out
-
-
-def _axis_atom(boundary, side, origin, k):
-    """(amp, freq, phase) of the 1D mode ``k`` in absolute coordinates."""
-    if boundary == "periodic":
-        if k == 0:
-            return (1.0 / np.sqrt(side), 0.0, 0.0)
-        w = 2.0 * np.pi * abs(k) / side
-        phase = -w * origin - (np.pi / 2 if k < 0 else 0.0)
-        return (np.sqrt(2.0 / side), w, phase)
-    if boundary == "dirichlet":
-        w = k * np.pi / side
-        return (np.sqrt(2.0 / side), w, -w * origin - np.pi / 2)
-    # neumann
-    if k == 0:
-        return (1.0 / np.sqrt(side), 0.0, 0.0)
-    w = k * np.pi / side
-    return (np.sqrt(2.0 / side), w, -w * origin)
+    periodic = boundary == "periodic"
+    unit = (2.0 if periodic else 1.0) * np.pi / side
+    first = 0 if boundary == "neumann" else 1
+    # one past the last candidate; the test below decides, as a scan from
+    # ``first`` upwards would
+    k = np.arange(first, int(math.sqrt(e_max) / unit) + 2)
+    # libm's pow, as ``(k * unit) ** 2`` on Python floats: the correctly
+    # rounded square that numpy's ``**`` takes differs from it in the last bit
+    # for about one k in a thousand
+    lam = np.float_power(k * unit, 2)
+    # the squares grow with k, so the admitted modes are a leading run
+    k, lam = k[lam <= e_max], lam[lam <= e_max]
+    if periodic:
+        k = np.concatenate([[0], np.stack([k, -k], axis=1).ravel()])
+        lam = np.concatenate([[0.0], np.repeat(lam, 2)])
+    return list(zip(k.tolist(), lam.tolist()))
 
 
 @dataclass(frozen=True)
@@ -155,12 +137,9 @@ class SpectralBasis:
         factor among them.
         """
         dom = self.domain
-        axes = []
-        for ax, (distinct, index) in enumerate(self.axis_indices):
-            atoms = np.array([_axis_atom(dom.boundary, dom.sides[ax], dom.origin[ax], int(k))
-                              for k in distinct]).T
-            axes.append((tuple(atoms), index))
-        return tuple(axes)
+        return tuple((_atoms(dom.boundary, side, origin, distinct), index)
+                     for side, origin, (distinct, index)
+                     in zip(dom.sides, dom.origin, self.axis_indices))
 
     @cached_property
     def sign_classes(self):
@@ -215,8 +194,12 @@ def build_basis(domain, e_max, n_max=DEFAULT_N_MAX):
     degenerate eigenspaces have a reproducible order.  Raises
     :class:`CapacityError` when the truncation exceeds ``n_max`` modes.
     """
-    if e_max <= 0:
+    if not e_max > 0:
         raise ParameterError("e_max must be positive")
+    # an axis holds about sqrt(e_max) side / pi modes, which the enumeration
+    # below would refuse anyway: refused before they are listed
+    if math.sqrt(e_max) * max(domain.sides) / math.pi > 50 * n_max + 1:
+        raise CapacityError(f"mode enumeration exceeded {50 * n_max}")
     per_axis = [_axis_modes(domain.boundary, s, e_max) for s in domain.sides]
     modes = [((), 0.0)]
     for axis_list in per_axis:
@@ -396,8 +379,21 @@ def _atoms(boundary, side, origin, ks):
     """``(amps, freqs, phases)`` of the 1D modes ``ks`` of a ``boundary`` axis of
     length ``side`` whose phases start at ``origin``: the domain's origin for
     the basis's own atoms, a centre ``c`` of a torus for the atoms
-    ``cos(w (x - c))`` (``k >= 0``) and ``sin(w (x - c))`` (``k < 0``)."""
-    return np.array([_axis_atom(boundary, side, origin, k) for k in ks]).T
+    ``cos(w (x - c))`` (``k >= 0``) and ``sin(w (x - c))`` (``k < 0``).
+
+    The mode ``k`` is ``sqrt(2/side) cos(w (x - origin) - shift)`` at
+    ``w = |k| pi / side`` (``2 |k| pi / side`` on a torus), the shift
+    ``pi/2`` for a Dirichlet sine or a torus's ``k < 0`` and 0 otherwise;
+    ``k == 0`` is the constant ``1/sqrt(side)``."""
+    ks = np.asarray(ks)
+    periodic = boundary == "periodic"
+    freqs = (2.0 if periodic else 1.0) * np.pi * np.abs(ks) / side
+    shift = np.where(ks < 0, np.pi / 2, 0.0) if periodic else (
+        np.pi / 2 if boundary == "dirichlet" else 0.0)
+    constant = ks == 0
+    amps = np.where(constant, 1.0 / np.sqrt(side), np.sqrt(2.0 / side))
+    phases = np.where(constant, 0.0, -freqs * origin - shift)
+    return amps, freqs, phases
 
 
 @lru_cache(maxsize=64)

@@ -51,6 +51,34 @@ def quad_gram(basis, boxes, order=64, weight=None, other=None):
     return M
 
 
+def cross_integrals_mp(atoms_a, atoms_b, lo, hi, dps=50):
+    """``int_lo^hi A_i cos(w_i x + p_i) B_j cos(v_j x + q_j) dx`` at ``dps``
+    digits, shape (len(lo), m_a, m_b), as floats.
+
+    The float atoms and ends are taken as exact binary values, and each
+    entry is the sum of the two antiderivative differences of the product's
+    cosines at the frequencies ``w_i -+ v_j`` and phases ``p_i -+ q_j``,
+    evaluated directly; a frequency that is exactly 0 gives
+    ``cos(p_i -+ q_j) (hi - lo)``.
+    """
+    out = np.empty((len(lo), len(atoms_a[0]), len(atoms_b[0])))
+    with mpmath.workdps(dps):
+        a = [[mpmath.mpf(float(v)) for v in family] for family in atoms_a]
+        b = [[mpmath.mpf(float(v)) for v in family] for family in atoms_b]
+        for z, (x0, x1) in enumerate(zip(lo, hi)):
+            x0, x1 = mpmath.mpf(float(x0)), mpmath.mpf(float(x1))
+            for i, (A, w, p) in enumerate(zip(*a)):
+                for j, (B, v, q) in enumerate(zip(*b)):
+                    total = mpmath.mpf(0)
+                    for f, ph in ((w - v, p - q), (w + v, p + q)):
+                        if f == 0:
+                            total += mpmath.cos(ph) * (x1 - x0)
+                        else:
+                            total += (mpmath.sin(f * x1 + ph) - mpmath.sin(f * x0 + ph)) / f
+                    out[z, i, j] = float(A * B * total / 2)
+    return out
+
+
 def grid_measure_periodic(boxes_fn, window, n=200001):
     """Measure of a 1D set inside ``window`` by midpoint sampling.
 

@@ -698,17 +698,20 @@ def _si(domain, set_, **kw):
 # each valid form of a config object, with the SHA-256 of every artifact that
 # the code before the section binding wrote for it (recorded with numpy 2 on
 # x86-64 Linux); ``example`` (4 cells on its torus) carries the bits of the
-# constants taken per mode class
+# constants taken per mode class, and ``band``, ``equidistributed_config_seed``
+# and ``potential`` those of the cross kernel from per-atom sines and
+# cosines, which moved their constants by 1e-15 to 2.3e-11 relative, all but
+# one toward the 50-digit values (CHANGES.md)
 VALID_FORMS = {
     "equidistributed_config_seed": (
         _si({"interval": [0.0, 4.0]},
             {"equidistributed": {"G": 1.0, "delta": 0.2}, "extent": [[0.0, 4.0]]}, seed=11),
-        None, "6232515e65981d7a64f5adbb31a658a4ecf53d0481284f3e63897b3d253614ad"),
+        None, "e0afa7778d94b2b51e0599b73310f72379df1359991451e05c7b4e7c12a0c576"),
     "example": (_si({"torus": [4.0]}, {"example": "centered_bands", "eps": 0.4}),
                 None, "e98dc8b62da2c42e971d640ff7cdbb1f2ae913df43bdf50a8b39143f0652afb6"),
     "band": (_si({"interval": [0.0, math.pi], "boundary": "neumann"},
                  {"band": {"period": 1.0, "gamma": 0.5}}),
-             None, "36899c1033758c82bbfc744a4e7fd630feb1527970907c53c8deb8fb21b00a45"),
+             None, "254c08ad9ec4a92edd69f725aa463bc1f807f7185e8e60116f7e79e231a0a12e"),
     "set_file": (_si({"interval": [0.0, math.pi]}, "SET_FILE"),
                  None, "0b65b40293dcb52ed859a5b740e406ce27148e41804cde6423b83b0cc523c9d3"),
     # one box on its torus: the constants come from the reflection-parity
@@ -735,7 +738,7 @@ VALID_FORMS = {
     "potential": (_si({"torus": [2 * math.pi]}, {**SET_RECORD, "cell": [2 * math.pi]},
                       potential={"constant": 0.5, "boxes": [[1.0, [[0.0, 1.0]]]],
                                  "cosines": [[0.25, [2]]]}),
-                  None, "c18d88608a89a284a81aa3d87614f043ae0e20a3596934f95d1a38b42f9a3445"),
+                  None, "bbc51e48dfc80e969d0bdb666923e75f9006d858e76be813dbdead983e77a2fa"),
 }
 
 
@@ -760,7 +763,9 @@ def test_valid_form_writes_the_recorded_bytes(tmp_path, form):
 # torus) carries the bits of the per-class costs from the triangular inverse;
 # the potential torus (n=69, an indicator potential even about its box's
 # midpoint) carries the bits of the per-sign-class eigensolves and of its top
-# active/passive cutoff's constant read from the set's Bloch blocks
+# active/passive cutoff's constant read from the set's Bloch blocks; exhaust,
+# homogenize, the 3D torus and the potential torus carry the bits of the
+# cross kernel from per-atom sines and cosines (CHANGES.md)
 ARTIFACT_DIGESTS = {
     "bounds_catalog": {
         "bounds.csv": "2c003ef509c2c3f41c9e795737702da9227fda86560de22d4aaf7d8edced2904",
@@ -774,22 +779,22 @@ ARTIFACT_DIGESTS = {
         "run_meta.json": "273e399ed5af212254f684e169501eb913a6a99bac96e82c53221b09a35c58ab",
     },
     "exhaust": {
-        "exhaust.csv": "74cf9bb7db28164e38a0653522226a44fe73e822b55355dc724dabe1bd711510",
-        "exhaust_report.json": "24e89571d4edb4e000bf70a06f826abe652906e0904b82df50891721809e16d1",
-        "run_meta.json": "6bdcbd52d0b5805d41a5a75794851b1edce67f04b55b2710c06cd8789ff129ca",
+        "exhaust.csv": "3671eb7c3b2fcc23ba3a760c07ea6a8127efa30471c02437a3b9a04e5dc63019",
+        "exhaust_report.json": "d08b6820648152cb2264f959de0a732898ccb9376f152ce75d82565ac5871010",
+        "run_meta.json": "8a612d51e81ac6f28ab707df335af2a52726d7da28cfc73931a3f21b279368f1",
     },
     "homogenize": {
-        "homogenize.csv": "9b79004a0093855e2b3cceba7dff6ef0bac8455ca5d0256e92e000ac2161e558",
-        "homogenize_sweep.csv": "8fb6f17878247a1b8e9c46c57c06c43010a841fd8bc1a1ba2d16312eb8fbb0c2",
-        "run_meta.json": "ffe48115d8d12f28f293a7c3a3f89a5766f6e4c3102ca1c913c312c6d0e4cf2d",
+        "homogenize.csv": "73cca5bf23871c222fec6ac4a56532d796a80fbaf8363350c8628c719c6ed4fb",
+        "homogenize_sweep.csv": "1ab3dc0de03121439aa82f3446f5d180192a2ece2b6d17039e284efa6e996fde",
+        "run_meta.json": "ffb1dd71dabf7555bfc46a12392dbe799ae113c9ae38290593668c6e88cd0031",
     },
     "spectral_ineq_half_interval": {
         "run_meta.json": "e3475738584d42f4f37aef71245a5aa13bb9acb829c93cd746fe68d9ddab136c",
         "spectral_ineq.csv": "d4b82b6499eb2cd3c806d174bb49f7e64995623a479d8d91157d270159c87770",
     },
     "spectral_ineq_torus3d": {
-        "run_meta.json": "71a64e6aaa790c4c6081bb5f4761834e96475ffeaecfe9efb6d8f75987f59f6a",
-        "spectral_ineq.csv": "dff53c7710fbb29c72ef52d32a1a4e47ddffcc9929fbcc6595adcfb1781d60b0",
+        "run_meta.json": "1a0708efa290cd71c2b6c71e1c63fccdbda52c29005618fea86f9b94b31ef779",
+        "spectral_ineq.csv": "0ea1a13a4e1b8d38aee607bc64d81db250bf77e26d755a093160f9018c4c2a77",
     },
     "synthesize_active_passive": {
         "phases.csv": "817e6458cf6a27748023663669dc621e3c17b424471092cd8629e4a9e17b04f0",
@@ -803,10 +808,10 @@ ARTIFACT_DIGESTS = {
         "trajectory.csv": "9806936b44327f431ba38a633ecd158bea6dffe2f1913411fb65da0b681c2e78",
     },
     "synthesize_potential_torus": {
-        "phases.csv": "cdc5649f356e05cb40d1b6b621588c7028dee11c0a8eb8d5f493b88e155a9b36",
-        "report.json": "a8d44c75455a8de61674eb7210550d0d569fa44c29ccb4042245f41a44f0c840",
-        "run_meta.json": "eef7d0253d951ba25c46da8d8b074f311c1bab352349bb7e6797cb0e47f72b02",
-        "trajectory.csv": "51e19170cacabd0827d75fd6ac834fbb1d2584ba1e85e4d0fe56ed74b1f40072",
+        "phases.csv": "5edee3e8394d5ec65c29833a73a70960468eeee4012571d8502f4bf559464abd",
+        "report.json": "8b9710a1c440233936c2ff1d5032de6f3e99e0547860fca96e107de6a6f5ceac",
+        "run_meta.json": "97513897b7935ba0a21e045d17a707f1481589ebb1f40d08a6222a9ba8c894c1",
+        "trajectory.csv": "223e5190d0324a947fc20e30a4da4570cf3b73ca09a96016de807e29bc511efa",
     },
     "synthesize_scalar": {
         "report.json": "7046e3ec5101f3b0ee1fc4dd0686c783b55bb9a3b866039b54ee62f16ead80c7",

@@ -9,8 +9,8 @@ from heatctl import (ControlProblem, DomainSpec, EquidistributedSpec, Observabil
                      ParameterError, PotentialSpec, ThickParams, beta_complement, build_basis,
                      example_set, galerkin_schrodinger, gram_matrix, make_equidistributed,
                      periodic_band, thickness_estimate)
-from heatctl import _trig
 from heatctl.geometry import disk_box_area, mode_classes, region_boxes, set_blocks
+from test_trig import counting_trig
 from oracles import (beta_2d_mp, disk_box_area_mp, grid_measure_periodic, quad_gram,
                      set_indicator, window_measure)
 
@@ -86,26 +86,21 @@ def test_gram_quadrature_oracle_equidistributed_straddling_edges():
     assert np.max(np.abs(gram_matrix(basis, S) - Mq)) < 1e-10
 
 
-def test_gram_cost_scales_with_distinct_atoms(monkeypatch):
-    """Sixteen boxes at n=481: the kernel runs on per-axis atom tables only."""
+def test_gram_cost_scales_with_distinct_atoms():
+    """Sixteen boxes at n=481: sines and cosines per box, axis and distinct atom."""
     dom = DomainSpec.torus(2 * math.pi, 2 * math.pi)
     basis = build_basis(dom, 150.0)
     S = ObservabilitySet.periodic((math.pi / 2,) * 2, [((0.2, 1.0), (0.3, 1.2))])
     boxes = S.boxes_in_region(dom.box())
     assert len(boxes) == 16 and basis.n == 481
-    evaluated = []
-    kernel = _trig._cos_primitive_diff
-
-    def counting(w, p, a, b):
-        evaluated.append(np.broadcast(w, p, a, b).size)
-        return kernel(w, p, a, b)
-
-    monkeypatch.setattr(_trig, "_cos_primitive_diff", counting)
-    M = gram_matrix(basis, S)
+    with counting_trig() as counts:
+        M = gram_matrix(basis, S)
     m = [len(basis.axis_atoms[ax][0][0]) for ax in range(2)]
-    assert evaluated
-    assert sum(evaluated) <= 4 * len(boxes) * sum(k * k for k in m)
-    assert 4 * len(boxes) * sum(k * k for k in m) < len(boxes) * basis.n ** 2
+    # each atom's angle at both ends of every box, plus the exact phase
+    # differences of the equal-frequency terms, at most m_a + m_b per axis
+    assert counts["sin"] == counts["cos"]
+    assert 4 * len(boxes) * sum(m) <= counts["sin"] <= (4 * len(boxes) + 2) * sum(m)
+    assert (4 * len(boxes) + 2) * sum(m) < len(boxes) * sum(k * k for k in m) / 2
     Mq = quad_gram(basis, boxes, order=32)
     assert np.max(np.abs(M - Mq)) < 1e-10
 

@@ -6,7 +6,26 @@ import pytest
 from heatctl import (CapacityError, DomainSpec, ParameterError, PotentialSpec,
                      build_basis, fractional_transform, galerkin_schrodinger,
                      semigroup_apply)
-from heatctl.spectral import BOUNDARIES, _axis_atom, galerkin_matrix, symmetrize
+from heatctl.spectral import BOUNDARIES, _axis_modes, galerkin_matrix, symmetrize
+
+
+def _axis_atom(boundary, side, origin, k):
+    """(amp, freq, phase) of the 1D mode ``k`` in absolute coordinates, one
+    mode at a time: the reference for the atoms the package builds."""
+    if boundary == "periodic":
+        if k == 0:
+            return (1.0 / np.sqrt(side), 0.0, 0.0)
+        w = 2.0 * np.pi * abs(k) / side
+        phase = -w * origin - (np.pi / 2 if k < 0 else 0.0)
+        return (np.sqrt(2.0 / side), w, phase)
+    if boundary == "dirichlet":
+        w = k * np.pi / side
+        return (np.sqrt(2.0 / side), w, -w * origin - np.pi / 2)
+    # neumann
+    if k == 0:
+        return (1.0 / np.sqrt(side), 0.0, 0.0)
+    w = k * np.pi / side
+    return (np.sqrt(2.0 / side), w, -w * origin)
 from oracles import quad_gram
 
 
@@ -42,6 +61,19 @@ def test_eigenvalues_sorted_and_cutoff_respected():
 def test_capacity_error():
     with pytest.raises(CapacityError):
         build_basis(DomainSpec.interval(0.0, math.pi, "dirichlet"), 1e9, n_max=64)
+
+
+@pytest.mark.parametrize("e_max", [1e30, math.inf])
+def test_capacity_error_comes_before_the_modes_are_listed(e_max):
+    # about 3e14 modes per axis at 1e30: listed, they would not fit in memory
+    with pytest.raises(CapacityError, match="mode enumeration exceeded"):
+        build_basis(DomainSpec.torus(2 * math.pi, 2 * math.pi), e_max)
+
+
+def test_capacity_error_from_the_mode_tuples_of_short_axes():
+    # 61 modes per axis pass the per-axis count, about 2800 tuples do not
+    with pytest.raises(CapacityError, match="mode enumeration exceeded 400"):
+        build_basis(DomainSpec.torus(2 * math.pi, 2 * math.pi), 900.0, n_max=8)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
@@ -142,6 +174,37 @@ def test_axis_atoms_are_distinct_and_gather_every_mode(boundary):
         per_mode = [_axis_atom(boundary, dom.sides[ax], dom.origin[ax], m[ax])
                     for m in basis.modes]
         assert np.array_equal(np.stack(atoms, axis=1)[index], per_mode)
+
+
+def _axis_modes_scan(boundary, side, e_max):
+    """The 1D modes of one axis, one wave number at a time: the reference for
+    the modes the package lists."""
+    out = []
+    if boundary == "periodic":
+        unit = 2.0 * np.pi / side
+        out.append((0, 0.0))
+        k = 1
+        while (k * unit) ** 2 <= e_max:
+            out += [(k, (k * unit) ** 2), (-k, (k * unit) ** 2)]
+            k += 1
+        return out
+    unit = np.pi / side
+    k = 0 if boundary == "neumann" else 1
+    while (k * unit) ** 2 <= e_max:
+        out.append((k, (k * unit) ** 2))
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_axis_modes_are_the_scan_per_wave_number_bit_for_bit(boundary):
+    for side in (2 * math.pi, 9.0, 4.5, 3.37, 2.13, 15.38435497866404):
+        for e_max in (0.5, 40.0, 150.0, 161.0 ** 2, 21973.2682717666):
+            modes = _axis_modes(boundary, side, e_max)
+            scan = _axis_modes_scan(boundary, side, e_max)
+            assert modes == scan
+            assert [type(k) for k, _ in modes] == [int] * len(scan)
+            assert [type(lam) for _, lam in modes] == [float] * len(scan)
 
 
 def test_galerkin_symmetry_and_form_lower_bound():
